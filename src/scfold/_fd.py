@@ -18,6 +18,9 @@ STENCIL_ACCURACY = 4
 # fallback step for directional finite differences: h = FD_STEP * (1 + |x|_1)
 FD_STEP = 1e-5
 
+# fixed coordinate step of the central-difference Jacobians
+JACOBIAN_STEP = 1e-6
+
 
 def fornberg_weights(z, x, m):
     """Finite-difference weights for the order-m derivative at z from nodes x."""
@@ -106,6 +109,24 @@ def directional_derivative(fn, x, v, step_scale=None):
     v = np.asarray(v, dtype=float)
     h = (step_scale if step_scale is not None else FD_STEP) * (1.0 + np.linalg.norm(x))
     return (np.asarray(fn(x + h * v)) - np.asarray(fn(x - h * v))) / (2.0 * h)
+
+
+def jacobian(fn, x, out_dim, step):
+    """Central-difference Jacobian of fn at x, shape (out_dim, x.size).
+
+    Column j is (fn(x + h e_j) - fn(x - h e_j)) / 2h with h = step; with
+    out_dim None the row count is taken from the first column.
+    """
+    x = np.asarray(x, dtype=float)
+    jac = None if out_dim is None else np.zeros((out_dim, x.size))
+    for j in range(x.size):
+        e = np.zeros(x.size)
+        e[j] = step
+        col = (np.atleast_1d(fn(x + e)) - np.atleast_1d(fn(x - e))) / (2 * step)
+        if jac is None:
+            jac = np.zeros((col.size, x.size))
+        jac[:, j] = col
+    return jac if jac is not None else np.zeros((0, 0))
 
 
 def numerical_rank(singular_values, lower=1e-10, upper=1e-8):

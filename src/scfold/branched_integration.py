@@ -237,16 +237,11 @@ class Cell:
     def point(self, q):
         return np.asarray(self.chart_map(np.asarray(q, dtype=float)), dtype=float)
 
-    def jacobian(self, q, step=1e-6):
+    def jacobian(self, q, step=_fd.JACOBIAN_STEP):
         q = np.asarray(q, dtype=float)
         if self.jac is not None:
             return np.asarray(self.jac(q), dtype=float)
-        cols = []
-        for j in range(self.dim):
-            e = np.zeros(self.dim)
-            e[j] = step
-            cols.append((self.point(q + e) - self.point(q - e)) / (2 * step))
-        return np.array(cols).T
+        return _fd.jacobian(self.point, q, None, step)
 
     def boundary_cells(self):
         """Faces with the induced orientation of the standard cube."""

@@ -159,13 +159,9 @@ def solve_germ(germ, a, m, tol=1e-12, max_iter=500, newton=False):
 
 def _newton_step(germ, a, w, m):
     d = w.size
-    jac = np.zeros((d, d))
     base = germ.b(a, w, m)
-    h = 1e-7 * (1.0 + np.linalg.norm(w))
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = h
-        jac[:, j] = (germ.b(a, w + e, m) - germ.b(a, w - e, m)) / (2 * h)
+    jac = _fd.jacobian(lambda v: germ.b(a, v, m), w, d,
+                       1e-7 * (1.0 + np.linalg.norm(w)))
     try:
         return np.linalg.solve(np.eye(d) - jac, base - w)
     except np.linalg.LinAlgError:
@@ -412,7 +408,7 @@ def local_solution_manifold(germ, kernel_dim=None, tol=1e-10, patch_radius=0.3,
         kernel = np.eye(n)
         base_sv = np.inf
     else:
-        jac = _fd_jacobian(reduced, np.zeros(n), N)
+        jac = _fd.jacobian(reduced, np.zeros(n), N, _fd.JACOBIAN_STEP)
         sv = np.linalg.svd(jac, compute_uv=False)
         base_sv = float(sv[N - 1]) if sv.size >= N else 0.0
         if base_sv <= surjectivity_floor:
@@ -441,7 +437,8 @@ def local_solution_manifold(germ, kernel_dim=None, tol=1e-10, patch_radius=0.3,
                 if np.linalg.norm(val) < 10 * tol:
                     ok = True
                     break
-                jac = _fd_jacobian(lambda z: reduced(a + complement @ z), xi, N)
+                jac = _fd.jacobian(lambda z: reduced(a + complement @ z), xi, N,
+                                   _fd.JACOBIAN_STEP)
                 try:
                     xi = xi - np.linalg.solve(jac, val)
                 except np.linalg.LinAlgError:
@@ -457,23 +454,13 @@ def local_solution_manifold(germ, kernel_dim=None, tol=1e-10, patch_radius=0.3,
             continue
         w, _ = solve_germ(germ, a, 0, tol=tol)
         if N:
-            jac = _fd_jacobian(reduced, a, N)
+            jac = _fd.jacobian(reduced, a, N, _fd.JACOBIAN_STEP)
             sv = np.linalg.svd(jac, compute_uv=False)
             surj = float(sv[N - 1])
         else:
             surj = np.inf
         samples.append(ManifoldSample(a, w, kappa, surj, deg))
     return ManifoldReport(samples, kernel, k_dim, base_sv)
-
-
-def _fd_jacobian(fn, x, out_dim, step=1e-6):
-    x = np.asarray(x, dtype=float)
-    jac = np.zeros((out_dim, x.size))
-    for j in range(x.size):
-        e = np.zeros(x.size)
-        e[j] = step
-        jac[:, j] = (np.atleast_1d(fn(x + e)) - np.atleast_1d(fn(x - e))) / (2 * step)
-    return jac
 
 
 def _nullspace_rect(a, rcond=1e-10):
@@ -513,7 +500,7 @@ def germ_from_map(fn, x0, out_dim, rank_cutoff=1e-10, radius=1.0):
     points are the zeros of the image component.
     """
     x0 = np.asarray(x0, dtype=float)
-    jac = _fd_jacobian(lambda z: np.atleast_1d(fn(z)), x0, out_dim)
+    jac = _fd.jacobian(fn, x0, out_dim, _fd.JACOBIAN_STEP)
     u, s, vt = np.linalg.svd(jac)
     cutoff = rank_cutoff * max(s[0] if s.size else 0.0, 1e-30)
     r = int(np.sum(s > cutoff))

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import _fd
 from .errors import (
     BiLevelError,
     ExhaustedAttemptsError,
@@ -109,19 +110,14 @@ class BundleSection:
     def __call__(self, chart_id, base):
         return np.asarray(self.fn(chart_id, np.asarray(base, dtype=float)), dtype=float)
 
-    def derivative_matrix(self, chart_id, base, step=1e-6):
+    def derivative_matrix(self, chart_id, base, step=_fd.JACOBIAN_STEP):
         base = np.asarray(base, dtype=float)
         chart = self.model.chart(chart_id)
         out_dim = chart.fiber_dim()
         if self.dfn is not None:
             cols = [self.dfn(chart_id, base, e) for e in np.eye(base.size)]
             return np.array(cols, dtype=float).T.reshape(out_dim, base.size)
-        jac = np.zeros((out_dim, base.size))
-        for j in range(base.size):
-            e = np.zeros(base.size)
-            e[j] = step
-            jac[:, j] = (self(chart_id, base + e) - self(chart_id, base - e)) / (2 * step)
-        return jac
+        return _fd.jacobian(lambda z: self(chart_id, z), base, out_dim, step)
 
     def element(self, chart_id, base, base_level):
         k = base_level + (1 if self.tag == "sc_plus" else 0)
@@ -523,12 +519,7 @@ def _gauss_newton(fn, x0, out_dim, tol=1e-11, max_iter=80):
             res = np.linalg.norm(val)
             if res <= tol:
                 return x
-            jac = np.zeros((out_dim, x.size))
-            h = 1e-7 * (1.0 + np.linalg.norm(x))
-            for j in range(x.size):
-                e = np.zeros(x.size)
-                e[j] = h
-                jac[:, j] = (np.atleast_1d(fn(x + e)) - np.atleast_1d(fn(x - e))) / (2 * h)
+            jac = _fd.jacobian(fn, x, out_dim, 1e-7 * (1.0 + np.linalg.norm(x)))
             step = np.linalg.pinv(jac, rcond=1e-12) @ val
             cap = 10.0 * (1.0 + np.linalg.norm(x))
             sn = np.linalg.norm(step)
