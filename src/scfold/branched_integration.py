@@ -35,9 +35,6 @@ def _sorted_key(idx):
     idx = tuple(idx)
     if len(set(idx)) != len(idx):
         return None, 0
-    perm = np.argsort(idx)
-    sign = 1
-    seen = list(idx)
     # count inversions
     inv = sum(1 for i in range(len(idx)) for j in range(i + 1, len(idx))
               if idx[i] > idx[j])

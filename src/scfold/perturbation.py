@@ -20,6 +20,7 @@ from . import _fd
 from .errors import (
     BiLevelError,
     ExhaustedAttemptsError,
+    NonConvergenceError,
     NotASolutionError,
     UnchartedPointError,
 )
@@ -453,9 +454,9 @@ def control_pair_build(f, aux_norm, margin=0.5, seeds_per_chart=24, seed=0,
                        sublevel_samples=200, boundary_fraction=0.9):
     """Neighborhood of the sampled zero set certified by sublevel sampling.
 
-    Zeros are found per chart by the germ corrector from seeded starts; the
-    region is the union of balls of the given margin around them. The
-    certificate checks, on samples, that the unit sublevel set of the
+    Zeros are found per chart by the Gauss-Newton corrector from seeded
+    starts; the region is the union of balls of the given margin around them.
+    The certificate checks, on samples, that the unit sublevel set of the
     auxiliary norm of the section inside the closed region stays at positive
     distance from the region boundary. Zeros found at the chart edge mean the
     zero set escapes the window and certification fails. The certificate is a
@@ -474,7 +475,7 @@ def control_pair_build(f, aux_norm, margin=0.5, seeds_per_chart=24, seed=0,
         else:
             for _ in range(seeds_per_chart):
                 x0 = chart.domain.center + radius * rng.uniform(-1, 1, d)
-                x_sol = _corrector_solve(f, cid, x0)
+                x_sol = _corrector(lambda z: f(cid, z), x0, chart.fiber_dim())
                 if x_sol is None:
                     continue
                 if not chart.domain.contains(x_sol, 0):
@@ -537,21 +538,10 @@ def _gauss_newton(fn, x0, out_dim, tol=1e-11, max_iter=80):
     return x
 
 
-def _corrector_solve(f, chart_id, x0, tol=1e-11, accept_tol=1e-8):
-    """Zero of the section from a seeded start: Gauss-Newton presolve followed
-    by a polish pass through the germ normal form."""
-    chart = f.model.chart(chart_id)
-    out_dim = chart.fiber_dim()
-    fn = lambda z: f(chart_id, z)
+def _corrector(fn, x0, out_dim, tol=1e-11, accept_tol=1e-8):
+    """Zero of fn from a seeded start by damped Gauss-Newton; None unless the
+    residual at the returned point is at most accept_tol."""
     x = _gauss_newton(fn, x0, out_dim, tol=tol)
-    pg = germ_from_map(fn, x, out_dim)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            w, _ = solve_germ(pg.germ, np.zeros(pg.germ.base_dim), 0,
-                              tol=tol, max_iter=200)
-        x = pg.ambient(np.zeros(pg.germ.base_dim), w)
-    except Exception:
-        pass
     return x if np.linalg.norm(fn(x)) <= accept_tol else None
 
 
@@ -574,9 +564,10 @@ def solution_set(f, l, seeds_per_chart=40, seed=0, tol=1e-11,
                  curve_samples=33, patch_radius=None):
     """Weighted solution samples of the multisection equation per branch.
 
-    Each active branch solves f(x) = s_i(x) through the germ corrector from
-    seeded starts; zero-dimensional solutions are deduplicated, positive-index
-    solutions get a kernel parametrization. Charts with zero-dimensional fiber
+    Each active branch solves f(x) = s_i(x) through the Gauss-Newton
+    corrector from seeded starts; zero-dimensional solutions are deduplicated,
+    positive-index solutions get a kernel parametrization by Picard iteration
+    on the germ normal form. Charts with zero-dimensional fiber
     contribute their whole sampled region at the branch weight.
     """
     model = f.model
@@ -603,7 +594,7 @@ def solution_set(f, l, seeds_per_chart=40, seed=0, tol=1e-11,
             sols = []
             for _ in range(seeds_per_chart):
                 x0 = chart.domain.center + radius * rng.uniform(-1, 1, d)
-                x_sol = _branch_solve(diff, x0, chart.fiber_dim(), tol)
+                x_sol = _corrector(diff, x0, chart.fiber_dim(), tol)
                 if x_sol is None or not chart.domain.contains(x_sol, 0):
                     continue
                 if any(np.linalg.norm(x_sol - y) < 1e-5 for y in sols):
@@ -633,7 +624,7 @@ def solution_set(f, l, seeds_per_chart=40, seed=0, tol=1e-11,
                         try:
                             with np.errstate(over="ignore", invalid="ignore"):
                                 p = parametrize(np.full(index, kap))
-                        except Exception:
+                        except NonConvergenceError:
                             continue
                         if chart.domain.contains(p, 0):
                             pts.append(p)
@@ -648,19 +639,6 @@ def solution_set(f, l, seeds_per_chart=40, seed=0, tol=1e-11,
                                               parametrize=parametrize,
                                               kernel_range=krange))
     return out
-
-
-def _branch_solve(diff, x0, out_dim, tol, accept_tol=1e-8):
-    x = _gauss_newton(diff, x0, out_dim, tol=tol)
-    pg = germ_from_map(diff, x, out_dim)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            w, _ = solve_germ(pg.germ, np.zeros(pg.germ.base_dim), 0, tol=tol,
-                              max_iter=300)
-        x = pg.ambient(np.zeros(pg.germ.base_dim), w)
-    except Exception:
-        pass
-    return x if np.linalg.norm(diff(x)) <= accept_tol else None
 
 
 def _cluster_representatives(points, min_distance):

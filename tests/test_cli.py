@@ -65,12 +65,17 @@ def test_run_stokes_writes_artifacts(tmp_path, capsys):
 
 
 def test_run_is_byte_deterministic(tmp_path):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["run", "germ", "--out", str(out1), "--quiet", "--seed", "3"]) == 0
-    assert main(["run", "germ", "--out", str(out2), "--quiet", "--seed", "3"]) == 0
-    for f1 in sorted(out1.iterdir()):
-        f2 = out2 / f1.name
-        assert f1.read_bytes() == f2.read_bytes()
+    runs = [(name, "0") for name in SCENARIOS] + [("germ", "3")]
+    for name, seed in runs:
+        out1, out2 = tmp_path / f"{name}-{seed}-a", tmp_path / f"{name}-{seed}-b"
+        for out in (out1, out2):
+            assert main(["run", name, "--out", str(out), "--quiet",
+                         "--seed", seed]) == 0
+        files = sorted(f.name for f in out1.iterdir())
+        assert files == sorted(f.name for f in out2.iterdir())
+        for fname in files:
+            assert (out1 / fname).read_bytes() == (out2 / fname).read_bytes(), \
+                (name, seed, fname)
 
 
 def test_run_quiet_suppresses_check_lines(tmp_path, capsys):

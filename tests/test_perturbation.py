@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from scfold import perturbation
 from scfold.errors import BiLevelError, NotASolutionError, UnchartedPointError
 from scfold.perturbation import (
     AuxiliaryNorm,
@@ -10,6 +11,7 @@ from scfold.perturbation import (
     BundleSection,
     Multisection,
     StrongBundleModel,
+    _corrector,
     bilevel_check,
     cobordism_compare,
     control_pair_build,
@@ -376,6 +378,63 @@ def test_solution_set_branch_without_solutions_contributes_nothing():
     lam = Multisection(model, [(const_branch(model, [-0.5]), Fraction(1))])
     sols = solution_set(f, lam, seed=7)
     assert sols == []
+
+
+# ------------------------------------------------------------------ corrector
+
+def test_corrector_square_system_root():
+    def fn(x):
+        return np.array([x[0] ** 2 + x[1] ** 2 - 2.0, x[0] - x[1]])
+
+    x = _corrector(fn, np.array([0.7, 1.4]), 2)
+    assert x is not None
+    assert np.linalg.norm(fn(x)) <= 1e-8
+    assert x == pytest.approx([1.0, 1.0], abs=1e-8)
+
+
+def test_corrector_index_one_circle():
+    def fn(x):
+        return np.array([x[0] ** 2 + x[1] ** 2 - 1.0])
+
+    x = _corrector(fn, np.array([0.3, 0.8]), 1)
+    assert x is not None
+    assert np.linalg.norm(fn(x)) <= 1e-8
+
+
+def test_corrector_rejects_map_without_zero():
+    x = _corrector(lambda x: np.array([x[0] ** 2 + 1.0]), np.array([0.4]), 1)
+    assert x is None
+
+
+def _record_germ_solves(monkeypatch):
+    calls = []
+
+    def forbidden(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("germ normal form used by the corrector")
+
+    monkeypatch.setattr(perturbation, "solve_germ", forbidden)
+    monkeypatch.setattr(perturbation, "germ_from_map", forbidden)
+    return calls
+
+
+def test_control_pair_build_makes_no_germ_solve(monkeypatch):
+    calls = _record_germ_solves(monkeypatch)
+    model = finite_model()
+    cp = control_pair_build(fold_section(model), scaled_aux(model), margin=0.5,
+                            seed=1)
+    assert cp.region.balls.get("main")
+    assert calls == []
+
+
+def test_index_zero_solution_set_makes_no_germ_solve(monkeypatch):
+    calls = _record_germ_solves(monkeypatch)
+    model = finite_model()
+    f = BundleSection(model, lambda cid, x: np.array([x[0] ** 2 - 0.25]))
+    sols = solution_set(f, Multisection.zero(model), seed=5)
+    pts = sorted(p[0] for b in sols for p in b.points)
+    assert pts == pytest.approx([-0.5, 0.5], abs=1e-9)
+    assert calls == []
 
 
 # ------------------------------------------------------- linearization sets
