@@ -35,6 +35,8 @@ from .sc_core import (
 
 FIBER_MATCH_TOL = 1e-9
 SURJECTIVITY_FLOOR = 1e-8
+# residual at which a corrector point counts as a zero
+CORRECTOR_ACCEPT_TOL = 1e-8
 
 
 @dataclass
@@ -538,11 +540,11 @@ def _gauss_newton(fn, x0, out_dim, tol=1e-11, max_iter=80):
     return x
 
 
-def _corrector(fn, x0, out_dim, tol=1e-11, accept_tol=1e-8):
+def _corrector(fn, x0, out_dim, tol=1e-11):
     """Zero of fn from a seeded start by damped Gauss-Newton; None unless the
-    residual at the returned point is at most accept_tol."""
+    residual at the returned point is at most CORRECTOR_ACCEPT_TOL."""
     x = _gauss_newton(fn, x0, out_dim, tol=tol)
-    return x if np.linalg.norm(fn(x)) <= accept_tol else None
+    return x if np.linalg.norm(fn(x)) <= CORRECTOR_ACCEPT_TOL else None
 
 
 # ---------------------------------------------------------------------------
