@@ -19,7 +19,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import _fd
-from .errors import MissingDerivativeError, UnchartedPointError
+from .errors import (
+    MissingDerivativeError,
+    UnchartedPointError,
+    check_keys,
+    read_config,
+)
 from .perturbation import perturb_to_transversal, solution_set
 
 MEMBERSHIP_TOL = 1e-9
@@ -642,30 +647,14 @@ def de_rham_pairing(f, cp, form, trials=5, seed=0, epsilon=0.1,
 def family_from_config(text_or_dict):
     """Load a branched family from structured text: polynomial chart maps,
     weights and orientation signs per branch."""
-    from .errors import ConfigError
-
-    if isinstance(text_or_dict, str):
-        try:
-            cfg = json.loads(text_or_dict)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
-    else:
-        cfg = dict(text_or_dict)
-    unknown = set(cfg) - {"schema", "effective_order", "branches"}
-    if unknown:
-        raise ConfigError(f"unknown family config keys: {sorted(unknown)}")
+    cfg = read_config(text_or_dict, {"schema", "effective_order", "branches"},
+                      "family config keys")
     branches = []
     for bspec in cfg.get("branches", []):
-        extra = set(bspec) - {"name", "weight", "cells"}
-        if extra:
-            raise ConfigError(f"unknown branch keys: {sorted(extra)}")
+        check_keys(bspec, {"name", "weight", "cells"}, "branch keys")
         cells = []
         for cspec in bspec["cells"]:
-            extra = set(cspec) - {"dim", "map", "sign", "bounds"}
-            if extra:
-                raise ConfigError(f"unknown cell keys: {sorted(extra)}")
+            check_keys(cspec, {"dim", "map", "sign", "bounds"}, "cell keys")
             dim = int(cspec["dim"])
             polys = [Polynomial(dim, {tuple(map(int, k.split(","))): float(v)
                                       for k, v in comp.items()})
@@ -693,20 +682,8 @@ def form_from_config(text_or_dict):
     where the outer keys are increasing coordinate index tuples and the inner
     keys are exponent tuples.
     """
-    from .errors import ConfigError
-
-    if isinstance(text_or_dict, str):
-        try:
-            cfg = json.loads(text_or_dict)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
-    else:
-        cfg = dict(text_or_dict)
-    unknown = set(cfg) - {"schema", "n_vars", "degree", "terms"}
-    if unknown:
-        raise ConfigError(f"unknown form config keys: {sorted(unknown)}")
+    cfg = read_config(text_or_dict, {"schema", "n_vars", "degree", "terms"},
+                      "form config keys")
     n = int(cfg["n_vars"])
     terms = {}
     for idx_key, poly_spec in cfg.get("terms", {}).items():

@@ -1,4 +1,7 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the one reader of
+structured text configs whose failures they report."""
+
+import json
 
 
 class ScfoldError(Exception):
@@ -71,3 +74,26 @@ class ExhaustedAttemptsError(ScfoldError):
 
 class ConfigError(ScfoldError):
     """A structured text configuration failed validation."""
+
+
+def check_keys(mapping, allowed, what):
+    """Raise ConfigError naming the keys of mapping outside allowed."""
+    unknown = set(mapping) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown {what}: {sorted(unknown)}")
+
+
+def read_config(text_or_dict, allowed, what):
+    """Parse a JSON text (a mapping is copied instead) and check its top-level
+    keys; parse errors report line and column."""
+    if isinstance(text_or_dict, str):
+        try:
+            cfg = json.loads(text_or_dict)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(
+                f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            ) from exc
+    else:
+        cfg = dict(text_or_dict)
+    check_keys(cfg, allowed, what)
+    return cfg

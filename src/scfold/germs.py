@@ -18,9 +18,11 @@ import numpy as np
 
 from . import _fd
 from .errors import NonConvergenceError, NotInQuadrantError
-from .sc_core import FiniteDimScale, PartialQuadrant, degeneracy_index
+from .sc_core import FiniteDimScale, PartialQuadrant, degeneracy_index, dense_split
 
 GERM_ORIGIN_TOL = 1e-12
+# relative singular-value cutoff of the kernels compared in filling_verify
+FILLING_RANK_CUTOFF = 1e-8
 
 
 @dataclass
@@ -327,10 +329,10 @@ def filling_verify(fd, x, sample_count=12, seed=0, membership_tol=1e-9,
 
     p_cols = [r.derivative(x, e) for e in np.eye(d)]
     p = np.array(p_cols).T
-    ker_r = _nullspace(p)
+    ker_r = dense_split(p, rcond=FILLING_RANK_CUTOFF).kernel
     phi_cols = [np.asarray(fd.phi(x, e), dtype=float) for e in np.eye(fiber_dim)]
     phi_mat = np.array(phi_cols).T
-    ker_phi = _nullspace(phi_mat)
+    ker_phi = dense_split(phi_mat, rcond=FILLING_RANK_CUTOFF).kernel
     lin_cols = [
         _fd.directional_derivative(fd.gap, x, ker_r[:, j])
         for j in range(ker_r.shape[1])
@@ -357,12 +359,6 @@ def _embed_fiber(g, ambient_dim, fiber_dim):
     out = np.zeros(ambient_dim)
     out[ambient_dim - fiber_dim:] = g
     return out
-
-
-def _nullspace(a, rcond=1e-8):
-    u, s, vt = np.linalg.svd(a)
-    rank = int(np.sum(s > rcond * max(s[0] if s.size else 0.0, 1e-30)))
-    return vt[rank:].T
 
 
 # ---------------------------------------------------------------------------
@@ -416,13 +412,13 @@ def local_solution_manifold(germ, kernel_dim=None, tol=1e-10, patch_radius=0.3,
                 f"linearization not surjective at the base point "
                 f"(smallest residue singular value {base_sv:g})"
             )
-        kernel = _nullspace_rect(jac)
+        kernel = dense_split(jac).kernel
     k_dim = kernel.shape[1]
     if kernel_dim is not None and kernel_dim != k_dim:
         raise ValueError(f"expected kernel dimension {kernel_dim}, got {k_dim}")
 
     quadrant = germ.base_quadrant()
-    complement = _nullspace_rect(kernel.T) if N else np.zeros((n, 0))
+    complement = dense_split(kernel.T).kernel if N else np.zeros((n, 0))
     grids = [np.linspace(-patch_radius, patch_radius, samples_per_dim)] * k_dim
     mesh = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, k_dim) \
         if k_dim else np.zeros((1, 0))
@@ -463,12 +459,6 @@ def local_solution_manifold(germ, kernel_dim=None, tol=1e-10, patch_radius=0.3,
     return ManifoldReport(samples, kernel, k_dim, base_sv)
 
 
-def _nullspace_rect(a, rcond=1e-10):
-    u, s, vt = np.linalg.svd(a)
-    rank = int(np.sum(s > rcond * max(s[0] if s.size else 0.0, 1e-30)))
-    return vt[rank:].T
-
-
 # ---------------------------------------------------------------------------
 # normal form at a point of a finite-dimensional map
 
@@ -490,25 +480,20 @@ class PointGerm:
         return self.x0 + self.kernel_frame @ np.atleast_1d(a) + self.row_frame @ np.atleast_1d(w)
 
 
-def germ_from_map(fn, x0, out_dim, rank_cutoff=1e-10, radius=1.0):
+def germ_from_map(fn, x0, out_dim, radius=1.0):
     """Normal form of a finite-dimensional map near a point.
 
-    Splits coordinates along the kernel and row space of the derivative;
-    the fixed-point part becomes a contraction near the point and the
+    Splits coordinates along the kernel and row space of the derivative
+    (dense_split at RANK_CUTOFF); the fixed-point part becomes a contraction near the point and the
     cokernel component becomes the finite residue block. Solving the
     fixed-point equation implements a quasi-Newton corrector whose fixed
     points are the zeros of the image component.
     """
     x0 = np.asarray(x0, dtype=float)
-    jac = _fd.jacobian(fn, x0, out_dim, _fd.JACOBIAN_STEP)
-    u, s, vt = np.linalg.svd(jac)
-    cutoff = rank_cutoff * max(s[0] if s.size else 0.0, 1e-30)
-    r = int(np.sum(s > cutoff))
-    row = vt[:r].T
-    kernel = vt[r:].T
-    image = u[:, :r]
-    coker = u[:, r:]
-    sigma = s[:r]
+    split = dense_split(_fd.jacobian(fn, x0, out_dim, _fd.JACOBIAN_STEP))
+    kernel, row, image, coker = split.kernel, split.complement, split.image, split.cokernel
+    r = image.shape[1]
+    sigma = split.singular_values[:r]
 
     def b_fn(a, w, level):
         x = x0 + kernel @ np.atleast_1d(a) + row @ np.atleast_1d(w)

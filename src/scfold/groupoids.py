@@ -15,7 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BackendUnsupportedError, ConfigError
+from .errors import (
+    BackendUnsupportedError,
+    ConfigError,
+    check_keys,
+    read_config,
+)
 
 POINT_TOL = 1e-9
 
@@ -695,18 +700,7 @@ def groupoid_from_config(text_or_dict):
     "group": {"kind": "cyclic"|"trivial", "order"}, "action": {"kind":
     "reflection"|"rotation"|"trivial"|"linear", ...}}. Unknown keys are errors.
     """
-    if isinstance(text_or_dict, str):
-        try:
-            cfg = json.loads(text_or_dict)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
-    else:
-        cfg = dict(text_or_dict)
-    unknown = set(cfg) - _GROUPOID_KEYS
-    if unknown:
-        raise ConfigError(f"unknown groupoid config keys: {sorted(unknown)}")
+    cfg = read_config(text_or_dict, _GROUPOID_KEYS, "groupoid config keys")
     gspec = cfg.get("group", {})
     if gspec.get("kind") == "cyclic":
         group = FiniteGroup.cyclic(int(gspec["order"]))
@@ -740,9 +734,7 @@ def groupoid_from_config(text_or_dict):
         raise ConfigError(f"unknown action kind {kind!r}")
     seeds = []
     for chart in cfg.get("charts", []):
-        extra = set(chart) - {"name", "dim", "samples"}
-        if extra:
-            raise ConfigError(f"unknown chart keys: {sorted(extra)}")
+        check_keys(chart, {"name", "dim", "samples"}, "chart keys")
         for s in chart["samples"]:
             seeds.append((chart["name"], np.asarray(s, dtype=float)))
     return EpGroupoid.from_translation_action(group, seeds, action)

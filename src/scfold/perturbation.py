@@ -11,6 +11,7 @@ solutions rather than blind randomness.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,10 +20,13 @@ import numpy as np
 from . import _fd
 from .errors import (
     BiLevelError,
+    ConfigError,
     ExhaustedAttemptsError,
     NonConvergenceError,
     NotASolutionError,
     UnchartedPointError,
+    check_keys,
+    read_config,
 )
 from .germs import germ_from_map, solve_germ
 from .retracts import good_position_check
@@ -37,6 +41,8 @@ FIBER_MATCH_TOL = 1e-9
 SURJECTIVITY_FLOOR = 1e-8
 # residual at which a corrector point counts as a zero
 CORRECTOR_ACCEPT_TOL = 1e-8
+# relative singular-value cutoff of the pseudo-inverse in a Gauss-Newton step
+GAUSS_NEWTON_RCOND = 1e-12
 
 
 @dataclass
@@ -302,8 +308,6 @@ class Multisection:
 
     def describe(self):
         """Structured text form: branch kind, parameters and rational weight."""
-        import json
-
         rows = []
         for section, w in self.branches:
             kind = getattr(section, "serial_kind", None)
@@ -332,27 +336,10 @@ def constant_branch_section(model, value, name=None):
 
 def multisection_from_config(model, text_or_dict):
     """Load a multisection of constant and zero branches from structured text."""
-    import json
-
-    from .errors import ConfigError
-
-    if isinstance(text_or_dict, str):
-        try:
-            cfg = json.loads(text_or_dict)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
-    else:
-        cfg = dict(text_or_dict)
-    unknown = set(cfg) - {"schema", "branches"}
-    if unknown:
-        raise ConfigError(f"unknown multisection keys: {sorted(unknown)}")
+    cfg = read_config(text_or_dict, {"schema", "branches"}, "multisection keys")
     branches = []
     for row in cfg.get("branches", []):
-        extra = set(row) - {"kind", "name", "params", "weight"}
-        if extra:
-            raise ConfigError(f"unknown branch keys: {sorted(extra)}")
+        check_keys(row, {"kind", "name", "params", "weight"}, "branch keys")
         kind = row.get("kind")
         if kind == "constant":
             sec = constant_branch_section(model, row["params"]["value"],
@@ -523,7 +510,7 @@ def _gauss_newton(fn, x0, out_dim, tol=1e-11, max_iter=80):
             if res <= tol:
                 return x
             jac = _fd.jacobian(fn, x, out_dim, 1e-7 * (1.0 + np.linalg.norm(x)))
-            step = np.linalg.pinv(jac, rcond=1e-12) @ val
+            step = np.linalg.pinv(jac, rcond=GAUSS_NEWTON_RCOND) @ val
             cap = 10.0 * (1.0 + np.linalg.norm(x))
             sn = np.linalg.norm(step)
             if sn > cap:
@@ -953,8 +940,10 @@ def cobordism_compare(f, tau0, tau1, cp, t_samples=(0.0, 0.25, 0.5, 0.75, 1.0),
     endpoint comparison is exact for index zero.
     """
     aux = cp.aux_norm
+    endpoint_sols = []
     for tau in (tau0, tau1):
         sols = solution_set(f, tau, seeds_per_chart=solver_seeds, seed=seed)
+        endpoint_sols.append(sols)
         for branch in sols:
             for p in branch.points:
                 if tau.norm(aux, branch.chart_id, p) >= 1.0:
@@ -984,7 +973,7 @@ def cobordism_compare(f, tau0, tau1, cp, t_samples=(0.0, 0.25, 0.5, 0.75, 1.0),
         if not rep.passed:
             family_failures.append((t, rep.failures))
 
-    sols0 = solution_set(f, tau0, seeds_per_chart=solver_seeds, seed=seed)
+    sols0 = endpoint_sols[0]
     sols1 = solution_set(f, tau1, seeds_per_chart=solver_seeds, seed=seed + 1)
     # counts apply when every branch is index zero; an empty solution set
     # counts as zero by the empty-sum convention

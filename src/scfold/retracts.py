@@ -24,7 +24,6 @@ from .sc_calculus import ScDomain, ScMap, whole_scale_domain
 from .sc_core import (
     FiniteDimScale,
     PartialQuadrant,
-    ScVector,
     WeightedGridScale,
     degeneracy_index,
     direct_sum,
@@ -428,13 +427,12 @@ def neatness_check(model, x, level=None, radii=(1e-1, 1e-2, 1e-3),
             found = False
             for _ in range(samples_per_radius):
                 y = r(x + radius * rng.standard_normal(d) / np.sqrt(d))
-                if model.contains(y) and model.quadrant.contains(y):
-                    try:
-                        if model.degeneracy(y) == d_x:
-                            found = True
-                            break
-                    except Exception:
-                        continue
+                # quadrant.contains(y) rules out the NotInQuadrantError that
+                # model.degeneracy would raise: same indices, same tolerance
+                if (model.contains(y) and model.quadrant.contains(y)
+                        and model.degeneracy(y) == d_x):
+                    found = True
+                    break
             if not found:
                 status = "inconclusive"
                 break

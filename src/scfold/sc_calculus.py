@@ -29,7 +29,6 @@ from .sc_core import (
     FiniteDimScale,
     PartialQuadrant,
     ScVector,
-    SumScale,
     WeightedGridScale,
     direct_sum,
 )

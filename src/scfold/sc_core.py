@@ -11,7 +11,6 @@ index shifts of scales are first-class so tangent constructions can reuse them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +22,7 @@ from .errors import (
     ConfigError,
     LevelRangeError,
     NotInQuadrantError,
+    read_config,
 )
 
 FINITE_DIM_TOL = 1e-12
@@ -84,9 +84,27 @@ class ScScale:
             return False
         return all(self.dim(m) == other.dim(m) for m in range(self.max_level + 1))
 
+    def regularity_ratio_threshold(self):
+        """Norm-growth ratio between consecutive levels above which a vector
+        counts as rough; None where levels carry no roughness test."""
+        return None
+
     def regularity_level(self, coeffs, cap=None):
-        """Diagnostic level estimate; constant scales report the cap."""
+        """Largest level whose norm-growth ratio stays below the roughness
+        threshold. A heuristic grid surrogate for membership in the level;
+        scales without a threshold report the cap."""
         cap = self.max_level if cap is None else min(cap, self.max_level)
+        theta = self.regularity_ratio_threshold()
+        if theta is None:
+            return cap
+        prev = self.norm(coeffs, 0)
+        if prev == 0.0:
+            return cap
+        for m in range(1, cap + 1):
+            cur = self.norm(coeffs, m)
+            if cur > theta * prev:
+                return m - 1
+            prev = cur
         return cap
 
 
@@ -232,21 +250,6 @@ class WeightedGridScale(ScScale):
     def regularity_ratio_threshold(self):
         return (np.pi / self.h) ** (2.0 / 3.0)
 
-    def regularity_level(self, coeffs, cap=None):
-        """Largest level whose norm-growth ratio stays below the roughness
-        threshold. A heuristic grid surrogate for membership in the level."""
-        cap = self.max_level if cap is None else min(cap, self.max_level)
-        theta = self.regularity_ratio_threshold()
-        prev = self.norm(coeffs, 0)
-        if prev == 0.0:
-            return cap
-        for m in range(1, cap + 1):
-            cur = self.norm(coeffs, m)
-            if cur > theta * prev:
-                return m - 1
-            prev = cur
-        return cap
-
     def __repr__(self):
         return (
             f"WeightedGridScale(R={self.R}, h={self.h}, deltas={self.deltas})"
@@ -299,19 +302,6 @@ class CircleGridScale(ScScale):
 
     def regularity_ratio_threshold(self):
         return (self.n / 2.0) ** (2.0 / 3.0)
-
-    def regularity_level(self, coeffs, cap=None):
-        cap = self.max_level if cap is None else min(cap, self.max_level)
-        theta = self.regularity_ratio_threshold()
-        prev = self.norm(coeffs, 0)
-        if prev == 0.0:
-            return cap
-        for m in range(1, cap + 1):
-            cur = self.norm(coeffs, m)
-            if cur > theta * prev:
-                return m - 1
-            prev = cur
-        return cap
 
     def __repr__(self):
         return f"CircleGridScale(n={self.n}, orders={self.orders})"
@@ -650,6 +640,24 @@ class ScFredholmData:
 RANK_CUTOFF = 1e-10
 
 
+def dense_split(a, rcond=RANK_CUTOFF):
+    """Kernel, complement (row space), image and cokernel of a dense matrix
+    from one SVD.
+
+    The rank counts the singular values above rcond times the largest one, or
+    above rcond itself when the matrix is zero or empty; that cutoff is
+    recorded in the result.
+    """
+    nt, ns = a.shape
+    u, s, vt = np.linalg.svd(a) if a.size else (np.eye(nt), np.zeros(0), np.eye(ns))
+    cutoff = rcond * (s[0] if s.size and s[0] > 0 else 1.0)
+    r = int(np.sum(s > cutoff))
+    return ScFredholmData(
+        vt[r:].T, vt[:r].T, u[:, :r], u[:, r:],
+        index=(ns - r) - (nt - r), singular_values=s, cutoff=cutoff,
+    )
+
+
 def fredholm_split(op):
     """Kernel, complement, image and cokernel of a linear operator.
 
@@ -658,19 +666,7 @@ def fredholm_split(op):
     singular-value cutoff of RANK_CUTOFF recorded in the result.
     """
     if op.matrix is not None:
-        a = op.matrix
-        nt, ns = a.shape
-        u, s, vt = np.linalg.svd(a) if a.size else (np.eye(nt), np.zeros(0), np.eye(ns))
-        cutoff = RANK_CUTOFF * (s[0] if s.size and s[0] > 0 else 1.0)
-        r = int(np.sum(s > cutoff))
-        kernel = vt[r:].T
-        complement = vt[:r].T
-        image = u[:, :r]
-        cokernel = u[:, r:]
-        return ScFredholmData(
-            kernel, complement, image, cokernel,
-            index=(ns - r) - (nt - r), singular_values=s, cutoff=cutoff,
-        )
+        return dense_split(op.matrix)
     if op.lowrank is not None:
         u, v = op.lowrank
         r = u.shape[1]
@@ -721,16 +717,7 @@ def scale_from_config(text_or_dict):
     Keys: backend, max_level, dims (finite_dim) or grid {R, h} plus deltas
     (weighted_grid) or n (circle_grid). Unknown keys are errors.
     """
-    if isinstance(text_or_dict, str):
-        try:
-            cfg = json.loads(text_or_dict)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    else:
-        cfg = dict(text_or_dict)
-    unknown = set(cfg) - _SCALE_KEYS
-    if unknown:
-        raise ConfigError(f"unknown scale config keys: {sorted(unknown)}")
+    cfg = read_config(text_or_dict, _SCALE_KEYS, "scale config keys")
     backend = cfg.get("backend")
     if backend == "finite_dim":
         return FiniteDimScale(cfg["dims"], cfg.get("max_level", 3))

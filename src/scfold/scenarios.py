@@ -18,7 +18,7 @@ from . import branched_integration as bi
 from . import germs as germs_mod
 from . import groupoids as gpd
 from . import perturbation as pert
-from .errors import ConfigError
+from .errors import ConfigError, check_keys, read_config
 from .retracts import (
     LocalScModel,
     bump_splicing,
@@ -530,23 +530,12 @@ def load_config(name, text=None, seed_override=None):
     params = json.loads(json.dumps(defaults))  # deep copy
     seed = 0
     if text is not None:
-        try:
-            cfg = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
-        unknown = set(cfg) - _TOP_KEYS
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        cfg = read_config(text, _TOP_KEYS, "config keys")
         if cfg.get("schema", SCHEMA) != SCHEMA:
             raise ConfigError(
                 f"unsupported schema {cfg.get('schema')!r}; expected {SCHEMA!r}")
         seed = int(cfg.get("seed", 0))
-        extra = set(cfg.get("params", {})) - set(params)
-        if extra:
-            raise ConfigError(
-                f"unknown params for scenario {name!r}: {sorted(extra)}")
+        check_keys(cfg.get("params", {}), params, f"params for scenario {name!r}")
         params.update(cfg.get("params", {}))
     if seed_override is not None:
         seed = int(seed_override)

@@ -1,0 +1,40 @@
+"""Static checks on the library source: no catch-all exception handler, and
+one module that knows how a config fails to parse."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "scfold"
+
+
+def _modules():
+    for path in sorted(SRC.rglob("*.py")):
+        yield path.relative_to(SRC).as_posix(), ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _names(node):
+    if node is None:
+        return {None}
+    elts = node.elts if isinstance(node, ast.Tuple) else [node]
+    return {getattr(e, "id", getattr(e, "attr", None)) for e in elts}
+
+
+def test_no_catch_all_handler():
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler)
+        and _names(node.type) & {None, "Exception", "BaseException"}
+    ]
+    assert found == []
+
+
+def test_json_decode_error_only_in_errors_module():
+    found = {
+        name
+        for name, tree in _modules()
+        for node in ast.walk(tree)
+        if getattr(node, "attr", getattr(node, "id", None)) == "JSONDecodeError"
+    }
+    assert found == {"errors.py"}

@@ -13,11 +13,13 @@ from scfold.groupoids import (
     EpGroupoid,
     FiniteGroup,
     Functor,
+    groupoid_from_config,
     is_equivalence,
     report_json,
 )
 from scfold.sc_calculus import ScDomain
-from scfold.sc_core import FiniteDimScale, PartialQuadrant
+from scfold.sc_core import FiniteDimScale, PartialQuadrant, scale_from_config
+from scfold.scenarios import load_config
 
 
 def small_model():
@@ -118,3 +120,47 @@ def test_morphism_invariance_of_rotation_symmetric_form():
         v = rng.standard_normal(2)
         pairs1.append((x, [v], rot @ x, [rot @ v]))
     assert bi.morphism_invariance_residual(skew, pairs1) > 1e-3
+
+
+# one entry per config loader, each called on JSON text
+LOADERS = {
+    "scale": scale_from_config,
+    "multisection": lambda text: pert.multisection_from_config(small_model(), text),
+    "family": bi.family_from_config,
+    "form": bi.form_from_config,
+    "groupoid": groupoid_from_config,
+    "scenario": lambda text: load_config("germ", text),
+}
+
+_TRIVIAL_GROUPOID = {"group": {"kind": "trivial"}, "action": {"kind": "trivial"}}
+
+
+@pytest.mark.parametrize("loader", sorted(LOADERS))
+def test_config_parse_error_gives_line_and_column(loader):
+    with pytest.raises(ConfigError) as info:
+        LOADERS[loader]('{"schema": }')
+    assert str(info.value) == "config parse error at line 1, column 12: Expecting value"
+
+
+@pytest.mark.parametrize("loader, cfg, message", [
+    ("scale", {"bogus": 1}, "unknown scale config keys: ['bogus']"),
+    ("multisection", {"bogus": 1}, "unknown multisection keys: ['bogus']"),
+    ("family", {"bogus": 1}, "unknown family config keys: ['bogus']"),
+    ("form", {"bogus": 1}, "unknown form config keys: ['bogus']"),
+    ("groupoid", {"bogus": 1}, "unknown groupoid config keys: ['bogus']"),
+    ("scenario", {"bogus": 1}, "unknown config keys: ['bogus']"),
+    ("multisection", {"branches": [{"kind": "zero", "weight": "1", "bogus": 1}]},
+     "unknown branch keys: ['bogus']"),
+    ("family", {"branches": [{"weight": "1", "cells": [], "bogus": 1}]},
+     "unknown branch keys: ['bogus']"),
+    ("family", {"branches": [{"weight": "1", "cells": [{"dim": 1, "map": [], "bogus": 1}]}]},
+     "unknown cell keys: ['bogus']"),
+    ("groupoid", {**_TRIVIAL_GROUPOID,
+                  "charts": [{"name": "a", "dim": 1, "samples": [], "bogus": 1}]},
+     "unknown chart keys: ['bogus']"),
+    ("scenario", {"params": {"bogus": 1}}, "unknown params for scenario 'germ': ['bogus']"),
+])
+def test_config_unknown_key_message(loader, cfg, message):
+    with pytest.raises(ConfigError) as info:
+        LOADERS[loader](json.dumps(cfg))
+    assert str(info.value) == message

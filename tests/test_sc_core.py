@@ -10,14 +10,17 @@ from scfold.errors import (
     BackendUnsupportedError,
     NotInQuadrantError,
 )
+from scfold.germs import FILLING_RANK_CUTOFF
 from scfold.sc_core import (
     CircleGridScale,
     FiniteDimScale,
     LinearScOperator,
     PartialQuadrant,
+    RANK_CUTOFF,
     SumScale,
     WeightedGridScale,
     degeneracy_index,
+    dense_split,
     direct_sum,
     embedding_report,
     fredholm_split,
@@ -204,6 +207,17 @@ def test_fredholm_index_vs_elimination_oracle_randomized():
         assert data.kernel_dim == ns - rank
         assert data.cokernel_dim == nt - rank
         assert data.index == (ns - rank) - (nt - rank)
+
+
+def test_dense_split_rank_cutoffs():
+    a = np.diag([1.0, 1e-9])
+    assert dense_split(a, rcond=FILLING_RANK_CUTOFF).image.shape[1] == 1
+    assert dense_split(a, rcond=RANK_CUTOFF).image.shape[1] == 2
+    for a in (np.zeros((2, 3)), np.zeros((0, 4))):
+        data = dense_split(a)
+        assert data.image.shape[1] == 0
+        assert data.kernel_dim == a.shape[1]
+        assert data.cokernel_dim == a.shape[0]
 
 
 def test_fredholm_grid_lowrank():
