@@ -50,7 +50,11 @@ def fornberg_weights(z, x, m):
 
 
 def diff_matrix(n, h, order, periodic=False):
-    """Sparse differentiation matrix of the given derivative order on a uniform grid."""
+    """Sparse differentiation matrix of the given derivative order on a uniform grid.
+
+    Every interior row uses the one centered stencil, computed once; only the
+    2*half rows next to a non-periodic edge get their own one-sided stencil.
+    """
     if order == 0:
         return sp.identity(n, format="csr")
     width = order + STENCIL_ACCURACY
@@ -58,23 +62,18 @@ def diff_matrix(n, h, order, periodic=False):
         width += 1
     half = width // 2
     offsets = np.arange(-half, half + 1)
+    rows = np.arange(n)
+    cols = rows[:, None] + offsets
+    vals = np.tile(fornberg_weights(0.0, offsets * h, order), (n, 1))
     if periodic:
-        w = fornberg_weights(0.0, offsets * h, order)
-        rows, cols, vals = [], [], []
-        for i in range(n):
-            rows.extend([i] * width)
-            cols.extend((i + offsets) % n)
-            vals.extend(w)
-        return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    rows, cols, vals = [], [], []
-    for i in range(n):
-        lo = max(0, min(i - half, n - width))
-        idx = np.arange(lo, lo + width)
-        w = fornberg_weights(i * h, idx * h, order)
-        rows.extend([i] * width)
-        cols.extend(idx)
-        vals.extend(w)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        cols %= n
+    else:
+        for i in (*range(half), *range(max(half, n - half), n)):
+            lo = max(0, min(i - half, n - width))
+            cols[i] = np.arange(lo, lo + width)
+            vals[i] = fornberg_weights(i * h, cols[i] * h, order)
+    return sp.csr_matrix((vals.ravel(), (np.repeat(rows, width), cols.ravel())),
+                         shape=(n, n))
 
 
 def simpson_weights(n, h, split_index):

@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from . import _fd
 from .errors import (
@@ -209,26 +210,27 @@ class WeightedGridScale(ScScale):
         return float(np.sum(self.quad_weights * np.asarray(a) * np.asarray(b)))
 
     def gram(self, level):
-        """Dense SPD matrix with |u|_level^2 = u' G u."""
+        """Sparse banded SPD matrix (CSC) with |u|_level^2 = u' G u."""
         if level not in self._gram_cache:
-            w2 = self.quad_weights * self._weight(level) ** 2
-            G = np.zeros((self.n, self.n))
-            for k in range(self.orders[level] + 1):
-                D = self.diff(k).toarray() if k else np.eye(self.n)
-                G += D.T @ (w2[:, None] * D)
-            self._gram_cache[level] = G
+            W = sp.diags(self.quad_weights * self._weight(level) ** 2)
+            G = W
+            for k in range(1, self.orders[level] + 1):
+                D = self.diff(k)
+                G = G + D.T @ W @ D
+            self._gram_cache[level] = sp.csc_matrix(G)
         return self._gram_cache[level]
 
     def embedding_constant(self, m):
-        """Measured constant: sqrt of the largest generalized eigenvalue of
-        (G_m, G_{m+1}). Stronger levels only get measured, never asserted."""
+        """Measured constant: 1/sqrt of the smallest generalized eigenvalue of
+        (G_{m+1}, G_m), i.e. sqrt of the largest one of (G_m, G_{m+1}). Found
+        by shift-invert Lanczos at 0 from a fixed start vector, so repeated
+        calls give the same float. Stronger levels only get measured, never
+        asserted."""
         self.check_level(m + 1)
         if m not in self._embed_cache:
-            ev = scipy.linalg.eigh(
-                self.gram(m), self.gram(m + 1), eigvals_only=True,
-                subset_by_index=(self.n - 1, self.n - 1),
-            )
-            self._embed_cache[m] = float(np.sqrt(ev[-1]))
+            mu = spla.eigsh(self.gram(m + 1), k=1, M=self.gram(m), sigma=0,
+                            which="LM", v0=np.ones(self.n), return_eigenvectors=False)
+            self._embed_cache[m] = float(1.0 / np.sqrt(mu[0]))
         return self._embed_cache[m]
 
     def membership_tol(self):
@@ -287,6 +289,8 @@ class CircleGridScale(ScScale):
     def norm(self, coeffs, level):
         self.check_level(level)
         u = np.asarray(coeffs, dtype=float)
+        if u.shape != (self.n,):
+            raise ValueError(f"expected {self.n} grid values, got shape {u.shape}")
         total = 0.0
         for k in range(self.orders[level] + 1):
             v = (self.diff(k) @ u) if k else u

@@ -466,6 +466,18 @@ def test_criterion_10_pairing_stability():
     mism = bi.PolynomialForm(1, 1, {(0,): bi.Polynomial.constant(1, 1.0)})
     rep_m = bi.de_rham_pairing(f, cp, mism, trials=2, seed=101)
     zero_exact = all(v == 0 for v in rep_m.values)
+
+    # degree one: x^3 has weighted count 1 under every small perturbation, so
+    # a pairing that loses or doubles a solution shows here (x^2 counts 0)
+    g = pert.BundleSection(model, lambda cid, x: np.array([x[0] ** 3]),
+                           dfn=lambda cid, x, h: np.array([3 * x[0] ** 2 * h[0]]),
+                           name="cubic")
+    cp_g = pert.control_pair_build(g, aux, margin=0.5, seed=100)
+    rep_g = bi.de_rham_pairing(g, cp_g, one, trials=5, seed=100)
+    degree_one = ([str(v) for v in rep_g.values] == ["1"] * 5
+                  and rep_g.stable and rep_g.dimension_matched)
     report(10, "deRham pairing stability",
-           identical and all_rational and rep.dimension_matched and zero_exact,
-           f"values={[str(v) for v in rep.values]} mismatch_zero={zero_exact}")
+           identical and all_rational and rep.dimension_matched and zero_exact
+           and degree_one,
+           f"values={[str(v) for v in rep.values]} mismatch_zero={zero_exact} "
+           f"cubic_values={[str(v) for v in rep_g.values]}")

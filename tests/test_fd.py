@@ -1,0 +1,80 @@
+"""Difference stencils: the one-stencil build of diff_matrix against a per-row
+reference, and exactness on polynomials."""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from scfold import _fd
+
+
+def stencil_width(order):
+    width = order + _fd.STENCIL_ACCURACY
+    return width + 1 if width % 2 == 0 else width
+
+
+def per_row_diff_matrix(n, h, order, periodic=False):
+    """Reference build: one Fornberg stencil per row, centered where the
+    window fits and shifted to one side at the edges."""
+    if order == 0:
+        return sp.identity(n, format="csr")
+    width = stencil_width(order)
+    half = width // 2
+    offsets = np.arange(-half, half + 1)
+    rows, cols, vals = [], [], []
+    for i in range(n):
+        if periodic:
+            idx = (i + offsets) % n
+            w = _fd.fornberg_weights(0.0, offsets * h, order)
+        else:
+            lo = max(0, min(i - half, n - width))
+            idx = np.arange(lo, lo + width)
+            w = _fd.fornberg_weights(i * h, idx * h, order)
+        rows.extend([i] * width)
+        cols.extend(idx)
+        vals.extend(w)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [9, 33, 129])
+def test_diff_matrix_bit_identical_to_per_row_build(n, order, periodic):
+    a = _fd.diff_matrix(n, 1 / 16, order, periodic=periodic)
+    b = per_row_diff_matrix(n, 1 / 16, order, periodic=periodic)
+    assert a.shape == b.shape
+    assert (a != b).nnz == 0
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("h", [0.1, 2 * np.pi / 100])
+def test_diff_matrix_non_dyadic_step_agrees_to_rounding(h, order, periodic):
+    # away from dyadic h the interior stencil at offsets*h and the per-row
+    # stencil at (idx - i)*h differ in the last bits of their node positions
+    a = _fd.diff_matrix(129, h, order, periodic=periodic)
+    b = per_row_diff_matrix(129, h, order, periodic=periodic)
+    assert abs(a - b).max() <= 1e-13 * abs(b).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    order=st.integers(1, 4),
+    n=st.integers(9, 40),
+    coeffs=st.lists(st.floats(-1, 1, allow_nan=False), min_size=9, max_size=9),
+)
+def test_diff_matrix_exact_on_polynomials_of_stencil_degree(order, n, coeffs):
+    # every row, edge rows included, uses `width` nodes, so it differentiates
+    # polynomials of degree width - 1 exactly up to rounding
+    h = 1 / 16
+    degree = stencil_width(order) - 1
+    p = np.polynomial.Polynomial(coeffs[:degree + 1])
+    x = h * np.arange(n) - h * (n // 2)
+    d = _fd.diff_matrix(n, h, order)
+    got = d @ p(x)
+    want = p.deriv(order)(x)
+    # rounding bound: the cancelled sum sum_j |w_ij p(x_j)| per row
+    scale = abs(d) @ np.abs(p(x))
+    assert np.all(np.abs(got - want) <= 1e-12 * (scale + 1.0))

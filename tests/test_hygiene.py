@@ -1,5 +1,6 @@
-"""Static checks on the library source: no catch-all exception handler, and
-one module that knows how a config fails to parse."""
+"""Static checks on the library source: no catch-all exception handler, one
+module that knows how a config fails to parse, and no sparse matrix turned
+dense."""
 
 import ast
 from pathlib import Path
@@ -38,3 +39,16 @@ def test_json_decode_error_only_in_errors_module():
         if getattr(node, "attr", getattr(node, "id", None)) == "JSONDecodeError"
     }
     assert found == {"errors.py"}
+
+
+def test_no_sparse_to_dense_conversion():
+    # the grid kernels keep their banded matrices sparse end to end
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in {"toarray", "todense"}
+    ]
+    assert found == []

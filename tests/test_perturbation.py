@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scfold import perturbation
 from scfold.errors import BiLevelError, NotASolutionError, UnchartedPointError
@@ -273,6 +275,28 @@ def test_convolution_merges_coinciding_branches():
     # 0.1+0.2 and 0.2+0.1 coincide pointwise and merge to weight 1/2
     assert len(total.branches) == 3
     assert sum(w for _, w in total.branches) == 1
+
+
+# branch values from a short list, so coinciding sums (and merges) are common
+branch_lists = st.lists(
+    st.tuples(st.sampled_from([-0.5, -0.1, 0.0, 0.1, 0.2, 0.4]), st.integers(1, 9)),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(b1=branch_lists, b2=branch_lists)
+def test_convolution_weights_sum_exactly_to_one(b1, b2):
+    model = finite_model()
+
+    def multisection(branches):
+        total = sum(k for _, k in branches)
+        return Multisection(model, [(const_branch(model, [v]), Fraction(k, total))
+                                    for v, k in branches])
+
+    out = multisection_sum(multisection(b1), multisection(b2))
+    weights = [w for _, w in out.branches]
+    assert all(isinstance(w, Fraction) and w > 0 for w in weights)
+    assert sum(weights, Fraction(0)) == Fraction(1)
 
 
 # ---------------------------------------------------------- multisection_norm

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -97,6 +99,57 @@ def test_embedding_report_grid_ratios_below_recorded_constant():
         basis_max = max(basis_max, scale.norm(e, 0) / scale.norm(e, 1))
     assert basis_max <= rep.constant * (1 + 1e-9)
     assert rep.tail_profile[0.5] is not None
+
+
+# (R, h, deltas, orders) small enough for a dense generalized eigh to be the
+# reference; orders (0, 2, 1, 3) makes G_2 - G_1 indefinite
+SMALL_GRID_SCALES = [
+    (8.0, 1 / 8, (0.0, 0.1, 0.2, 0.3), None),
+    (4.0, 1 / 16, (0.0, 0.1, 0.2), None),
+    (16.0, 1 / 8, (0.0, 0.02, 0.04), None),
+    (8.0, 1 / 8, (0.0, 0.1, 0.2, 0.3), (0, 2, 1, 3)),
+]
+
+
+@pytest.mark.parametrize("R, h, deltas, orders", SMALL_GRID_SCALES)
+def test_embedding_constant_matches_dense_eigh(R, h, deltas, orders):
+    scale = WeightedGridScale(R, h, deltas, orders=orders)
+    for m in range(scale.max_level):
+        ev = scipy.linalg.eigh(scale.gram(m).toarray(), scale.gram(m + 1).toarray(),
+                               eigvals_only=True)
+        dense = float(np.sqrt(ev[-1]))
+        assert scale.embedding_constant(m) == pytest.approx(dense, rel=1e-9)
+
+
+def test_embedding_constant_repeats_exactly():
+    a = WeightedGridScale(8.0, 1 / 16, (0.0, 0.1, 0.2, 0.3))
+    b = WeightedGridScale(8.0, 1 / 16, (0.0, 0.1, 0.2, 0.3))
+    for m in range(3):
+        assert a.embedding_constant(m) == b.embedding_constant(m)
+
+
+def test_gram_is_sparse_banded():
+    scale = WeightedGridScale(4.0, 1 / 16, (0.0, 0.1, 0.2, 0.3))
+    for level in range(scale.max_level + 1):
+        g = scale.gram(level)
+        assert sp.issparse(g)
+        order = scale.orders[level]
+        # the widest stencil in G is the one of the highest derivative order
+        width = scale.diff(order).getnnz(axis=1).max() if order else 1
+        rows, cols = g.nonzero()
+        assert np.all(np.abs(rows - cols) <= width - 1)
+
+
+GRAM_SCALE = WeightedGridScale(8.0, 1 / 16, (0.0, 0.1, 0.2, 0.3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(level=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_gram_quadratic_form_is_squared_norm(level, seed):
+    scale = GRAM_SCALE
+    u = np.random.default_rng(seed).standard_normal(scale.n)
+    assert float(u @ (scale.gram(level) @ u)) == pytest.approx(
+        scale.norm(u, level) ** 2, rel=1e-12)
 
 
 def test_non_monotone_deltas_rejected():
@@ -207,6 +260,16 @@ def test_fredholm_index_vs_elimination_oracle_randomized():
         assert data.kernel_dim == ns - rank
         assert data.cokernel_dim == nt - rank
         assert data.index == (ns - rank) - (nt - rank)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nt=st.integers(0, 7), ns=st.integers(0, 7), seed=st.integers(0, 2 ** 32 - 1))
+def test_fredholm_split_index_is_dimension_difference(nt, ns, seed):
+    a = np.random.default_rng(seed).standard_normal((nt, ns))
+    op = LinearScOperator(FiniteDimScale(ns), FiniteDimScale(nt), matrix=a)
+    data = fredholm_split(op)
+    assert data.index == ns - nt
+    assert data.kernel_dim - data.cokernel_dim == ns - nt
 
 
 def test_dense_split_rank_cutoffs():
@@ -322,6 +385,13 @@ def test_circle_scale_norms():
     n0 = c.norm(u, 0)
     assert n0 == pytest.approx(np.sqrt(np.pi), rel=1e-6)
     assert c.norm(u, 1) == pytest.approx(np.sqrt(2 * np.pi), rel=1e-6)
+
+
+def test_circle_scale_norm_rejects_wrong_length():
+    c = CircleGridScale(64, max_level=2)
+    for level in range(3):
+        with pytest.raises(ValueError, match=r"expected 64 grid values, got shape \(10,\)"):
+            c.norm(np.ones(10), level)
 
 
 # ------------------------------------------------------------ config parsing
