@@ -49,6 +49,19 @@ def fornberg_weights(z, x, m):
     return c[:, m]
 
 
+def stencil_width(n, order, periodic=False):
+    """Points of the difference stencil of the given order: order +
+    STENCIL_ACCURACY, made odd. The one-sided edge rows of a non-periodic grid
+    need that many points, so a grid of fewer n raises ValueError."""
+    width = order + STENCIL_ACCURACY
+    if width % 2 == 0:
+        width += 1
+    if not periodic and n < width:
+        raise ValueError(f"grid of {n} points is too coarse for derivative "
+                         f"order {order}: its stencil has width {width}")
+    return width
+
+
 def diff_matrix(n, h, order, periodic=False):
     """Sparse differentiation matrix of the given derivative order on a uniform grid.
 
@@ -57,9 +70,7 @@ def diff_matrix(n, h, order, periodic=False):
     """
     if order == 0:
         return sp.identity(n, format="csr")
-    width = order + STENCIL_ACCURACY
-    if width % 2 == 0:
-        width += 1
+    width = stencil_width(n, order, periodic)
     half = width // 2
     offsets = np.arange(-half, half + 1)
     rows = np.arange(n)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,13 +120,18 @@ def solve_germ(germ, a, m, tol=1e-12, max_iter=500, newton=False):
 
     Picard iteration mirrors the contraction argument; the optional Newton
     accelerator falls back to Picard steps whenever its residual grows.
-    Non-convergence within max_iter signals a contraction-assumption breach.
+    Non-convergence within max_iter signals a contraction-assumption breach,
+    and so does a non-finite |B(a, 0)| or residual: Picard iterates from zero
+    stay within |B(a, 0)|/(1 - eps), so the iteration stops at the first one.
     """
     a = np.asarray(a, dtype=float)
     if np.linalg.norm(a) > germ.radii[m] * (1 + 1e-12):
         raise ValueError(f"parameter outside validity radius {germ.radii[m]:g}")
     w = np.zeros(germ.fiber.dim(m))
     b0 = germ.fiber.norm(germ.b(a, w, m), m)
+    if not math.isfinite(b0):
+        raise NonConvergenceError(
+            f"|B(a, 0)| is {b0:g} at level {m}; contraction assumption violated")
     epsm = germ.eps[m]
     bound = None
     if epsm < 1.0 and b0 > tol:
@@ -138,6 +144,10 @@ def solve_germ(germ, a, m, tol=1e-12, max_iter=500, newton=False):
         residual = germ.fiber.norm(w - bw, m)
         if residual <= tol:
             return w, SolveInfo(it - 1, residual, rates, bound, newton_used)
+        if not math.isfinite(residual):
+            raise NonConvergenceError(
+                f"residual {residual:g} at level {m}, iteration {it}; "
+                "contraction assumption violated")
         if newton and germ.fiber.dim(m) <= 64:
             step = _newton_step(germ, a, w, m)
             if step is not None:

@@ -12,6 +12,7 @@ solutions rather than blind randomness.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -499,39 +500,51 @@ def control_pair_build(f, aux_norm, margin=0.5, seeds_per_chart=24, seed=0,
     return ControlPair(region, aux_norm, report)
 
 
+def _norm(v):
+    """Euclidean norm of a real 1-D array; the sum numpy's norm computes for
+    it, without the dispatch."""
+    return math.sqrt(v.dot(v))
+
+
 def _gauss_newton(fn, x0, out_dim, tol=1e-11, max_iter=80):
     """Damped Gauss-Newton presolve; refreshes the frame every step so even
-    degenerate roots are approached geometrically."""
+    degenerate roots are approached geometrically.
+
+    Returns the last accepted point and the norm of fn there; fn is evaluated
+    once per accepted point, the line search's value being carried forward.
+    """
     x = np.asarray(x0, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
+        val = np.atleast_1d(fn(x))
+        res = _norm(val)
         for _ in range(max_iter):
-            val = np.atleast_1d(fn(x))
-            res = np.linalg.norm(val)
             if res <= tol:
-                return x
-            jac = _fd.jacobian(fn, x, out_dim, 1e-7 * (1.0 + np.linalg.norm(x)))
+                break
+            jac = _fd.jacobian(fn, x, out_dim, 1e-7 * (1.0 + _norm(x)))
             step = np.linalg.pinv(jac, rcond=GAUSS_NEWTON_RCOND) @ val
-            cap = 10.0 * (1.0 + np.linalg.norm(x))
-            sn = np.linalg.norm(step)
+            cap = 10.0 * (1.0 + _norm(x))
+            sn = _norm(step)
             if sn > cap:
                 step *= cap / sn
             t = 1.0
             for _ in range(12):
                 cand = x - t * step
-                if np.linalg.norm(np.atleast_1d(fn(cand))) < res:
-                    x = cand
+                cand_val = np.atleast_1d(fn(cand))
+                cand_res = _norm(cand_val)
+                if cand_res < res:
+                    x, val, res = cand, cand_val, cand_res
                     break
                 t *= 0.5
             else:
-                return x
-    return x
+                break
+    return x, res
 
 
 def _corrector(fn, x0, out_dim, tol=1e-11):
     """Zero of fn from a seeded start by damped Gauss-Newton; None unless the
     residual at the returned point is at most CORRECTOR_ACCEPT_TOL."""
-    x = _gauss_newton(fn, x0, out_dim, tol=tol)
-    return x if np.linalg.norm(fn(x)) <= CORRECTOR_ACCEPT_TOL else None
+    x, res = _gauss_newton(fn, x0, out_dim, tol=tol)
+    return x if res <= CORRECTOR_ACCEPT_TOL else None
 
 
 # ---------------------------------------------------------------------------
@@ -785,7 +798,7 @@ def _bump_profile(center, radius):
     center = np.asarray(center, dtype=float)
 
     def chi(x):
-        t = np.linalg.norm(np.asarray(x, dtype=float) - center) / radius
+        t = _norm(np.asarray(x, dtype=float) - center) / radius
         if t >= 1.0:
             return 0.0
         return float(np.exp(1.0 - 1.0 / (1.0 - t * t)))

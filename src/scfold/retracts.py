@@ -26,6 +26,7 @@ from .sc_core import (
     PartialQuadrant,
     WeightedGridScale,
     degeneracy_index,
+    dense_split,
     direct_sum,
 )
 
@@ -413,7 +414,7 @@ def neatness_check(model, x, level=None, radii=(1e-1, 1e-2, 1e-3),
         _, _, piv = _fd_qr_pivots(z)
         complement = w_basis[:, piv[:need]]
         stacked = np.concatenate([n_basis, complement], axis=1)
-        complement_ok = np.linalg.matrix_rank(stacked) == d
+        complement_ok = dense_split(stacked).image.shape[1] == d
     details["complement_dim"] = complement.shape[1]
 
     d_x = model.degeneracy(x)

@@ -165,6 +165,8 @@ class WeightedGridScale(ScScale):
         if len(self.orders) != self.max_level + 1:
             raise ValueError("one derivative order per level required")
         n = 2 * int(round(half_panels)) + 1
+        if max(self.orders) > 0:  # raises if n is too coarse for the stencil
+            _fd.stencil_width(n, max(self.orders))
         self.n = n
         self.grid = -self.R + self.h * np.arange(n)
         self.quad_weights = _fd.simpson_weights(n, self.h, n // 2)

@@ -78,3 +78,15 @@ def test_diff_matrix_exact_on_polynomials_of_stencil_degree(order, n, coeffs):
     # rounding bound: the cancelled sum sum_j |w_ij p(x_j)| per row
     scale = abs(d) @ np.abs(p(x))
     assert np.all(np.abs(got - want) <= 1e-12 * (scale + 1.0))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_diff_matrix_rejects_grid_narrower_than_stencil(order):
+    width = stencil_width(order)
+    with pytest.raises(ValueError, match=f"grid of {width - 1} points .* "
+                                         f"order {order}: .* width {width}"):
+        _fd.diff_matrix(width - 1, 1 / 16, order)
+    assert _fd.diff_matrix(width, 1 / 16, order).shape == (width, width)
+    # a periodic stencil wraps around, so it needs no minimum grid
+    assert _fd.diff_matrix(width - 1, 1 / 16, order, periodic=True).shape == (
+        width - 1, width - 1)

@@ -5,6 +5,7 @@ from scfold.errors import NonConvergenceError
 from scfold.germs import (
     BasicGerm,
     FillingData,
+    SolveInfo,
     contraction_verify,
     filling_verify,
     germ_from_map,
@@ -90,12 +91,92 @@ def test_solve_iteration_bound_respected():
     assert info.iterations <= info.bound
 
 
+def counting(b_fn):
+    """b_fn with a call counter in its .calls attribute."""
+    def counted(a, w, m):
+        counted.calls += 1
+        return b_fn(a, w, m)
+    counted.calls = 0
+    return counted
+
+
 def test_solve_nonconvergent_reports():
     fiber = FiniteDimScale(1)
-    g = BasicGerm(1, 0, 0, fiber, lambda a, w, m: 1.5 * w + a,
+    b_fn = counting(lambda a, w, m: 1.5 * w + a)
+    g = BasicGerm(1, 0, 0, fiber, b_fn,
                   eps=(0.9,), radii=(2.0,), validate=True)
+    b_fn.calls = 0
     with pytest.raises(NonConvergenceError):
         solve_germ(g, np.array([0.1]), 0, max_iter=60)
+    # a finite divergence runs every iteration: B(a, 0) plus one per step
+    assert b_fn.calls == 1 + 60
+
+
+def test_solve_stops_at_first_nonfinite_residual():
+    # w -> 3 w^2 + a squares its way to overflow within a few steps
+    b_fn = counting(lambda a, w, m: 3.0 * w ** 2 + a)
+    g = BasicGerm(1, 0, 0, FiniteDimScale(1), b_fn, eps=(0.9,), radii=(2.0,),
+                  validate=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonConvergenceError, match="level 0, iteration"):
+            solve_germ(g, np.array([1.0]), 0, max_iter=300)
+    assert b_fn.calls <= 12
+
+
+def test_solve_infinite_b0_is_nonconvergence():
+    b_fn = counting(lambda a, w, m: np.exp(1e3 * abs(a)) - 1 + 0 * w)
+    g = BasicGerm(1, 0, 0, FiniteDimScale(1), b_fn, eps=(0.5,), radii=(2.0,))
+    b_fn.calls = 0
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonConvergenceError, match="B\\(a, 0\\)"):
+            solve_germ(g, np.array([1.0]), 0)
+    assert b_fn.calls == 1
+
+
+def reference_picard(germ, a, m, tol=1e-12, max_iter=500):
+    """Picard loop of solve_germ before it stopped at non-finite residuals."""
+    a = np.asarray(a, dtype=float)
+    w = np.zeros(germ.fiber.dim(m))
+    b0 = germ.fiber.norm(germ.b(a, w, m), m)
+    epsm = germ.eps[m]
+    bound = None
+    if epsm < 1.0 and b0 > tol:
+        bound = int(np.ceil(np.log(tol * (1 - epsm) / b0) / np.log(epsm))) + 5
+    rates = []
+    prev_step = None
+    for it in range(1, max_iter + 1):
+        bw = germ.b(a, w, m)
+        residual = germ.fiber.norm(w - bw, m)
+        if residual <= tol:
+            return w, SolveInfo(it - 1, residual, rates, bound, False)
+        step_size = germ.fiber.norm(bw - w, m)
+        if prev_step is not None and step_size > 100 * tol:
+            rates.append(step_size / prev_step)
+        prev_step = step_size
+        w = bw
+    raise NonConvergenceError("reference did not converge")
+
+
+def _quadratic_root_germ():
+    pg = germ_from_map(lambda x: np.array([x[0] ** 2 + x[1] - 1.0]),
+                       np.array([0.3, 0.8]), out_dim=1)
+    return pg.germ
+
+
+@pytest.mark.parametrize("make, a, tol", [
+    (lambda: affine_germ(slope=0.5), [0.3], 1e-13),
+    (lambda: affine_germ(slope=0.9, fiber_dim=3), [-0.7], 1e-12),
+    (lambda: BasicGerm(1, 0, 0, FiniteDimScale(1),
+                       lambda a, w, m: 0.3 * np.sin(w) + a, eps=(0.3,),
+                       radii=(2.0,), validate=False), [1.2], 1e-12),
+    (_quadratic_root_germ, [0.25], 1e-12),
+])
+def test_solve_converging_matches_reference_picard(make, a, tol):
+    g = make()
+    w, info = solve_germ(g, np.array(a), 0, tol=tol)
+    w_ref, info_ref = reference_picard(g, np.array(a), 0, tol=tol)
+    assert np.array_equal(w, w_ref)
+    assert info == info_ref
 
 
 def test_solve_parameter_outside_radius():

@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scfold import perturbation
+from scfold import _fd, perturbation
 from scfold.errors import BiLevelError, NotASolutionError, UnchartedPointError
 from scfold.perturbation import (
+    GAUSS_NEWTON_RCOND,
     AuxiliaryNorm,
     BundleChart,
     BundleSection,
     Multisection,
     StrongBundleModel,
     _corrector,
+    _gauss_newton,
     bilevel_check,
     cobordism_compare,
     control_pair_build,
@@ -29,6 +31,7 @@ from scfold.perturbation import (
 )
 from scfold.sc_calculus import ScDomain
 from scfold.sc_core import CircleGridScale, FiniteDimScale, PartialQuadrant
+from scfold.scenarios import _porkbarrel_bundle
 
 
 # ------------------------------------------------------------------ fixtures
@@ -428,6 +431,96 @@ def test_corrector_index_one_circle():
 def test_corrector_rejects_map_without_zero():
     x = _corrector(lambda x: np.array([x[0] ** 2 + 1.0]), np.array([0.4]), 1)
     assert x is None
+
+
+def reference_gauss_newton(fn, x0, out_dim, tol=1e-11, max_iter=80):
+    """Damped Gauss-Newton as it was before the accepted value was carried
+    forward: fn is evaluated again at every accepted point."""
+    x = np.asarray(x0, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            val = np.atleast_1d(fn(x))
+            res = np.linalg.norm(val)
+            if res <= tol:
+                return x
+            jac = _fd.jacobian(fn, x, out_dim, 1e-7 * (1.0 + np.linalg.norm(x)))
+            step = np.linalg.pinv(jac, rcond=GAUSS_NEWTON_RCOND) @ val
+            cap = 10.0 * (1.0 + np.linalg.norm(x))
+            sn = np.linalg.norm(step)
+            if sn > cap:
+                step *= cap / sn
+            t = 1.0
+            for _ in range(12):
+                cand = x - t * step
+                if np.linalg.norm(np.atleast_1d(fn(cand))) < res:
+                    x = cand
+                    break
+                t *= 0.5
+            else:
+                return x
+    return x
+
+
+def _trough(x):
+    ramp = max(0.0, abs(x[0] - 0.8) - 0.25)
+    return np.array([x[1] ** 2 + ramp ** 2])
+
+
+# name -> (map, out_dim, center, radius of the seeded starts)
+GN_FIXTURES = {
+    "fold": (lambda x: np.array([x[0] ** 2]), 1, [0.0], 1.5),
+    "circle": (lambda x: np.array([x[0] ** 2 + x[1] ** 2 - 1.0]), 1,
+               [0.0, 0.0], 1.5),
+    "square": (lambda x: np.array([x[0] ** 2 + x[1] ** 2 - 2.0, x[0] - x[1]]),
+               2, [0.0, 0.0], 2.0),
+    "trough": (_trough, 1, [0.8, 0.0], 0.55),
+    "no_zero": (lambda x: np.array([x[0] ** 2 + 1.0]), 1, [0.0], 1.0),
+}
+
+
+@pytest.mark.parametrize("max_iter", [80, 3])
+@pytest.mark.parametrize("name", sorted(GN_FIXTURES))
+def test_gauss_newton_matches_reference_with_fewer_evaluations(name, max_iter):
+    fn, out_dim, center, radius = GN_FIXTURES[name]
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        x0 = np.asarray(center) + radius * rng.uniform(-1, 1, len(center))
+        calls = [0, 0]
+
+        def counted(x, k):
+            calls[k] += 1
+            return fn(x)
+
+        x, res = _gauss_newton(lambda z: counted(z, 0), x0, out_dim,
+                               max_iter=max_iter)
+        x_ref = reference_gauss_newton(lambda z: counted(z, 1), x0, out_dim,
+                                       max_iter=max_iter)
+        res_ref = np.linalg.norm(counted(x_ref, 1))  # the corrector's test
+        assert np.array_equal(x, x_ref)
+        assert res == res_ref
+        assert res == np.linalg.norm(fn(x))
+        assert calls[0] < calls[1]
+
+
+def test_solution_set_work_guard():
+    # index-one porkbarrel chart at the zero multisection: all 33 curve
+    # samples of the degenerate segment fail in Picard. The budget sits
+    # between 3,988 evaluations (failed solves stop at their first non-finite
+    # residual, one evaluation per corrector point) and 14,121 (failed solves
+    # run to max_iter, accepted corrector points evaluated twice).
+    model, section = _porkbarrel_bundle()
+    fn = section.fn
+    calls = [0]
+
+    def counted(cid, x):
+        calls[0] += 1
+        return fn(cid, x)
+
+    section.fn = counted
+    sols = solution_set(section, Multisection.zero(model), seed=0)
+    assert [(b.chart_id, len(b.points)) for b in sols] == [
+        ("spanned", 1), ("collapsed", 33)]
+    assert calls[0] <= 6000
 
 
 def _record_germ_solves(monkeypatch):

@@ -411,6 +411,17 @@ def test_scale_from_config_grid():
     assert s.n == 129
 
 
+def test_grid_scale_rejects_grid_narrower_than_top_stencil():
+    # R/h = 2 gives n = 5 points; level 2 needs the width-7 order-2 stencil
+    with pytest.raises(ValueError, match="grid of 5 points .* order 2: .* width 7"):
+        WeightedGridScale(1 / 8, 1 / 16, (0, .1, .2))
+    with pytest.raises(ValueError, match="grid of 5 points"):
+        scale_from_config('{"backend": "weighted_grid", "grid": {"R": 0.125,'
+                          ' "h": 0.0625}, "deltas": [0.0, 0.1, 0.2]}')
+    # the order-1 stencil has width 5, which fits
+    assert WeightedGridScale(1 / 8, 1 / 16, (0, .1)).norm(np.ones(5), 1) > 0
+
+
 def test_scale_from_config_unknown_key():
     with pytest.raises(ConfigError):
         scale_from_config('{"backend": "finite_dim", "dims": 4, "bogus": 1}')
