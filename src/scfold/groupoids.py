@@ -554,10 +554,6 @@ class Diagram:
     def from_functor(cls, phi):
         return cls(Functor.identity(phi.source), phi)
 
-    def reversal(self):
-        """Swap the legs; valid when both are equivalences."""
-        return Diagram(self.right, self.left)
-
 
 @dataclass
 class RefinementReport:

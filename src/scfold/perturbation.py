@@ -42,7 +42,8 @@ FIBER_MATCH_TOL = 1e-9
 SURJECTIVITY_FLOOR = 1e-8
 # residual at which a corrector point counts as a zero
 CORRECTOR_ACCEPT_TOL = 1e-8
-# relative singular-value cutoff of the pseudo-inverse in a Gauss-Newton step
+# relative singular-value cutoff of the minimum-norm Gauss-Newton step:
+# singular values at most GAUSS_NEWTON_RCOND * sigma_0 count as zero
 GAUSS_NEWTON_RCOND = 1e-12
 
 
@@ -244,10 +245,9 @@ class Multisection:
     branches passing through a bundle element within the fiber tolerance.
     """
 
-    def __init__(self, model, branches, name="multisection", symmetry=None):
+    def __init__(self, model, branches, name="multisection"):
         self.model = model
         self.name = name
-        self.symmetry = symmetry
         self.branches = []
         total = Fraction(0)
         for section, weight in branches:
@@ -295,16 +295,6 @@ class Multisection:
                 v = s(chart_id, x)
                 if np.linalg.norm(v) > FIBER_MATCH_TOL:
                     return False
-        return True
-
-    def verify_equivariance(self, samples):
-        """Functoriality surrogate: the value is constant along supplied
-        morphism orbits (pairs of equivalent elements)."""
-        if self.symmetry is None:
-            return True
-        for e1, e2 in samples:
-            if self.eval(e1) != self.eval(e2):
-                return False
         return True
 
     def describe(self):
@@ -506,12 +496,39 @@ def _norm(v):
     return math.sqrt(v.dot(v))
 
 
+def _min_norm_step(jac, val):
+    """Minimum-norm least-squares solution of jac @ step = val, singular values
+    at most GAUSS_NEWTON_RCOND * sigma_0 counting as zero; None when jac is
+    not finite.
+
+    A single row has the one singular value |row|, which the relative cutoff
+    never drops, so its step is row * val / |row|^2 (zero for a zero row).
+    """
+    if jac.shape[0] == 1:
+        row = jac[0]
+        sq = row.dot(row)
+        if 1e-300 < sq < math.inf:
+            return row * (val[0] / sq)
+        # zero, not finite, or a square that under- or overflows: rescale
+        if not np.isfinite(row).all():
+            return None
+        big = np.abs(row).max()
+        if big == 0.0:
+            return np.zeros_like(row)
+        row = row / big
+        return row * (val[0] / big / row.dot(row))
+    if not np.isfinite(jac).all():  # LAPACK would fail on it, or print
+        return None
+    return np.linalg.lstsq(jac, val, rcond=GAUSS_NEWTON_RCOND)[0]
+
+
 def _gauss_newton(fn, x0, out_dim, tol=1e-11, max_iter=80):
     """Damped Gauss-Newton presolve; refreshes the frame every step so even
     degenerate roots are approached geometrically.
 
     Returns the last accepted point and the norm of fn there; fn is evaluated
     once per accepted point, the line search's value being carried forward.
+    A Jacobian that is not finite ends the solve at the last accepted point.
     """
     x = np.asarray(x0, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -521,7 +538,9 @@ def _gauss_newton(fn, x0, out_dim, tol=1e-11, max_iter=80):
             if res <= tol:
                 break
             jac = _fd.jacobian(fn, x, out_dim, 1e-7 * (1.0 + _norm(x)))
-            step = np.linalg.pinv(jac, rcond=GAUSS_NEWTON_RCOND) @ val
+            step = _min_norm_step(jac, val)
+            if step is None:
+                break
             cap = 10.0 * (1.0 + _norm(x))
             sn = _norm(step)
             if sn > cap:

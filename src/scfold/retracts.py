@@ -109,12 +109,6 @@ class Retraction:
         )
         return Retraction(dom, self.fn, self.dfn, name=name or f"{self.name}|sub")
 
-    def as_map(self):
-        return ScMap(self.domain, self.scale,
-                     fn=lambda x, m: self.fn(x),
-                     dfn=None if self.dfn is None else (lambda x, h, m: self.dfn(x, h)),
-                     name=self.name)
-
 
 def retraction_check(r, samples, levels=None, tol=IDEMPOTENCE_TOL):
     """Max idempotence residual |r(r(x)) - r(x)|_m over samples and levels."""

@@ -142,8 +142,8 @@ class WeightedGridScale(ScScale):
     Level m measures derivatives up to orders[m] (default m), each multiplied
     by exp(delta_m |s|), combined in quadratic mean with a composite Simpson
     rule split at s = 0 where the weight has its kink. The weight sequence must
-    be strictly increasing with delta_0 = 0. R/h must be a positive even
-    integer so both Simpson halves have even panel counts.
+    be strictly increasing with delta_0 = 0. R and h must be positive and R/h
+    an even integer so both Simpson halves have even panel counts.
     """
 
     backend_kind = "weighted_grid"
@@ -154,6 +154,10 @@ class WeightedGridScale(ScScale):
             raise ValueError("weight sequence must start with delta_0 = 0")
         if any(b <= a for a, b in zip(deltas, deltas[1:])):
             raise ValueError("weight sequence must be strictly increasing")
+        if not R > 0:
+            raise ValueError(f"grid half-width R must be positive, got {R}")
+        if not h > 0:
+            raise ValueError(f"grid step h must be positive, got {h}")
         half_panels = R / h
         if abs(half_panels - round(half_panels)) > 1e-9 or round(half_panels) % 2 != 0:
             raise ValueError("R/h must be a positive even integer")
@@ -470,9 +474,6 @@ class ScVector:
     def norm(self, m):
         return level_norm(self, m)
 
-    def is_smooth(self):
-        return self.level == self.scale.max_level
-
 
 def level_norm(x, m):
     """The level-m norm of x; m must not exceed the declared level."""
@@ -608,18 +609,6 @@ class LinearScOperator:
         u, v = self.lowrank
         n = u.shape[0]
         return np.eye(n) + u @ v.T
-
-    def level_norm_estimate(self, level, sample_count=32, seed=0):
-        """Sampled operator norm between the level-m norms."""
-        rng = np.random.default_rng(seed)
-        best = 0.0
-        for _ in range(sample_count):
-            x = rng.standard_normal(self.source.dim(level))
-            nx = self.source.norm(x, level)
-            if nx == 0:
-                continue
-            best = max(best, self.target.norm(self.apply(x), level) / nx)
-        return best
 
 
 @dataclass

@@ -1,6 +1,6 @@
 """Static checks on the library source: no catch-all exception handler, one
-module that knows how a config fails to parse, and no sparse matrix turned
-dense."""
+module that knows how a config fails to parse, no sparse matrix turned dense
+and no pseudo-inverse formed to solve one system."""
 
 import ast
 from pathlib import Path
@@ -50,5 +50,18 @@ def test_no_sparse_to_dense_conversion():
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
         and node.func.attr in {"toarray", "todense"}
+    ]
+    assert found == []
+
+
+def test_no_pseudo_inverse():
+    # a Gauss-Newton step applies the pseudo-inverse to one vector; the
+    # minimum-norm solve gets that vector without forming the matrix
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "pinv"
     ]
     assert found == []

@@ -16,6 +16,7 @@ from scfold.perturbation import (
     StrongBundleModel,
     _corrector,
     _gauss_newton,
+    _min_norm_step,
     bilevel_check,
     cobordism_compare,
     control_pair_build,
@@ -433,6 +434,67 @@ def test_corrector_rejects_map_without_zero():
     assert x is None
 
 
+def _with_singular_values(rng, sigmas):
+    """Random 2x2 with the given singular values, and a right-hand side of
+    unit weight on both left singular vectors."""
+    u, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    v, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    return u @ np.diag(sigmas) @ v.T, u @ np.ones(2)
+
+
+def _step_cases():
+    rng = np.random.default_rng(3)
+    cases = [(f"row 1x{n}", rng.standard_normal((1, n))) for n in range(1, 5)
+             for _ in range(5)]
+    cases += [
+        ("zero row", np.zeros((1, 3))),
+        ("huge row", np.array([[1e200, -3e199]])),
+        ("tiny row", np.array([[1e-200, 2e-201]])),
+        ("rank one 2x2", np.outer([1.0, -2.0], [0.5, 3.0])),
+        ("2x3", rng.standard_normal((2, 3))),
+        ("3x2", rng.standard_normal((3, 2))),
+    ]
+    cases = [(name, jac, rng.standard_normal(jac.shape[0])) for name, jac in cases]
+    # sigma_1 / sigma_0 just below and just above GAUSS_NEWTON_RCOND
+    cases.append(("dropped 1e-13", *_with_singular_values(rng, [1.0, 1e-13])))
+    cases.append(("kept 1e-11", *_with_singular_values(rng, [1.0, 1e-11])))
+    return cases
+
+
+STEP_CASES = _step_cases()
+
+
+@pytest.mark.parametrize("name,jac,val", STEP_CASES,
+                         ids=[c[0] for c in STEP_CASES])
+def test_min_norm_step_matches_pinv(name, jac, val):
+    with np.errstate(over="ignore"):  # |row|^2 of the huge row overflows
+        ref = np.linalg.pinv(jac, rcond=GAUSS_NEWTON_RCOND) @ val
+        step = _min_norm_step(jac, val)
+    scale = np.abs(ref).max() or 1.0  # keeps the norms of 1e199 finite
+    assert (np.linalg.norm((step - ref) / scale)
+            <= 1e-12 * np.linalg.norm(ref / scale))
+    if name == "zero row":
+        assert np.array_equal(step, np.zeros(3))
+    if name == "dropped 1e-13":  # no component of size 1/sigma_1
+        assert np.linalg.norm(step) < 2.0
+    if name == "kept 1e-11":
+        assert np.linalg.norm(step) > 1e10
+
+
+@pytest.mark.parametrize("fn,x0,out_dim", [
+    (lambda x: np.array([np.sqrt(x[0]) - 0.5]), [-1.0], 1),
+    (lambda x: np.array([np.exp(800 * x[0]) - 1.0]), [1.0], 1),
+    (lambda x: np.array([np.sqrt(x[0]) - 0.5, x[1]]), [-1.0, 0.3], 2),
+    (lambda x: np.array([np.exp(800 * x[0]) - 1.0, x[0] - x[1]]), [1.0, 0.0], 2),
+], ids=["sqrt 1 row", "exp 1 row", "sqrt 2 rows", "exp 2 rows"])
+def test_corrector_ends_quietly_on_non_finite_jacobian(fn, x0, out_dim, capfd):
+    with np.errstate(invalid="ignore", over="ignore"):
+        jac = _fd.jacobian(fn, np.array(x0), out_dim, 1e-7)
+    assert not np.isfinite(jac).all()
+    assert _corrector(fn, np.array(x0), out_dim) is None
+    assert capfd.readouterr() == ("", "")
+
+
 def reference_gauss_newton(fn, x0, out_dim, tol=1e-11, max_iter=80):
     """Damped Gauss-Newton as it was before the accepted value was carried
     forward: fn is evaluated again at every accepted point."""
@@ -444,7 +506,7 @@ def reference_gauss_newton(fn, x0, out_dim, tol=1e-11, max_iter=80):
             if res <= tol:
                 return x
             jac = _fd.jacobian(fn, x, out_dim, 1e-7 * (1.0 + np.linalg.norm(x)))
-            step = np.linalg.pinv(jac, rcond=GAUSS_NEWTON_RCOND) @ val
+            step = _min_norm_step(jac, val)
             cap = 10.0 * (1.0 + np.linalg.norm(x))
             sn = np.linalg.norm(step)
             if sn > cap:

@@ -422,6 +422,21 @@ def test_grid_scale_rejects_grid_narrower_than_top_stencil():
     assert WeightedGridScale(1 / 8, 1 / 16, (0, .1)).norm(np.ones(5), 1) > 0
 
 
+@pytest.mark.parametrize("R,h,name", [
+    (0.0, 1 / 16, "R"),      # one-point grid, zero seminorm
+    (-1.0, 1 / 16, "R"),     # negative dimension inside numpy
+    (-1.0, -1 / 16, "R"),    # reversed grid
+    (1.0, 0.0, "h"),
+    (1.0, -1 / 16, "h"),
+])
+def test_grid_scale_rejects_non_positive_R_or_h(R, h, name):
+    with pytest.raises(ValueError, match=f"grid .* {name} must be positive"):
+        WeightedGridScale(R, h, (0.0,))
+    with pytest.raises(ValueError, match=f"grid .* {name} must be positive"):
+        scale_from_config({"backend": "weighted_grid", "grid": {"R": R, "h": h},
+                           "deltas": [0.0]})
+
+
 def test_scale_from_config_unknown_key():
     with pytest.raises(ConfigError):
         scale_from_config('{"backend": "finite_dim", "dims": 4, "bogus": 1}')
