@@ -7,8 +7,9 @@ at different resolutions agree to well below probe tolerances.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 
 from .errors import AmbiguousRankError
@@ -68,6 +69,7 @@ def diff_matrix(n, h, order, periodic=False):
     Every interior row uses the one centered stencil, computed once; only the
     2*half rows next to a non-periodic edge get their own one-sided stencil.
     """
+    import scipy.sparse as sp
     if order == 0:
         return sp.identity(n, format="csr")
     width = stencil_width(n, order, periodic)
@@ -107,10 +109,13 @@ def simpson_weights(n, h, split_index):
     return w
 
 
+@functools.lru_cache
 def gauss01(order):
-    """Gauss-Legendre nodes/weights transplanted to [0, 1]."""
+    """Gauss-Legendre nodes/weights transplanted to [0, 1]; cached, so read-only."""
     pts, wts = leggauss(order)
-    return (pts + 1.0) / 2.0, wts / 2.0
+    pts, wts = (pts + 1.0) / 2.0, wts / 2.0
+    pts.flags.writeable = wts.flags.writeable = False
+    return pts, wts
 
 
 def directional_derivative(fn, x, v, step_scale=None):

@@ -491,9 +491,13 @@ def control_pair_build(f, aux_norm, margin=0.5, seeds_per_chart=24, seed=0,
 
 
 def _norm(v):
-    """Euclidean norm of a real 1-D array; the sum numpy's norm computes for
-    it, without the dispatch."""
-    return math.sqrt(v.dot(v))
+    """Euclidean norm of a real 1-D array: numpy's sum, without the dispatch;
+    a finite v whose square overflows is divided by its largest entry first."""
+    sq = v.dot(v)
+    if math.isfinite(sq) or not np.isfinite(v).all():
+        return math.sqrt(sq)
+    big = np.abs(v).max()
+    return big * _norm(v / big)
 
 
 def _min_norm_step(jac, val):

@@ -16,7 +16,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import _fd
 from .errors import (
@@ -258,6 +257,7 @@ class _GridShift:
     def __call__(self, u, t):
         if t == 0.0:
             return np.asarray(u, dtype=float).copy()
+        from scipy.interpolate import CubicSpline
         spline = CubicSpline(self.scale.grid, u, bc_type="natural", extrapolate=False)
         shifted = spline(self.scale.grid + t)
         return np.nan_to_num(shifted, nan=0.0)

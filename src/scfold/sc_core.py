@@ -11,11 +11,10 @@ index shifts of scales are first-class so tangent constructions can reuse them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import _fd
 from .errors import (
@@ -126,7 +125,8 @@ class FiniteDimScale(ScScale):
 
     def norm(self, coeffs, level):
         self.check_level(level)
-        return float(np.linalg.norm(np.asarray(coeffs, dtype=float)))
+        v = np.asarray(coeffs, dtype=float).ravel(order="K")
+        return math.sqrt(v.dot(v))  # np.linalg.norm's sum, without the dispatch
 
     def embedding_constant(self, m):
         self.check_level(m + 1)
@@ -218,6 +218,7 @@ class WeightedGridScale(ScScale):
     def gram(self, level):
         """Sparse banded SPD matrix (CSC) with |u|_level^2 = u' G u."""
         if level not in self._gram_cache:
+            import scipy.sparse as sp
             W = sp.diags(self.quad_weights * self._weight(level) ** 2)
             G = W
             for k in range(1, self.orders[level] + 1):
@@ -234,6 +235,7 @@ class WeightedGridScale(ScScale):
         asserted."""
         self.check_level(m + 1)
         if m not in self._embed_cache:
+            import scipy.sparse.linalg as spla
             mu = spla.eigsh(self.gram(m + 1), k=1, M=self.gram(m), sigma=0,
                             which="LM", v0=np.ones(self.n), return_eigenvectors=False)
             self._embed_cache[m] = float(1.0 / np.sqrt(mu[0]))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -90,3 +94,24 @@ def test_every_scenario_has_defaults():
         params, seed = load_config(name)
         assert params == defaults
         assert seed == 0
+
+
+def test_scenarios_without_grid_work_never_load_scipy(tmp_path):
+    # a fresh process: importing scfold and running the scenarios that do no
+    # grid work must not pay for importing scipy
+    script = (
+        "import sys\n"
+        "from scfold.cli import main\n"
+        "for name in ('germ', 'stokes', 'groupoid', 'brokenpath'):\n"
+        "    assert main(['run', name, '--seed', '0', '--quiet',\n"
+        "                 '--out', sys.argv[1] + '/' + name]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -90,3 +90,17 @@ def test_diff_matrix_rejects_grid_narrower_than_stencil(order):
     # a periodic stencil wraps around, so it needs no minimum grid
     assert _fd.diff_matrix(width - 1, 1 / 16, order, periodic=True).shape == (
         width - 1, width - 1)
+
+
+@pytest.mark.parametrize("order", [2, 11, 12])
+def test_gauss01_cached_and_read_only(order):
+    pts, wts = _fd.gauss01(order)
+    assert _fd.gauss01(order)[0] is pts
+    raw_pts, raw_wts = np.polynomial.legendre.leggauss(order)
+    assert np.array_equal(pts, (raw_pts + 1.0) / 2.0)
+    assert np.array_equal(wts, raw_wts / 2.0)
+    for arr in (pts, wts):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            arr *= 2.0

@@ -1,6 +1,6 @@
 """Static checks on the library source: no catch-all exception handler, one
-module that knows how a config fails to parse, no sparse matrix turned dense
-and no pseudo-inverse formed to solve one system."""
+module that knows how a config fails to parse, no sparse matrix turned dense,
+no pseudo-inverse formed to solve one system and no scipy loaded on import."""
 
 import ast
 from pathlib import Path
@@ -64,4 +64,29 @@ def test_no_pseudo_inverse():
         if isinstance(node, ast.Call)
         and getattr(node.func, "attr", getattr(node.func, "id", None)) == "pinv"
     ]
+    assert found == []
+
+
+def _import_time_nodes(tree):
+    # what runs when the module is imported: everything outside function bodies
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_level_scipy_import():
+    # importing scfold loads numpy only; the grid kernels that need scipy
+    # import it where they call it
+    found = sorted(
+        f"{name}:{node.lineno}"
+        for name, tree in _modules()
+        for node in _import_time_nodes(tree)
+        if (isinstance(node, ast.Import)
+            and any(a.name.split(".")[0] == "scipy" for a in node.names))
+        or (isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[0] == "scipy")
+    )
     assert found == []

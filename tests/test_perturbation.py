@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -562,6 +563,29 @@ def test_gauss_newton_matches_reference_with_fewer_evaluations(name, max_iter):
         assert res == res_ref
         assert res == np.linalg.norm(fn(x))
         assert calls[0] < calls[1]
+
+
+@pytest.mark.parametrize("x0", [0.88, 0.87])
+@pytest.mark.parametrize("two_rows", [False, True])
+def test_gauss_newton_residual_finite_where_its_square_overflows(x0, two_rows):
+    # |fn| is 1e302 to 1e306 near x0: finite, but its square is not. From 0.88
+    # the Jacobian overflows and the solve stops at x0; from 0.87 the line
+    # search has to see finite residuals to make progress.
+    if two_rows:
+        def fn(x):
+            return np.array([np.exp(800 * x[0]) - 1, 1e300 * x[1]])
+        start = np.array([x0, 1.0])
+    else:
+        def fn(x):
+            return np.exp(800 * x) - 1
+        start = np.array([x0])
+    for max_iter in (80, 3):
+        x, res = _gauss_newton(fn, start, start.size, max_iter=max_iter)
+        exact = math.hypot(*fn(x))
+        assert math.isfinite(res)
+        assert abs(res - exact) <= 1e-15 * exact
+        if x0 == 0.87:
+            assert exact < math.hypot(*fn(start))
 
 
 def test_solution_set_work_guard():

@@ -52,6 +52,28 @@ def test_level_norm_finite_dim_euclidean():
         assert level_norm(v, m) == pytest.approx(5.0, abs=0)
 
 
+def _finite_dim_norm_inputs():
+    rng = np.random.default_rng(5)
+    block = rng.standard_normal((7, 5))
+    yield "1-D", rng.standard_normal(37)
+    yield "2-D", block
+    yield "2-D transposed", block.T
+    yield "empty", np.zeros(0)
+    yield "integer", rng.integers(-1000, 1000, 23)
+    yield "integer list", [3, 4, 12]
+    yield "near 1e155", np.array([1e155, -2e154, 3e155])
+
+
+@pytest.mark.parametrize("name,x", list(_finite_dim_norm_inputs()))
+def test_finite_dim_norm_bit_identical_to_numpy(name, x):
+    got = FiniteDimScale(3).norm(x, 2)
+    want = float(np.linalg.norm(x))
+    assert type(got) is float
+    assert got == want
+    if name == "near 1e155":  # solve_germ's non-finite stop reads this inf
+        assert got == want == float("inf")
+
+
 def test_level_norm_gaussian_matches_fine_grid_oracle():
     # oracle: the same discrete norm evaluated at h = 1/512
     coarse = make_grid_scale(h=1 / 64)
