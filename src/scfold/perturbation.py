@@ -243,12 +243,14 @@ class Multisection:
 
     Weights are exact rationals summing to one; evaluation adds the weights of
     branches passing through a bundle element within the fiber tolerance.
+    The solution sets it has been solved for are kept (see solution_set).
     """
 
     def __init__(self, model, branches, name="multisection"):
         self.model = model
         self.name = name
         self.branches = []
+        self._solution_sets = {}
         total = Fraction(0)
         for section, weight in branches:
             w = Fraction(weight)
@@ -594,7 +596,14 @@ def solution_set(f, l, seeds_per_chart=40, seed=0, tol=1e-11,
     positive-index solutions get a kernel parametrization by Picard iteration
     on the germ normal form. Charts with zero-dimensional fiber
     contribute their whole sampled region at the branch weight.
+
+    The result is a pure function of the arguments, so l keeps it, keyed by
+    the identity of f and every other argument: a repeat call returns the
+    same list, which is shared and read-only.
     """
+    key = (f, seeds_per_chart, seed, tol, curve_samples, patch_radius)
+    if key in l._solution_sets:
+        return l._solution_sets[key]
     model = f.model
     rng = np.random.default_rng(seed)
     out = []
@@ -663,6 +672,7 @@ def solution_set(f, l, seeds_per_chart=40, seed=0, tol=1e-11,
                     out.append(SolutionBranch(cid, bi, w, pts, index,
                                               parametrize=parametrize,
                                               kernel_range=krange))
+    l._solution_sets[key] = out
     return out
 
 

@@ -609,6 +609,88 @@ def test_solution_set_work_guard():
     assert calls[0] <= 6000
 
 
+def _counting(*sections):
+    """Wrap the sections' fn and dfn; returns the list their calls append to."""
+    calls = []
+    for section in sections:
+        for attr in ("fn", "dfn"):
+            inner = getattr(section, attr)
+            if inner is not None:
+                def counted(*args, inner=inner, attr=attr):
+                    calls.append(attr)
+                    return inner(*args)
+
+                setattr(section, attr, counted)
+    return calls
+
+
+def line_section(model):
+    return BundleSection(model, lambda cid, x: np.array([x[0] + x[1]]),
+                         dfn=lambda cid, x, h: np.array([h[0] + h[1]]),
+                         name="line")
+
+
+MEMO_ARGS = dict(seeds_per_chart=10, seed=3, tol=1e-11, curve_samples=5,
+                 patch_radius=None)
+
+
+def test_solution_set_repeat_call_is_remembered():
+    model = finite_model(base_dim=2, fiber_dim=1)
+    f = line_section(model)
+    lam = Multisection.zero(model)
+    first = solution_set(f, lam, **MEMO_ARGS)
+    assert first and first[0].dimension == 1
+    calls = _counting(f, lam.branches[0][0])
+    assert solution_set(f, lam, **MEMO_ARGS) is first
+    assert calls == []
+
+
+@pytest.mark.parametrize("change", [
+    {"seed": 4}, {"seeds_per_chart": 9}, {"tol": 1e-10}, {"curve_samples": 7},
+    {"patch_radius": 0.5}, "f"], ids=str)
+def test_solution_set_recomputes_when_an_argument_changes(change):
+    model = finite_model(base_dim=2, fiber_dim=1)
+    f = line_section(model)
+    lam = Multisection.zero(model)
+    first = solution_set(f, lam, **MEMO_ARGS)
+    if change == "f":
+        g, args = BundleSection(model, f.fn, dfn=f.dfn), MEMO_ARGS
+    else:
+        g, args = f, {**MEMO_ARGS, **change}
+    calls = _counting(g)
+    again = solution_set(g, lam, **args)
+    assert again is not first
+    assert calls
+    if change == "f":  # same map, so the same solutions
+        for a, b in zip(again, first, strict=True):
+            assert np.array_equal(a.points, b.points)
+
+
+def test_fresh_multisection_from_the_same_sections_recomputes():
+    model = finite_model(base_dim=2, fiber_dim=1)
+    f = line_section(model)
+    lam = Multisection.zero(model)
+    first = solution_set(f, lam, **MEMO_ARGS)
+    calls = _counting(f)
+    again = solution_set(f, Multisection(model, lam.branches), **MEMO_ARGS)
+    assert again is not first
+    assert calls
+    for a, b in zip(again, first, strict=True):
+        assert np.array_equal(a.points, b.points)
+
+
+def test_solution_set_after_perturbation_search_evaluates_nothing():
+    model = finite_model()
+    f = fold_section(model)
+    cp = control_pair_build(f, scaled_aux(model), margin=0.5, seed=13)
+    tau = perturb_to_transversal(f, cp, 0.1, seed=13)
+    assert tau.name == "transversal-0"  # found at attempt 0, solved at seed 14
+    calls = _counting(f, tau.branches[0][0])
+    sols = solution_set(f, tau, seed=14)
+    assert sols
+    assert calls == []
+
+
 def _record_germ_solves(monkeypatch):
     calls = []
 
