@@ -126,7 +126,7 @@ class BundleSection:
         chart = self.model.chart(chart_id)
         out_dim = chart.fiber_dim()
         if self.dfn is not None:
-            cols = [self.dfn(chart_id, base, e) for e in np.eye(base.size)]
+            cols = [self.dfn(chart_id, base, e) for e in _fd.identity(base.size)]
             return np.array(cols, dtype=float).T.reshape(out_dim, base.size)
         return _fd.jacobian(lambda z: self(chart_id, z), base, out_dim, step)
 
@@ -243,7 +243,6 @@ class Multisection:
 
     Weights are exact rationals summing to one; evaluation adds the weights of
     branches passing through a bundle element within the fiber tolerance.
-    The solution sets it has been solved for are kept (see solution_set).
     """
 
     def __init__(self, model, branches, name="multisection"):
@@ -368,11 +367,7 @@ def multisection_sum(l1, l2, merge_samples=None, tol=FIBER_MATCH_TOL):
     new = []
     for s1, w1 in l1.branches:
         for s2, w2 in l2.branches:
-            def summed(cid, x, a=s1, b=s2):
-                return a(cid, x) + b(cid, x)
-
-            sec = BundleSection(model, summed, tag="sc_plus",
-                                name=f"{s1.name}+{s2.name}")
+            sec = _combination(model, s1, s2, 1.0, 1.0, f"{s1.name}+{s2.name}")
             new.append((sec, w1 * w2))
 
     merged = []
@@ -392,6 +387,19 @@ def multisection_sum(l1, l2, merge_samples=None, tol=FIBER_MATCH_TOL):
         else:
             merged[hit] = (merged[hit][0], merged[hit][1] + w)
     return Multisection(model, merged, name=f"{l1.name}⊕{l2.name}")
+
+
+def _combination(model, a, b, wa, wb, name):
+    """One-level-up section wa a + wb b; it has a dfn when a and b have one."""
+    def fn(cid, x):
+        return wa * a(cid, x) + wb * b(cid, x)
+
+    def dfn(cid, x, h):
+        return wa * a.dfn(cid, x, h) + wb * b.dfn(cid, x, h)
+
+    both = a.dfn is not None and b.dfn is not None
+    return BundleSection(model, fn, tag="sc_plus", dfn=dfn if both else None,
+                         name=name)
 
 
 def multisection_norm(l, aux_norm, chart_id, base, debug=False):
@@ -457,7 +465,8 @@ def control_pair_build(f, aux_norm, margin=0.5, seeds_per_chart=24, seed=0,
         else:
             for _ in range(seeds_per_chart):
                 x0 = chart.domain.center + radius * rng.uniform(-1, 1, d)
-                x_sol = _corrector(lambda z: f(cid, z), x0, chart.fiber_dim())
+                x_sol = _corrector(lambda z: f(cid, z), x0, chart.fiber_dim(),
+                                   jac=lambda z, h: f.derivative_matrix(cid, z, h))
                 if x_sol is None:
                     continue
                 if not chart.domain.contains(x_sol, 0):
@@ -528,14 +537,20 @@ def _min_norm_step(jac, val):
     return np.linalg.lstsq(jac, val, rcond=GAUSS_NEWTON_RCOND)[0]
 
 
-def _gauss_newton(fn, x0, out_dim, tol=1e-11, max_iter=80):
+def _gauss_newton(fn, x0, out_dim, tol=1e-11, max_iter=80, jac=None):
     """Damped Gauss-Newton presolve; refreshes the frame every step so even
     degenerate roots are approached geometrically.
 
+    jac(x, h) is the Jacobian of fn at x for the difference step
+    h = 1e-7 (1 + |x|), by default the central differences of fn.
     Returns the last accepted point and the norm of fn there; fn is evaluated
     once per accepted point, the line search's value being carried forward.
     A Jacobian that is not finite ends the solve at the last accepted point.
     """
+    if jac is None:
+        def jac(z, h):
+            return _fd.jacobian(fn, z, out_dim, h)
+
     x = np.asarray(x0, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         val = np.atleast_1d(fn(x))
@@ -543,11 +558,11 @@ def _gauss_newton(fn, x0, out_dim, tol=1e-11, max_iter=80):
         for _ in range(max_iter):
             if res <= tol:
                 break
-            jac = _fd.jacobian(fn, x, out_dim, 1e-7 * (1.0 + _norm(x)))
-            step = _min_norm_step(jac, val)
+            size = 1.0 + _norm(x)
+            step = _min_norm_step(jac(x, 1e-7 * size), val)
             if step is None:
                 break
-            cap = 10.0 * (1.0 + _norm(x))
+            cap = 10.0 * size
             sn = _norm(step)
             if sn > cap:
                 step *= cap / sn
@@ -565,10 +580,10 @@ def _gauss_newton(fn, x0, out_dim, tol=1e-11, max_iter=80):
     return x, res
 
 
-def _corrector(fn, x0, out_dim, tol=1e-11):
-    """Zero of fn from a seeded start by damped Gauss-Newton; None unless the
+def _corrector(fn, x0, out_dim, tol=1e-11, jac=None):
+    """Zero of fn from a seeded start by _gauss_newton; None unless the
     residual at the returned point is at most CORRECTOR_ACCEPT_TOL."""
-    x, res = _gauss_newton(fn, x0, out_dim, tol=tol)
+    x, res = _gauss_newton(fn, x0, out_dim, tol=tol, jac=jac)
     return x if res <= CORRECTOR_ACCEPT_TOL else None
 
 
@@ -585,6 +600,7 @@ class SolutionBranch:
     dimension: int
     parametrize: object = None  # callable kernel coords -> base point
     kernel_range: tuple = None
+    failed_samples: int = 0  # kernel-grid points whose Picard solve failed
 
 
 def solution_set(f, l, seeds_per_chart=40, seed=0, tol=1e-11,
@@ -592,7 +608,8 @@ def solution_set(f, l, seeds_per_chart=40, seed=0, tol=1e-11,
     """Weighted solution samples of the multisection equation per branch.
 
     Each active branch solves f(x) = s_i(x) through the Gauss-Newton
-    corrector from seeded starts; zero-dimensional solutions are deduplicated,
+    corrector from seeded starts, stepping with the derivative_matrix of f
+    minus that of s_i; zero-dimensional solutions are deduplicated,
     positive-index solutions get a kernel parametrization by Picard iteration
     on the germ normal form. Charts with zero-dimensional fiber
     contribute their whole sampled region at the branch weight.
@@ -625,10 +642,13 @@ def solution_set(f, l, seeds_per_chart=40, seed=0, tol=1e-11,
             def diff(x, s=section):
                 return f(cid, x) - s(cid, x)
 
+            def diff_jac(x, h, s=section):
+                return f.derivative_matrix(cid, x, h) - s.derivative_matrix(cid, x, h)
+
             sols = []
             for _ in range(seeds_per_chart):
                 x0 = chart.domain.center + radius * rng.uniform(-1, 1, d)
-                x_sol = _corrector(diff, x0, chart.fiber_dim(), tol)
+                x_sol = _corrector(diff, x0, chart.fiber_dim(), tol, jac=diff_jac)
                 if x_sol is None or not chart.domain.contains(x_sol, 0):
                     continue
                 if any(np.linalg.norm(x_sol - y) < 1e-5 for y in sols):
@@ -654,11 +674,13 @@ def solution_set(f, l, seeds_per_chart=40, seed=0, tol=1e-11,
                     kgrid = np.linspace(-pr, pr, curve_samples)
                     pts = []
                     valid = []
+                    failed = 0
                     for kap in kgrid:
                         try:
                             with np.errstate(over="ignore", invalid="ignore"):
                                 p = parametrize(np.full(index, kap))
                         except NonConvergenceError:
+                            failed += 1
                             continue
                         if chart.domain.contains(p, 0):
                             pts.append(p)
@@ -671,7 +693,8 @@ def solution_set(f, l, seeds_per_chart=40, seed=0, tol=1e-11,
                         parametrize = None
                     out.append(SolutionBranch(cid, bi, w, pts, index,
                                               parametrize=parametrize,
-                                              kernel_range=krange))
+                                              kernel_range=krange,
+                                              failed_samples=failed))
     l._solution_sets[key] = out
     return out
 
@@ -828,6 +851,8 @@ def _kernels_in_good_position(chart, lset, point, c):
 
 
 def _bump_profile(center, radius):
+    """chi(x) = exp(1 - 1/(1 - t^2)) with t = |x - c| / r, zero for t >= 1,
+    and its gradient -2 chi(x) (x - c) / (r^2 (1 - t^2)^2)."""
     center = np.asarray(center, dtype=float)
 
     def chi(x):
@@ -836,7 +861,13 @@ def _bump_profile(center, radius):
             return 0.0
         return float(np.exp(1.0 - 1.0 / (1.0 - t * t)))
 
-    return chi
+    def grad(x):
+        dx = np.asarray(x, dtype=float) - center
+        c = chi(x)
+        u = 1.0 - (_norm(dx) / radius) ** 2
+        return (-2.0 * c / (radius * radius * u * u)) * dx if c else np.zeros_like(dx)
+
+    return chi, grad
 
 
 def perturb_to_transversal(f, cp, epsilon, seed=0, max_attempts=20,
@@ -891,22 +922,26 @@ def perturb_to_transversal(f, cp, epsilon, seed=0, max_attempts=20,
                     balls, key=lambda b: np.linalg.norm(b[0] - p0))
             else:
                 center, radius = p0, 1.0
-            chi = _bump_profile(center, radius)
             raw_norm = cp.aux_norm(cid, vec)
             scale = 0.5 * epsilon / max(raw_norm, 1e-30)
-            offsets[cid] = (chi, scale * vec)
+            offsets[cid] = (*_bump_profile(center, radius), scale * vec)
         if not offsets:
             raise ExhaustedAttemptsError("no cokernel directions available",
                                          report=worst)
 
         def pert_fn(cid, x, offsets=offsets):
-            d = f.model.chart(cid).fiber_dim()
             if cid not in offsets:
-                return np.zeros(d)
-            chi, vec = offsets[cid]
+                return np.zeros(f.model.chart(cid).fiber_dim())
+            chi, _, vec = offsets[cid]
             return chi(x) * vec
 
-        branch = BundleSection(model, pert_fn, tag="sc_plus",
+        def pert_dfn(cid, x, h, offsets=offsets):
+            if cid not in offsets:
+                return np.zeros(f.model.chart(cid).fiber_dim())
+            _, grad, vec = offsets[cid]
+            return grad(x).dot(h) * vec
+
+        branch = BundleSection(model, pert_fn, tag="sc_plus", dfn=pert_dfn,
                                name=f"cokernel-shift-{attempt}")
         tau = Multisection(model, [(branch, Fraction(1))],
                            name=f"transversal-{attempt}")
@@ -1006,11 +1041,7 @@ def cobordism_compare(f, tau0, tau1, cp, t_samples=(0.0, 0.25, 0.5, 0.75, 1.0),
         branches = []
         for s0, w0 in tau0.branches:
             for s1, w1 in tau1.branches:
-                def interp(cid, x, a=s0, b=s1, tt=t):
-                    return (1 - tt) * a(cid, x) + tt * b(cid, x)
-
-                sec = BundleSection(model, interp, tag="sc_plus",
-                                    name=f"interp-{t}")
+                sec = _combination(model, s0, s1, 1 - t, t, f"interp-{t}")
                 branches.append((sec, w0 * w1))
         tau_t = Multisection(model, branches, name=f"family-{t}")
         sols_t = solution_set(f, tau_t, seeds_per_chart=solver_seeds,

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scfold import _fd, perturbation
 from scfold.errors import BiLevelError, NotASolutionError, UnchartedPointError
 from scfold.perturbation import (
+    CORRECTOR_ACCEPT_TOL,
     GAUSS_NEWTON_RCOND,
     AuxiliaryNorm,
     BundleChart,
@@ -565,6 +566,46 @@ def test_gauss_newton_matches_reference_with_fewer_evaluations(name, max_iter):
         assert calls[0] < calls[1]
 
 
+def _trough_jac(x, h):
+    ramp = max(0.0, abs(x[0] - 0.8) - 0.25)
+    return np.array([[2.0 * ramp * np.sign(x[0] - 0.8), 2.0 * x[1]]])
+
+
+# name -> analytic jac(x, h) of the GN_FIXTURES map
+GN_JACOBIANS = {
+    "fold": lambda x, h: np.array([[2.0 * x[0]]]),
+    "circle": lambda x, h: np.array([[2.0 * x[0], 2.0 * x[1]]]),
+    "square": lambda x, h: np.array([[2.0 * x[0], 2.0 * x[1]], [1.0, -1.0]]),
+    "trough": _trough_jac,
+    "no_zero": lambda x, h: np.array([[2.0 * x[0]]]),
+}
+
+
+@pytest.mark.parametrize("max_iter", [80, 3])
+@pytest.mark.parametrize("name", sorted(GN_FIXTURES))
+def test_gauss_newton_with_analytic_jacobian_reaches_the_same_roots(name,
+                                                                    max_iter):
+    fn, out_dim, center, radius = GN_FIXTURES[name]
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        x0 = np.asarray(center) + radius * rng.uniform(-1, 1, len(center))
+        calls = [0, 0]
+
+        def counted(x, k):
+            calls[k] += 1
+            return fn(x)
+
+        x, res = _gauss_newton(lambda z: counted(z, 0), x0, out_dim,
+                               max_iter=max_iter, jac=GN_JACOBIANS[name])
+        x_fd, res_fd = _gauss_newton(lambda z: counted(z, 1), x0, out_dim,
+                                     max_iter=max_iter)
+        if name != "no_zero":  # which has no root, only a stall point
+            assert np.abs(x - x_fd).max() <= 1e-9
+        assert res == np.linalg.norm(fn(x))
+        assert (res <= CORRECTOR_ACCEPT_TOL) == (res_fd <= CORRECTOR_ACCEPT_TOL)
+        assert calls[0] < calls[1]
+
+
 @pytest.mark.parametrize("x0", [0.88, 0.87])
 @pytest.mark.parametrize("two_rows", [False, True])
 def test_gauss_newton_residual_finite_where_its_square_overflows(x0, two_rows):
@@ -591,9 +632,10 @@ def test_gauss_newton_residual_finite_where_its_square_overflows(x0, two_rows):
 def test_solution_set_work_guard():
     # index-one porkbarrel chart at the zero multisection: all 33 curve
     # samples of the degenerate segment fail in Picard. The budget sits
-    # between 3,988 evaluations (failed solves stop at their first non-finite
-    # residual, one evaluation per corrector point) and 14,121 (failed solves
-    # run to max_iter, accepted corrector points evaluated twice).
+    # above 3,988 evaluations (failed solves stop at their first non-finite
+    # residual, one evaluation per corrector point) and below 14,121 (failed
+    # solves run to max_iter, accepted corrector points evaluated twice).
+    # Since the corrector steps with the section's dfn it takes 1,252.
     model, section = _porkbarrel_bundle()
     fn = section.fn
     calls = [0]
@@ -887,3 +929,118 @@ def test_weighted_count_signs():
                       dfn=lambda cid, x, h: np.array([h[0]]))
     sols_g = solution_set(g, lam, seed=19)
     assert weighted_count(g, sols_g, lam) == Fraction(1)
+
+
+# ------------------------------------------- derivatives of built sections
+
+def assert_dfn_matches_differences(section, cid, points):
+    assert section.dfn is not None
+    out_dim = section.model.chart(cid).fiber_dim()
+    for x in points:
+        analytic = section.derivative_matrix(cid, x)
+        fd = _fd.jacobian(lambda z: section(cid, z), x, out_dim,
+                          _fd.JACOBIAN_STEP)
+        assert np.isfinite(analytic).all()
+        np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-12)
+
+
+def seeded_points(center, radius, count=6, seed=0):
+    rng = np.random.default_rng(seed)
+    center = np.asarray(center, dtype=float)
+    return [center + radius * rng.uniform(-1, 1, center.size)
+            for _ in range(count)]
+
+
+def test_bump_gradient_matches_differences_and_vanishes_off_support():
+    center, radius = np.array([0.3, -0.2]), 0.7
+    chi, grad = perturbation._bump_profile(center, radius)
+    u = np.array([0.6, 0.8])
+    points = {"center": center, "half": center + 0.5 * radius * u,
+              "edge": center + (1 - 1e-15) * radius * u,
+              "outside": center + 1.5 * radius * u}
+    for x in [*points.values(), *seeded_points(center, 0.6 * radius)]:
+        g = grad(x)
+        assert np.isfinite(g).all()
+        fd = _fd.jacobian(chi, x, 1, _fd.JACOBIAN_STEP)[0]
+        np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-12)
+        if chi(x) == 0.0:
+            assert np.array_equal(g, np.zeros(2))
+    assert chi(points["half"]) > 0.0
+    assert chi(points["edge"]) == chi(points["outside"]) == 0.0
+    assert np.array_equal(grad(center), np.zeros(2))
+
+
+@pytest.mark.parametrize("bundle", ["fold", "porkbarrel"])
+def test_cokernel_shift_derivative(bundle):
+    if bundle == "fold":
+        model = finite_model()
+        f, aux, cid = fold_section(model), scaled_aux(model), "main"
+    else:
+        model, f = _porkbarrel_bundle()
+        aux, cid = scaled_aux(model, 0.02), "spanned"
+    cp = control_pair_build(f, aux, margin=0.5, seed=0)
+    tau = perturb_to_transversal(f, cp, 0.1, seed=0)
+    shift = tau.branches[0][0]
+    assert shift.name.startswith("cokernel-shift")
+    points = [p for center, r in cp.region.balls[cid]
+              for p in seeded_points(center, r)]
+    assert any(np.abs(shift.derivative_matrix(cid, p)).max() > 0 for p in points)
+    assert_dfn_matches_differences(shift, cid, points)
+    if bundle == "porkbarrel":  # no offset on the empty-fiber chart
+        assert shift.derivative_matrix("collapsed", np.array([-0.6])).shape == (0, 1)
+
+
+def test_interpolated_family_derivative(monkeypatch):
+    model = finite_model()
+    f = fold_section(model)
+    cp = control_pair_build(f, scaled_aux(model), margin=0.5, seed=16)
+    tau0 = perturb_to_transversal(f, cp, 0.1, seed=21)
+    tau1 = perturb_to_transversal(f, cp, 0.1, seed=22)
+    family = []
+    solve = perturbation.solution_set
+
+    def recording(f, l, **kwargs):
+        if l.name.startswith("family-"):
+            family.append(l)
+        return solve(f, l, **kwargs)
+
+    monkeypatch.setattr(perturbation, "solution_set", recording)
+    cobordism_compare(f, tau0, tau1, cp)
+    assert len(family) == 5
+    for tau_t in family:
+        for section, _ in tau_t.branches:
+            assert_dfn_matches_differences(section, "main",
+                                           seeded_points([0.0], 1.2))
+
+
+def test_convolution_sum_derivative():
+    model = finite_model()
+    f = fold_section(model)
+    cp = control_pair_build(f, scaled_aux(model), margin=0.5, seed=13)
+    tau = perturb_to_transversal(f, cp, 0.1, seed=13)
+    shifts = Multisection(model, [(const_branch(model, [0.1]), Fraction(1, 2)),
+                                  (const_branch(model, [-0.2]), Fraction(1, 2))])
+    total = multisection_sum(tau, shifts)
+    assert len(total.branches) == 2
+    for section, _ in total.branches:
+        assert_dfn_matches_differences(section, "main", seeded_points([0.0], 1.2))
+    opaque = Multisection(model, [(BundleSection(
+        model, lambda cid, x: np.array([0.1]), tag="sc_plus"), Fraction(1))])
+    assert multisection_sum(tau, opaque).branches[0][0].dfn is None
+
+
+def test_zero_and_constant_section_derivatives():
+    model = finite_model(base_dim=2, fiber_dim=3)
+    for section in (zero_section(model),
+                    perturbation.constant_branch_section(model, [0.1, -2.0, 3.0])):
+        assert_dfn_matches_differences(section, "main",
+                                       seeded_points([0.0, 0.0], 1.2))
+        assert section.derivative_matrix("main", np.ones(2)).shape == (3, 2)
+
+
+def test_failed_curve_samples_are_counted():
+    model, section = _porkbarrel_bundle()
+    sols = solution_set(section, Multisection.zero(model), seed=0)
+    spanned = [b for b in sols if b.chart_id == "spanned"]
+    assert [(b.dimension, b.failed_samples) for b in spanned] == [(1, 33)]
+    assert spanned[0].parametrize is None
