@@ -22,6 +22,13 @@ FD_STEP = 1e-5
 # fixed coordinate step of the central-difference Jacobians
 JACOBIAN_STEP = 1e-6
 
+# guard band of numerical_rank on the relative singular values
+RANK_GUARD_LOWER = 1e-10
+RANK_GUARD_UPPER = 1e-8
+
+# residuals at or below this are round-off zeros in log-log slope fits
+LOGLOG_FLOOR = 1e-15
+
 
 def fornberg_weights(z, x, m):
     """Finite-difference weights for the order-m derivative at z from nodes x."""
@@ -126,11 +133,11 @@ def identity(n):
     return eye
 
 
-def directional_derivative(fn, x, v, step_scale=None):
+def directional_derivative(fn, x, v):
     """Centered difference of fn at x in direction v."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    h = (step_scale if step_scale is not None else FD_STEP) * (1.0 + np.linalg.norm(x))
+    h = FD_STEP * (1.0 + np.linalg.norm(x))
     return (np.asarray(fn(x + h * v)) - np.asarray(fn(x - h * v))) / (2.0 * h)
 
 
@@ -152,31 +159,32 @@ def jacobian(fn, x, out_dim, step):
     return jac if jac is not None else np.zeros((0, 0))
 
 
-def numerical_rank(singular_values, lower=1e-10, upper=1e-8):
+def numerical_rank(singular_values):
     """Rank from singular values with a guard band on the relative spectrum.
 
-    Relative singular values inside (lower, upper) are treated as undecidable
-    and raise AmbiguousRankError so that dimension jumps are never classified
-    silently.
+    Relative singular values inside (RANK_GUARD_LOWER, RANK_GUARD_UPPER) are
+    treated as undecidable and raise AmbiguousRankError so that dimension
+    jumps are never classified silently.
     """
     s = np.asarray(singular_values, dtype=float)
     if s.size == 0 or s[0] == 0.0:
         return 0
     rel = s / s[0]
-    if np.any((rel > lower) & (rel < upper)):
+    if np.any((rel > RANK_GUARD_LOWER) & (rel < RANK_GUARD_UPPER)):
         raise AmbiguousRankError(
-            f"singular values inside guard band ({lower:g}, {upper:g}): {rel.tolist()}"
+            f"singular values inside guard band ({RANK_GUARD_LOWER:g}, "
+            f"{RANK_GUARD_UPPER:g}): {rel.tolist()}"
         )
-    return int(np.sum(rel >= upper))
+    return int(np.sum(rel >= RANK_GUARD_UPPER))
 
 
-def orthonormal_columns(columns, rank=None, lower=1e-10, upper=1e-8):
+def orthonormal_columns(columns, rank=None):
     """Orthonormal basis of the column span, rank decided with the guard band."""
     m = np.asarray(columns, dtype=float)
     if m.ndim == 1:
         m = m[:, None]
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    r = numerical_rank(s, lower, upper) if rank is None else rank
+    r = numerical_rank(s) if rank is None else rank
     return u[:, :r], s
 
 
@@ -199,11 +207,12 @@ def subspace_gap(basis_a, basis_b):
     return float(gap)
 
 
-def fit_loglog_slope(h_values, residuals, floor=1e-15):
-    """Least-squares slope of log(residual) against log(h), ignoring round-off zeros."""
+def fit_loglog_slope(h_values, residuals):
+    """Least-squares slope of log(residual) against log(h), ignoring round-off
+    zeros (residuals at or below LOGLOG_FLOOR)."""
     h_values = np.asarray(h_values, dtype=float)
     residuals = np.asarray(residuals, dtype=float)
-    mask = residuals > floor
+    mask = residuals > LOGLOG_FLOOR
     if mask.sum() < 2:
         return None
     coeff = np.polyfit(np.log(h_values[mask]), np.log(residuals[mask]), 1)

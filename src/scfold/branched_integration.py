@@ -25,7 +25,7 @@ from .errors import (
     check_keys,
     read_config,
 )
-from .perturbation import perturb_to_transversal, solution_set
+from .perturbation import orientation_sign, perturb_to_transversal, solution_set
 
 MEMBERSHIP_TOL = 1e-9
 
@@ -156,13 +156,14 @@ class CallbackForm:
             raise ValueError(f"need {self.degree} tangent vectors")
         return float(self.fn(np.asarray(x, dtype=float), *vectors))
 
-    def exterior_derivative(self, fd_fallback=False, step=1e-6):
+    def exterior_derivative(self, fd_fallback=False):
         if self.dfn is not None:
             return self.dfn
         if not fd_fallback:
             raise MissingDerivativeError(
                 "no exterior-derivative supplier; pass fd_fallback=True")
         base = self
+        step = _fd.JACOBIAN_STEP
 
         def dfn(x, *vectors):
             # alternating sum of directional derivatives of the contractions
@@ -184,7 +185,7 @@ def exterior_derivative(form, fd_fallback=False):
     return form.exterior_derivative(fd_fallback=fd_fallback)
 
 
-def skew_symmetry_residual(form, samples, seed=0, tol=1e-10):
+def skew_symmetry_residual(form, samples, seed=0):
     """Max violation of the swap-sign rule at sampled points and vectors."""
     if form.degree < 2:
         return 0.0
@@ -239,11 +240,11 @@ class Cell:
     def point(self, q):
         return np.asarray(self.chart_map(np.asarray(q, dtype=float)), dtype=float)
 
-    def jacobian(self, q, step=_fd.JACOBIAN_STEP):
+    def jacobian(self, q):
         q = np.asarray(q, dtype=float)
         if self.jac is not None:
             return np.asarray(self.jac(q), dtype=float)
-        return _fd.jacobian(self.point, q, None, step)
+        return _fd.jacobian(self.point, q, None, _fd.JACOBIAN_STEP)
 
     def boundary_cells(self):
         """Faces with the induced orientation of the standard cube."""
@@ -292,20 +293,20 @@ class Branch:
     def dim(self):
         return self.cells[0].dim if self.cells else 0
 
-    def contains(self, y, tol=MEMBERSHIP_TOL, probe=9):
+    def contains(self, y, tol=MEMBERSHIP_TOL):
         if self.membership is not None:
             return bool(self.membership(np.asarray(y, dtype=float)))
         y = np.asarray(y, dtype=float)
         for cell in self.cells:
-            if _cell_distance(cell, y, probe) <= tol:
+            if _cell_distance(cell, y) <= tol:
                 return True
         return False
 
 
-def _cell_distance(cell, y, probe=9):
-    """Distance from y to the image of the cell: coarse grid with a local
-    Gauss-Newton polish on the closest reference point."""
-    grids = [np.linspace(a, b, probe) for a, b in cell.bounds]
+def _cell_distance(cell, y):
+    """Distance from y to the image of the cell: coarse 9-point grid per axis
+    with a local Gauss-Newton polish on the closest reference point."""
+    grids = [np.linspace(a, b, 9) for a, b in cell.bounds]
     best_q = None
     best_d = np.inf
     for q in itertools.product(*grids):
@@ -359,11 +360,12 @@ class BranchedFamily:
         return total if hit else Fraction(0)
 
 
-def theta_eval(family, y, tol=MEMBERSHIP_TOL, require_covered=True):
-    """Sum of weights of branches containing y."""
+def theta_eval(family, y, tol=MEMBERSHIP_TOL):
+    """Sum of weights of branches containing y; a point far from every cell
+    raises UnchartedPointError."""
     y = np.asarray(y, dtype=float)
     value = family.theta(y, tol)
-    if require_covered and value == 0:
+    if value == 0:
         covered = any(
             _cell_distance(cell, y) < 10.0 for b in family.branches for cell in b.cells
         )
@@ -411,7 +413,7 @@ def _cell_integral(cell, form, order, region=None):
     return cell.sign * scale * total
 
 
-def integrate(family, form, region=None, order=12, debug=False):
+def integrate(family, form, region=None, order=12):
     """Weighted measure of a region against a top-degree form.
 
     region is None for the whole family or a dict from branch name to a list
@@ -446,25 +448,10 @@ def integrate(family, form, region=None, order=12, debug=False):
         low_total += float(b.weight) * raw_low
     value = total / family.effective_order
     est_error = abs(total - low_total) / family.effective_order
-    result = WeightedMeasureResult(value, order, per_branch, est_error)
-    if debug:
-        # linearity spot check: doubling the form doubles the measure
-        doubled = integrate(family, _scaled_form(form, 2.0), region, order)
-        assert abs(doubled.value - 2 * value) <= 1e-10 * (1 + abs(value))
-    return result
+    return WeightedMeasureResult(value, order, per_branch, est_error)
 
 
-def _scaled_form(form, c):
-    if isinstance(form, PolynomialForm):
-        terms = {idx: Polynomial(form.n_vars,
-                                 {e: c * v for e, v in poly.terms.items()})
-                 for idx, poly in form.terms.items()}
-        return PolynomialForm(form.n_vars, form.degree, terms)
-    return CallbackForm(form.n_vars, form.degree,
-                        lambda x, *vs: c * form(x, *vs))
-
-
-def integrate_boundary(family, form, region=None, order=12):
+def integrate_boundary(family, form, order=12):
     """Same combination rule over the induced boundaries of all branch cells."""
     for b in family.branches:
         if b.dim != form.degree + 1:
@@ -483,7 +470,7 @@ def integrate_boundary(family, form, region=None, order=12):
         return WeightedMeasureResult(0.0, order, [], 0.0)
     bfam = BranchedFamily(boundary_branches, family.effective_order,
                           name=f"∂{family.name}")
-    return integrate(bfam, form, region, order)
+    return integrate(bfam, form, order=order)
 
 
 def stokes_residual(family, form, order=12):
@@ -586,18 +573,18 @@ class PairingReport:
 
     @property
     def stable(self):
+        """The largest pairwise deviation of the trial values is at most 1e-6."""
         return self.spread <= 1e-6
 
 
 def de_rham_pairing(f, cp, form, trials=5, seed=0, epsilon=0.1,
-                    effective_order=1, stability_tol=1e-6):
+                    effective_order=1):
     """Integral of the form over perturbed weighted solution sets.
 
     Each trial draws a fresh transversal perturbation, builds branch
     structures from the solution set and integrates. A degree mismatch with
     the solution dimension returns exactly zero. The report carries all trial
-    values; stability means the max pairwise deviation is at most the
-    tolerance.
+    values; it is stable when their max pairwise deviation is at most 1e-6.
     """
     values = []
     matched = True
@@ -614,12 +601,7 @@ def de_rham_pairing(f, cp, form, trials=5, seed=0, epsilon=0.1,
             total = Fraction(0)
             for b in sols:
                 for p in b.points:
-                    mat = f.derivative_matrix(b.chart_id, p)
-                    if b.branch_index >= 0:
-                        sec = tau.branches[b.branch_index][0]
-                        mat = mat - sec.derivative_matrix(b.chart_id, p)
-                    det = np.linalg.det(mat) if mat.shape[0] == mat.shape[1] else 0.0
-                    sign = 1 if det > 0 else (-1 if det < 0 else 0)
+                    sign = orientation_sign(f, tau, b, p)
                     total += b.weight * sign * Fraction(form(p)).limit_denominator(10 ** 12)
             values.append(total)
         else:

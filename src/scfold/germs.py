@@ -108,21 +108,19 @@ class SolveInfo:
     residual: float
     rates: list
     bound: int | None
-    newton_used: bool = False
 
     @property
     def rate(self):
         return max(self.rates) if self.rates else 0.0
 
 
-def solve_germ(germ, a, m, tol=1e-12, max_iter=500, newton=False):
+def solve_germ(germ, a, m, tol=1e-12, max_iter=500):
     """Fixed point of w -> B(a, w) at level m from the zero initial guess.
 
-    Picard iteration mirrors the contraction argument; the optional Newton
-    accelerator falls back to Picard steps whenever its residual grows.
-    Non-convergence within max_iter signals a contraction-assumption breach,
-    and so does a non-finite |B(a, 0)| or residual: Picard iterates from zero
-    stay within |B(a, 0)|/(1 - eps), so the iteration stops at the first one.
+    Picard iteration mirrors the contraction argument. Non-convergence within
+    max_iter signals a contraction-assumption breach, and so does a non-finite
+    |B(a, 0)| or residual: Picard iterates from zero stay within
+    |B(a, 0)|/(1 - eps), so the iteration stops at the first one.
     """
     a = np.asarray(a, dtype=float)
     if np.linalg.norm(a) > germ.radii[m] * (1 + 1e-12):
@@ -138,46 +136,25 @@ def solve_germ(germ, a, m, tol=1e-12, max_iter=500, newton=False):
         bound = int(np.ceil(np.log(tol * (1 - epsm) / b0) / np.log(epsm))) + 5
     rates = []
     prev_step = None
-    newton_used = False
     for it in range(1, max_iter + 1):
         bw = germ.b(a, w, m)
         residual = germ.fiber.norm(w - bw, m)
         if residual <= tol:
-            return w, SolveInfo(it - 1, residual, rates, bound, newton_used)
+            return w, SolveInfo(it - 1, residual, rates, bound)
         if not math.isfinite(residual):
             raise NonConvergenceError(
                 f"residual {residual:g} at level {m}, iteration {it}; "
                 "contraction assumption violated")
-        if newton and germ.fiber.dim(m) <= 64:
-            step = _newton_step(germ, a, w, m)
-            if step is not None:
-                cand = w + step
-                if germ.fiber.norm(cand - germ.b(a, cand, m), m) < residual:
-                    w = cand
-                    newton_used = True
-                    continue
-        new_w = bw
-        step_size = germ.fiber.norm(new_w - w, m)
-        # rates from steps already at round-off would only measure noise
-        if prev_step is not None and step_size > 100 * tol:
-            rates.append(step_size / prev_step)
-        prev_step = step_size
-        w = new_w
+        # the residual is the length of the Picard step w -> B(a, w); rates
+        # from steps already at round-off would only measure noise
+        if prev_step is not None and residual > 100 * tol:
+            rates.append(residual / prev_step)
+        prev_step = residual
+        w = bw
     raise NonConvergenceError(
         f"no fixed point within {max_iter} iterations at level {m} "
         f"(last residual {residual:g}); contraction assumption may be violated"
     )
-
-
-def _newton_step(germ, a, w, m):
-    d = w.size
-    base = germ.b(a, w, m)
-    jac = _fd.jacobian(lambda v: germ.b(a, v, m), w, d,
-                       1e-7 * (1.0 + np.linalg.norm(w)))
-    try:
-        return np.linalg.solve(np.eye(d) - jac, base - w)
-    except np.linalg.LinAlgError:
-        return None
 
 
 @dataclass
@@ -226,7 +203,7 @@ class SolutionSheet:
         return buf.getvalue()
 
 
-def solution_sheet(germ, a_grid, m_max=None, tol=1e-12, newton=False):
+def solution_sheet(germ, a_grid, m_max=None, tol=1e-12):
     """Solve at every grid node and every level, recording iteration counts,
     contraction rates, level coherence, and grid derivative estimates."""
     m_max = germ.fiber.max_level if m_max is None else m_max
@@ -238,7 +215,7 @@ def solution_sheet(germ, a_grid, m_max=None, tol=1e-12, newton=False):
         deltas, iters, rates, coher = [], [], [], []
         for m in range(m_max + 1):
             try:
-                w, info = solve_germ(germ, a, m, tol=tol, newton=newton)
+                w, info = solve_germ(germ, a, m, tol=tol)
             except NonConvergenceError as exc:
                 raise NonConvergenceError(f"node {a.tolist()}: {exc}") from exc
             deltas.append(w)
@@ -396,7 +373,7 @@ class ManifoldReport:
 
 
 def local_solution_manifold(germ, kernel_dim=None, tol=1e-10, patch_radius=0.3,
-                            samples_per_dim=9, seed=0, surjectivity_floor=1e-8):
+                            samples_per_dim=9, surjectivity_floor=1e-8):
     """Sampled solution set of the full germ equation near the origin.
 
     The fiber part is solved by the fixed-point iteration; the finite residue

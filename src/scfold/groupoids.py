@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _fd
 from .errors import (
     BackendUnsupportedError,
     ConfigError,
@@ -256,13 +257,13 @@ class IsotropyGroup:
         return len(self.elements)
 
 
-def isotropy(x, obj_idx, neighborhood_radius=None):
+def isotropy(x, obj_idx):
     """All self-morphisms at an object with their multiplication table and the
     effective quotient data.
 
     A self-morphism is non-effective when its underlying action fixes every
-    sampled object near the base point; without geometric action data only the
-    identity is counted as non-effective.
+    sampled object in the base point's chart; without geometric action data
+    only the identity is counted as non-effective.
     """
     elems = x.morphisms_between(obj_idx, obj_idx)
     k = len(elems)
@@ -273,19 +274,13 @@ def isotropy(x, obj_idx, neighborhood_radius=None):
             table[i, j] = pos[x.compose(mi, mj)]
     non_eff = []
     if x.translation is not None:
-        group = x.translation["group"]
         action = x.translation["action"]
-        cid, c = x.objects[obj_idx]
-        same_chart = [(i, oc) for i, (ocid, oc) in enumerate(x.objects) if ocid == cid]
-        if neighborhood_radius is None:
-            dists = [np.linalg.norm(oc - c) for i, oc in same_chart if i != obj_idx]
-            neighborhood_radius = max(dists) + 1.0 if dists else 1.0
-        near = [(i, oc) for i, oc in same_chart
-                if np.linalg.norm(oc - c) <= neighborhood_radius]
+        cid = x.objects[obj_idx][0]
+        same_chart = [oc for ocid, oc in x.objects if ocid == cid]
         for mi in elems:
             g = x.morphisms[mi].label
             fixes_all = True
-            for _, oc in near:
+            for oc in same_chart:
                 tcid, tc = action(g, cid, oc)
                 if tcid != cid or np.linalg.norm(np.asarray(tc) - oc) > POINT_TOL:
                     fixes_all = False
@@ -432,7 +427,7 @@ class EquivalenceReport:
                 and self.isotropy_bijection_ok)
 
 
-def is_equivalence(f, fd_step=1e-6):
+def is_equivalence(f):
     """Three-part equivalence check: local diffeomorphism on objects, orbit
     bijectivity in both directions, and isotropy bijections at samples."""
     witnesses = []
@@ -444,13 +439,8 @@ def is_equivalence(f, fd_step=1e-6):
             d = c.size
             if d == 0:
                 continue
-            jac = np.zeros((d, d))
-            for j in range(d):
-                e = np.zeros(d)
-                e[j] = fd_step
-                _, plus = f.coordinate_map(cid, c + e)
-                _, minus = f.coordinate_map(cid, c - e)
-                jac[:, j] = (np.asarray(plus) - np.asarray(minus)) / (2 * fd_step)
+            jac = _fd.jacobian(lambda z: f.coordinate_map(cid, z)[1], c, d,
+                               _fd.JACOBIAN_STEP)
             sv = np.linalg.svd(jac, compute_uv=False)
             if sv.size and sv[-1] < 1e-8:
                 local_ok = False

@@ -279,13 +279,10 @@ class Multisection:
                 total += w
         return total
 
-    def norm(self, aux_norm, chart_id, base, debug=False):
+    def norm(self, aux_norm, chart_id, base):
         """Max of the auxiliary norm over branch values at the point."""
         vals = [aux_norm(chart_id, s(chart_id, base)) for s, _ in self.branches]
-        out = max(vals) if vals else 0.0
-        if debug:
-            assert out >= 0.0
-        return out
+        return max(vals) if vals else 0.0
 
     def support_inside(self, region, sample_points):
         """True when every branch vanishes at the sampled points outside the region."""
@@ -402,8 +399,8 @@ def _combination(model, a, b, wa, wb, name):
                          name=name)
 
 
-def multisection_norm(l, aux_norm, chart_id, base, debug=False):
-    return l.norm(aux_norm, chart_id, base, debug=debug)
+def multisection_norm(l, aux_norm, chart_id, base):
+    return l.norm(aux_norm, chart_id, base)
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +411,10 @@ def multisection_norm(l, aux_norm, chart_id, base, debug=False):
 class ControlRegion:
     balls: dict  # chart_id -> list of (center, radius)
 
-    def contains(self, chart_id, x, slack=0.0):
+    def contains(self, chart_id, x):
         x = np.asarray(x, dtype=float)
         for center, radius in self.balls.get(chart_id, []):
-            if np.linalg.norm(x - center) <= radius + slack:
+            if np.linalg.norm(x - center) <= radius:
                 return True
         return False
 
@@ -977,25 +974,31 @@ def _norm_and_support_ok(tau, cp, branches, epsilon):
 # weighted counts and cobordism comparison
 
 
+def orientation_sign(f, multisection, branch, p):
+    """Sign of det(f'(p) - s_i'(p)) for the branch's active section s_i, in
+    the standard frames: 1, -1, or 0 when the linearization is singular or
+    not square. Without a multisection, or on a branch of no section, it is
+    the sign of det f'(p)."""
+    mat = f.derivative_matrix(branch.chart_id, p)
+    if multisection is not None and branch.branch_index >= 0:
+        section = multisection.branches[branch.branch_index][0]
+        mat = mat - section.derivative_matrix(branch.chart_id, p)
+    det = np.linalg.det(mat) if mat.shape[0] == mat.shape[1] else 0.0
+    return 1 if det > 0 else (-1 if det < 0 else 0)
+
+
 def weighted_count(f, branches, multisection=None):
     """Signed weighted count over zero-dimensional solution branches.
 
-    The sign is the orientation of the linearization of f minus the active
-    branch section, in the standard frames; weights stay rational so the
-    count is exact.
+    Each point counts with its orientation_sign; weights stay rational so
+    the count is exact.
     """
     total = Fraction(0)
     for branch in branches:
         if branch.dimension != 0:
             raise ValueError("weighted counts need index-zero branches")
         for p in branch.points:
-            mat = f.derivative_matrix(branch.chart_id, p)
-            if multisection is not None and branch.branch_index >= 0:
-                section = multisection.branches[branch.branch_index][0]
-                mat = mat - section.derivative_matrix(branch.chart_id, p)
-            det = np.linalg.det(mat) if mat.shape[0] == mat.shape[1] else 0.0
-            sign = 1 if det > 0 else (-1 if det < 0 else 0)
-            total += branch.weight * sign
+            total += branch.weight * orientation_sign(f, multisection, branch, p)
     return total
 
 

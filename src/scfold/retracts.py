@@ -31,7 +31,6 @@ from .sc_core import (
 )
 
 MEMBERSHIP_TOL = 1e-9
-IDEMPOTENCE_TOL = 1e-9
 PROJECTION_TOL = 1e-10
 
 
@@ -110,7 +109,7 @@ class Retraction:
         return Retraction(dom, self.fn, self.dfn, name=name or f"{self.name}|sub")
 
 
-def retraction_check(r, samples, levels=None, tol=IDEMPOTENCE_TOL):
+def retraction_check(r, samples, levels=None):
     """Max idempotence residual |r(r(x)) - r(x)|_m over samples and levels."""
     levels = range(r.scale.max_level + 1) if levels is None else levels
     worst = 0.0
@@ -122,7 +121,7 @@ def retraction_check(r, samples, levels=None, tol=IDEMPOTENCE_TOL):
     return worst
 
 
-def tangent_retraction_check(r, samples, directions, tol=IDEMPOTENCE_TOL):
+def tangent_retraction_check(r, samples, directions):
     """Idempotence of the tangent map (x, h) -> (r(x), Dr(x)h) on the image."""
     worst = 0.0
     for x, h in zip(samples, directions):
@@ -299,32 +298,25 @@ class TangentBasis:
     singular_values: np.ndarray
 
 
-def retract_tangent_basis(r, x, probe_count=24, seed=0, use_fd=False,
-                          probes=None):
+def retract_tangent_basis(r, x, probe_count=24, seed=0):
     """Orthonormal basis of the image of Dr(x); its dimension is the local
     retract dimension.
 
-    Probes default to the full coordinate basis in small ambient dimension and
-    to seeded random directions otherwise; the rank decision applies the guard
-    band and raises AmbiguousRankError when undecidable.
+    Dr(x) is applied to the full coordinate basis in small ambient dimension
+    and to probe_count seeded random directions otherwise, through
+    r.derivative (the supplied dfn, else a centered difference); the rank
+    decision applies the guard band and raises AmbiguousRankError when
+    undecidable.
     """
     x = np.asarray(x, dtype=float)
     d = x.size
-    if probes is None:
-        if d <= 64:
-            probes = np.eye(d)
-        else:
-            rng = np.random.default_rng(seed)
-            probes = rng.standard_normal((d, probe_count))
-            probes /= np.linalg.norm(probes, axis=0)
-    cols = []
-    for j in range(probes.shape[1]):
-        v = probes[:, j]
-        if use_fd or r.dfn is None:
-            cols.append(_fd.directional_derivative(r.fn, x, v))
-        else:
-            cols.append(r.derivative(x, v))
-    m = np.array(cols).T
+    if d <= 64:
+        probes = np.eye(d)
+    else:
+        rng = np.random.default_rng(seed)
+        probes = rng.standard_normal((d, probe_count))
+        probes /= np.linalg.norm(probes, axis=0)
+    m = np.array([r.derivative(x, v) for v in probes.T]).T
     basis, sing = _fd.orthonormal_columns(m)
     return TangentBasis(basis, basis.shape[1], sing)
 
@@ -566,7 +558,7 @@ class SubmanifoldChart:
         q = np.atleast_1d(np.asarray(q, dtype=float))
         return self.base_point + self.n_basis @ q + self.nperp_basis @ np.atleast_1d(self.a_fn(q))
 
-    def coordinates(self, y, tol=1e-8):
+    def coordinates(self, y):
         """Invert the chart: split y - base into (q, b) along the two bases and
         check b against A(q)."""
         rhs = np.asarray(y, dtype=float) - self.base_point

@@ -674,11 +674,9 @@ def fredholm_split(op):
         # kernel of I + U V' lives in the span of U: x = U a with core a = 0
         ker_a = cvt[rk:].T
         kernel, _ = _fd.orthonormal_columns(u @ ker_a, rank=ker_a.shape[1]) if ker_a.size else (np.zeros((u.shape[0], 0)), None)
-        # cokernel: kernel of the adjoint I + V U'
-        core_adj = np.eye(r) + u.T @ v
-        au, asv, avt = np.linalg.svd(core_adj)
-        ark = int(np.sum(asv > RANK_CUTOFF * max(asv[0], 1.0)))
-        cok_a = avt[ark:].T
+        # cokernel: kernel of the adjoint I + V U', x = V b with core' b = 0,
+        # so b runs over the left null vectors of core
+        cok_a = cu[:, rk:]
         cokernel, _ = _fd.orthonormal_columns(v @ cok_a, rank=cok_a.shape[1]) if cok_a.size else (np.zeros((v.shape[0], 0)), None)
         n = u.shape[0]
         return ScFredholmData(

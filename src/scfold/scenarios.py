@@ -139,7 +139,7 @@ def _bump_setup(params):
     return scale, sp, r
 
 
-def _porkbarrel_bundle(chart_radius=0.55):
+def _porkbarrel_bundle():
     """Bundle over the two strata of the varying-rank demo.
 
     The spanned chart (two base dimensions, one fiber dimension) carries a
@@ -149,7 +149,7 @@ def _porkbarrel_bundle(chart_radius=0.55):
     """
     base = FiniteDimScale(2, max_level=3)
     dom_a = ScDomain(PartialQuadrant(base), center=np.array([0.8, 0.0]),
-                     radii=(chart_radius,) * 4)
+                     radii=(0.55,) * 4)
     chart_a = pert.BundleChart("spanned", dom_a, FiniteDimScale(1, max_level=3))
     base_b = FiniteDimScale(1, max_level=3)
     dom_b = ScDomain(PartialQuadrant(base_b), center=np.array([-0.6]),

@@ -1,9 +1,12 @@
 """Static checks on the library source: no catch-all exception handler, one
 module that knows how a config fails to parse, no sparse matrix turned dense,
-no pseudo-inverse formed to solve one system and no scipy loaded on import."""
+no pseudo-inverse formed to solve one system, no scipy loaded on import and
+no parameter that its function never reads."""
 
 import ast
 from pathlib import Path
+
+from scfold.scenarios import SCENARIOS
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "scfold"
 
@@ -89,4 +92,49 @@ def test_no_module_level_scipy_import():
         or (isinstance(node, ast.ImportFrom)
             and (node.module or "").split(".")[0] == "scipy")
     )
+    assert found == []
+
+
+def _functions(tree):
+    # top-level functions and the methods of top-level classes, with the
+    # parameters each one must read: all but a method's self or cls
+    def params(fn, skip):
+        a = fn.args
+        return ((a.posonlyargs + a.args)[skip:] + a.kwonlyargs
+                + [p for p in (a.vararg, a.kwarg) if p])
+
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node, params(node, 0)
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    static = any("staticmethod" in _names(d) for d in item.decorator_list)
+                    yield f"{node.name}.{item.name}", item, params(item, 0 if static else 1)
+
+
+def _only_raises_not_implemented(fn):
+    body = [s for s in fn.body
+            if not (isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant))]
+    return (len(body) == 1 and isinstance(body[0], ast.Raise)
+            and _names(getattr(body[0].exc, "func", body[0].exc))
+            == {"NotImplementedError"})
+
+
+def test_every_parameter_is_read():
+    # an option no caller sets, or one the body ignores, is a second code path
+    # or a false promise; abstract methods and the scenario runners, which
+    # share the (params, seed) signature, are exempt
+    runners = {fn.__name__ for fn, _, _ in SCENARIOS.values()}
+    found = []
+    for name, tree in _modules():
+        for qualname, fn, params in _functions(tree):
+            if _only_raises_not_implemented(fn):
+                continue
+            if name == "scenarios.py" and qualname in runners:
+                continue
+            read = {n.id for n in ast.walk(fn)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            found += [f"{name}:{fn.lineno} {qualname}({p.arg})"
+                      for p in params if p.arg not in read]
     assert found == []

@@ -18,7 +18,7 @@ from scfold.groupoids import (
     report_json,
 )
 from scfold.sc_calculus import ScDomain
-from scfold.sc_core import FiniteDimScale, PartialQuadrant, scale_from_config
+from scfold.sc_core import CircleGridScale, FiniteDimScale, PartialQuadrant, scale_from_config
 from scfold.scenarios import load_config
 
 
@@ -164,3 +164,86 @@ def test_config_unknown_key_message(loader, cfg, message):
     with pytest.raises(ConfigError) as info:
         LOADERS[loader](json.dumps(cfg))
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("loader, cfg, message", [
+    ("scale", {"backend": "spectral"}, "unknown backend 'spectral'"),
+    ("scale", {"backend": "weighted_grid", "grid": [4.0, 0.0625], "deltas": [0.0]},
+     "weighted_grid needs grid = {R, h}"),
+    ("scale", {"backend": "weighted_grid", "grid": {"R": 4.0, "h": 0.0625, "n": 9},
+               "deltas": [0.0]},
+     "weighted_grid needs grid = {R, h}"),
+    ("groupoid", {"group": {"kind": "dihedral", "order": 4}, "action": {"kind": "trivial"}},
+     "unknown group kind 'dihedral'"),
+    ("groupoid", {"group": {"kind": "cyclic", "order": 2}, "action": {"kind": "shear"}},
+     "unknown action kind 'shear'"),
+    ("groupoid", {"group": {"kind": "cyclic", "order": 2},
+                  "action": {"kind": "linear", "matrices": [[[1.0]]]}},
+     "need one matrix per group element"),
+    ("scenario", {"schema": "scenario-config/2"},
+     "unsupported schema 'scenario-config/2'; expected 'scenario-config/1'"),
+])
+def test_config_rejection_message(loader, cfg, message):
+    with pytest.raises(ConfigError) as info:
+        LOADERS[loader](json.dumps(cfg))
+    assert str(info.value) == message
+
+
+def test_scale_from_config_circle_grid_matches_direct():
+    s = scale_from_config('{"backend": "circle_grid", "n": 32, "max_level": 2,'
+                          ' "orders": [1, 2, 3]}')
+    direct = CircleGridScale(32, 2, [1, 2, 3])
+    assert (s.n, s.max_level, s.orders) == (direct.n, direct.max_level, direct.orders)
+    u = np.sin(direct.grid)
+    for m in range(3):
+        assert s.norm(u, m) == direct.norm(u, m)
+
+
+def _rotation(g, cid, c):
+    th = 2 * np.pi / 3 * g
+    rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    return cid, rot @ np.asarray(c, dtype=float)
+
+
+def _swap(g, cid, c):
+    mats = [np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])]
+    return cid, mats[g] @ np.asarray(c, dtype=float)
+
+
+def _fixed(g, cid, c):
+    return cid, np.asarray(c, dtype=float)
+
+
+@pytest.mark.parametrize("group, action, direct", [
+    ({"kind": "cyclic", "order": 3}, {"kind": "rotation"},
+     (FiniteGroup.cyclic(3), _rotation)),
+    ({"kind": "trivial"}, {"kind": "trivial"}, (FiniteGroup.trivial(), _fixed)),
+    ({"kind": "cyclic", "order": 2},
+     {"kind": "linear", "matrices": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]},
+     (FiniteGroup.cyclic(2), _swap)),
+])
+def test_groupoid_from_config_matches_direct(group, action, direct):
+    samples = [[1.0, 0.0], [0.5, 2.0]]
+    x = groupoid_from_config({"schema": "groupoid/1", "group": group, "action": action,
+                              "charts": [{"name": "plane", "dim": 2, "samples": samples}]})
+    y = EpGroupoid.from_translation_action(
+        direct[0], [("plane", np.array(s)) for s in samples], direct[1])
+    assert x.translation["group"].table == y.translation["group"].table
+    assert [cid for cid, _ in x.objects] == [cid for cid, _ in y.objects]
+    for (_, a), (_, b) in zip(x.objects, y.objects):
+        assert np.array_equal(a, b)
+    assert ([(m.src, m.tgt, m.label) for m in x.morphisms]
+            == [(m.src, m.tgt, m.label) for m in y.morphisms])
+
+
+def test_multisection_config_zero_branch_matches_zero():
+    model = small_model()
+    loaded = pert.multisection_from_config(model, {
+        "schema": "multisection/1", "branches": [{"kind": "zero", "weight": "1"}]})
+    zero = pert.Multisection.zero(model)
+    assert loaded.is_zero()
+    assert [w for _, w in loaded.branches] == [w for _, w in zero.branches]
+    for x in (np.zeros(1), np.array([0.4])):
+        for (s, _), (t, _) in zip(loaded.branches, zero.branches):
+            assert np.array_equal(s("main", x), t("main", x))
+            assert np.array_equal(s.dfn("main", x, np.ones(1)), t.dfn("main", x, np.ones(1)))

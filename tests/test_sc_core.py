@@ -333,6 +333,25 @@ def test_fredholm_grid_lowrank_with_kernel():
     assert np.linalg.norm(op.apply(data.kernel[:, 0])) < 1e-12
 
 
+def test_fredholm_grid_lowrank_cokernel_is_the_adjoint_kernel():
+    # core = I + V'U = [[0, 1], [0, 1]] is not symmetric: its right null
+    # vector (1, 0) and left null vector (1, -1)/sqrt(2) differ, and only the
+    # left one gives the cokernel V b of I + U V'
+    scale = WeightedGridScale(4.0, 1 / 16, (0.0, 0.1))
+    n = scale.n
+    u = np.zeros((n, 2))
+    u[0, 0] = u[1, 1] = 1.0
+    v = np.zeros((n, 2))
+    v[0, 0], v[1, 0], v[2, 1] = -1.0, 1.0, 1.0
+    assert np.array_equal(np.eye(2) + v.T @ u, [[0.0, 1.0], [0.0, 1.0]])
+    op = LinearScOperator(scale, scale, lowrank=(u, v))
+    data = fredholm_split(op)
+    assert data.kernel_dim == 1 and data.cokernel_dim == 1
+    assert data.index == 0
+    assert np.linalg.norm(op.dense() @ data.kernel) < 1e-12
+    assert np.linalg.norm(op.dense().T @ data.cokernel) < 1e-12
+
+
 def test_fredholm_general_grid_unsupported():
     scale = WeightedGridScale(4.0, 1 / 16, (0.0, 0.1))
 
