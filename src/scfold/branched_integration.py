@@ -142,14 +142,13 @@ class PolynomialForm:
 
 
 class CallbackForm:
-    """Form given by an evaluator; the exterior derivative must be supplied or
-    requested through the finite-difference fallback."""
+    """Form given by an evaluator; its exterior derivative must be requested
+    through the finite-difference fallback."""
 
-    def __init__(self, n_vars, degree, fn, dfn=None):
+    def __init__(self, n_vars, degree, fn):
         self.n_vars = n_vars
         self.degree = degree
         self.fn = fn
-        self.dfn = dfn
 
     def __call__(self, x, *vectors):
         if len(vectors) != self.degree:
@@ -157,8 +156,6 @@ class CallbackForm:
         return float(self.fn(np.asarray(x, dtype=float), *vectors))
 
     def exterior_derivative(self, fd_fallback=False):
-        if self.dfn is not None:
-            return self.dfn
         if not fd_fallback:
             raise MissingDerivativeError(
                 "no exterior-derivative supplier; pass fd_fallback=True")
@@ -293,12 +290,14 @@ class Branch:
     def dim(self):
         return self.cells[0].dim if self.cells else 0
 
-    def contains(self, y, tol=MEMBERSHIP_TOL):
+    def contains(self, y):
+        """Membership by the exact predicate when there is one, else by
+        distance at most MEMBERSHIP_TOL to a cell."""
         if self.membership is not None:
             return bool(self.membership(np.asarray(y, dtype=float)))
         y = np.asarray(y, dtype=float)
         for cell in self.cells:
-            if _cell_distance(cell, y) <= tol:
+            if _cell_distance(cell, y) <= MEMBERSHIP_TOL:
                 return True
         return False
 
@@ -338,11 +337,9 @@ class BranchedFamily:
     measure normalization; when left unset it defaults to one with a warning.
     """
 
-    def __init__(self, branches, effective_order=None, name="branched-family",
-                 support_level="smooth"):
+    def __init__(self, branches, effective_order=None, name="branched-family"):
         self.branches = list(branches)
         self.name = name
-        self.support_level = support_level
         if effective_order is None:
             warnings.warn(
                 "no effective symmetry order supplied; defaulting to 1",
@@ -350,21 +347,23 @@ class BranchedFamily:
             effective_order = 1
         self.effective_order = int(effective_order)
 
-    def theta(self, y, tol=MEMBERSHIP_TOL):
+    def theta(self, y):
+        """Sum of the weights of the branches containing y within
+        MEMBERSHIP_TOL."""
         total = Fraction(0)
         hit = False
         for b in self.branches:
-            if b.contains(y, tol):
+            if b.contains(y):
                 total += b.weight
                 hit = True
         return total if hit else Fraction(0)
 
 
-def theta_eval(family, y, tol=MEMBERSHIP_TOL):
-    """Sum of weights of branches containing y; a point far from every cell
-    raises UnchartedPointError."""
+def theta_eval(family, y):
+    """Sum of weights of branches containing y within MEMBERSHIP_TOL; a point
+    far from every cell raises UnchartedPointError."""
     y = np.asarray(y, dtype=float)
-    value = family.theta(y, tol)
+    value = family.theta(y)
     if value == 0:
         covered = any(
             _cell_distance(cell, y) < 10.0 for b in family.branches for cell in b.cells
@@ -577,19 +576,19 @@ class PairingReport:
         return self.spread <= 1e-6
 
 
-def de_rham_pairing(f, cp, form, trials=5, seed=0, epsilon=0.1,
-                    effective_order=1):
+def de_rham_pairing(f, cp, form, trials=5, seed=0):
     """Integral of the form over perturbed weighted solution sets.
 
-    Each trial draws a fresh transversal perturbation, builds branch
-    structures from the solution set and integrates. A degree mismatch with
+    Each trial draws a fresh transversal perturbation with norm budget 0.1,
+    builds branch structures from the solution set and integrates them with
+    effective symmetry order 1. A degree mismatch with
     the solution dimension returns exactly zero. The report carries all trial
     values; it is stable when their max pairwise deviation is at most 1e-6.
     """
     values = []
     matched = True
     for t in range(trials):
-        tau = perturb_to_transversal(f, cp, epsilon, seed=seed + 17 * t)
+        tau = perturb_to_transversal(f, cp, 0.1, seed=seed + 17 * t)
         sols = solution_set(f, tau, seed=seed + 17 * t + 1)
         dims = {b.dimension for b in sols} or {0}
         if dims != {form.degree}:
@@ -613,7 +612,7 @@ def de_rham_pairing(f, cp, form, trials=5, seed=0, epsilon=0.1,
                 branches.append(curve_branch(
                     lambda k, b=b: b.parametrize(np.full(b.dimension, k)),
                     lo, hi, weight=b.weight, name=f"sol-{b.chart_id}-{b.branch_index}"))
-            fam = BranchedFamily(branches, effective_order)
+            fam = BranchedFamily(branches, 1)
             values.append(integrate(fam, form, order=12).value)
     spread = 0.0
     for a in values:

@@ -280,16 +280,17 @@ class FillingReport:
         return all(self.checks.values())
 
 
-def filling_verify(fd, x, sample_count=12, seed=0, membership_tol=1e-9,
-                   agreement_tol=1e-9, iso_floor=1e-8, relax_steps=200,
-                   relax_rate=0.5):
+def filling_verify(fd, x, seed=0):
     """Three-part verification of a supplied filling at a smooth point.
 
-    (1) the extension agrees with the section on retract points near x;
+    (1) the extension agrees with the section within 1e-9 on 12 retract
+    points near x;
     (2) ambient solutions of the projected equation, found by damped
-    relaxation from seeded starts, lie on the retract within tolerance;
+    relaxation (200 steps at rate 0.5) from 12 seeded starts, lie on the
+    retract within 1e-9;
     (3) the linearization of the gap map restricted to the kernel of Dr(x)
-    is an isomorphism onto the kernel of phi(x), with condition reported.
+    is an isomorphism onto the kernel of phi(x): its smallest singular value
+    exceeds 1e-8, and its condition is reported.
     """
     rng = np.random.default_rng(seed)
     x = np.asarray(x, dtype=float)
@@ -298,20 +299,20 @@ def filling_verify(fd, x, sample_count=12, seed=0, membership_tol=1e-9,
     d = x.size
 
     agree = 0.0
-    for _ in range(sample_count):
+    for _ in range(12):
         y = r(x + 0.05 * rng.standard_normal(d) / np.sqrt(d))
         agree = max(agree, fd.fiber.norm(
             np.asarray(fd.ambient_fn(y)) - fd.section(y), 0))
 
     member = 0.0
     fiber_dim = fd.fiber.dim(0)
-    for _ in range(sample_count):
+    for _ in range(12):
         y = x + 0.05 * rng.standard_normal(d) / np.sqrt(d)
-        for _ in range(relax_steps):
+        for _ in range(200):
             g = fd.gap(y)
             if fd.fiber.norm(g, 0) < 1e-13:
                 break
-            y = y - relax_rate * _embed_fiber(g, d, fiber_dim)
+            y = y - 0.5 * _embed_fiber(g, d, fiber_dim)
         member = max(member, scale.norm(r(y) - y, 0))
 
     p_cols = [r.derivative(x, e) for e in np.eye(d)]
@@ -335,9 +336,9 @@ def filling_verify(fd, x, sample_count=12, seed=0, membership_tol=1e-9,
     else:
         iso_min, iso_cond = 0.0, np.inf
     checks = {
-        "agreement": agree <= agreement_tol,
-        "solutions_in_retract": member <= membership_tol,
-        "isomorphism": iso_min > iso_floor,
+        "agreement": agree <= 1e-9,
+        "solutions_in_retract": member <= 1e-9,
+        "isomorphism": iso_min > 1e-8,
     }
     return FillingReport(agree, member, iso_cond, iso_min, checks)
 
@@ -372,19 +373,20 @@ class ManifoldReport:
         return [s for s in self.samples if s.degeneracy >= 1]
 
 
-def local_solution_manifold(germ, kernel_dim=None, tol=1e-10, patch_radius=0.3,
-                            samples_per_dim=9, surjectivity_floor=1e-8):
+def local_solution_manifold(germ, kernel_dim=None, samples_per_dim=9):
     """Sampled solution set of the full germ equation near the origin.
 
-    The fiber part is solved by the fixed-point iteration; the finite residue
-    equation is reduced to the parameter block and sampled over its kernel,
-    whose dimension is the expected manifold dimension. Surjectivity of the
-    reduced derivative is required at the origin and reported at every sample.
+    The fiber part is solved by the fixed-point iteration to tolerance 1e-10;
+    the finite residue equation is reduced to the parameter block and sampled
+    over its kernel, on a grid of half-width 0.3, whose dimension is the
+    expected manifold dimension. Surjectivity of the reduced derivative (a
+    smallest singular value above 1e-8) is required at the origin and
+    reported at every sample.
     """
     n, N = germ.base_dim, germ.residue_dim
 
     def reduced(a):
-        w, _ = solve_germ(germ, a, 0, tol=tol)
+        w, _ = solve_germ(germ, a, 0, tol=1e-10)
         return germ.residue(a, w)
 
     if N == 0:
@@ -394,7 +396,7 @@ def local_solution_manifold(germ, kernel_dim=None, tol=1e-10, patch_radius=0.3,
         jac = _fd.jacobian(reduced, np.zeros(n), N, _fd.JACOBIAN_STEP)
         sv = np.linalg.svd(jac, compute_uv=False)
         base_sv = float(sv[N - 1]) if sv.size >= N else 0.0
-        if base_sv <= surjectivity_floor:
+        if base_sv <= 1e-8:
             raise NonConvergenceError(
                 f"linearization not surjective at the base point "
                 f"(smallest residue singular value {base_sv:g})"
@@ -406,7 +408,7 @@ def local_solution_manifold(germ, kernel_dim=None, tol=1e-10, patch_radius=0.3,
 
     quadrant = germ.base_quadrant()
     complement = dense_split(kernel.T).kernel if N else np.zeros((n, 0))
-    grids = [np.linspace(-patch_radius, patch_radius, samples_per_dim)] * k_dim
+    grids = [np.linspace(-0.3, 0.3, samples_per_dim)] * k_dim
     mesh = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, k_dim) \
         if k_dim else np.zeros((1, 0))
     samples = []
@@ -417,7 +419,7 @@ def local_solution_manifold(germ, kernel_dim=None, tol=1e-10, patch_radius=0.3,
             ok = False
             for _ in range(50):
                 val = reduced(a + complement @ xi)
-                if np.linalg.norm(val) < 10 * tol:
+                if np.linalg.norm(val) < 1e-9:
                     ok = True
                     break
                 jac = _fd.jacobian(lambda z: reduced(a + complement @ z), xi, N,
@@ -435,7 +437,7 @@ def local_solution_manifold(germ, kernel_dim=None, tol=1e-10, patch_radius=0.3,
             deg = degeneracy_index(quadrant, a)
         except NotInQuadrantError:
             continue
-        w, _ = solve_germ(germ, a, 0, tol=tol)
+        w, _ = solve_germ(germ, a, 0, tol=1e-10)
         if N:
             jac = _fd.jacobian(reduced, a, N, _fd.JACOBIAN_STEP)
             sv = np.linalg.svd(jac, compute_uv=False)

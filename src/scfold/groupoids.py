@@ -29,10 +29,9 @@ POINT_TOL = 1e-9
 class FiniteGroup:
     """Multiplication table group; element 0 is the identity."""
 
-    def __init__(self, table, names=None):
+    def __init__(self, table):
         self.table = [list(map(int, row)) for row in table]
         self.order = len(self.table)
-        self.names = names or [f"g{i}" for i in range(self.order)]
         for i in range(self.order):
             if self.table[0][i] != i or self.table[i][0] != i:
                 raise ValueError("element 0 must act as the identity")
@@ -52,11 +51,11 @@ class FiniteGroup:
     @classmethod
     def cyclic(cls, k):
         table = [[(i + j) % k for j in range(k)] for i in range(k)]
-        return cls(table, names=[f"r{i}" for i in range(k)])
+        return cls(table)
 
     @classmethod
     def trivial(cls):
-        return cls([[0]], names=["e"])
+        return cls([[0]])
 
 
 @dataclass(frozen=True)
@@ -116,20 +115,26 @@ class EpGroupoid:
                 if self.morphisms[i].tgt == tgt_idx]
 
     def verify_axioms(self):
+        """Check the unit, inverse and associativity axioms on the whole
+        table; a failure raises ValueError naming the axiom and the morphism."""
+        def require(ok, axiom, mor_idx):
+            if not ok:
+                raise ValueError(f"{axiom} fails at morphism {mor_idx}")
+
         for m in self.morphisms:
             i_src = self.identity(m.src)
             i_tgt = self.identity(m.tgt)
-            assert self.compose(m.idx, i_src) == m.idx
-            assert self.compose(i_tgt, m.idx) == m.idx
+            require(self.compose(m.idx, i_src) == m.idx, "right unit", m.idx)
+            require(self.compose(i_tgt, m.idx) == m.idx, "left unit", m.idx)
             inv = self.inverse(m.idx)
-            assert self.compose(inv, m.idx) == i_src
-            assert self.compose(m.idx, inv) == i_tgt
+            require(self.compose(inv, m.idx) == i_src, "left inverse", m.idx)
+            require(self.compose(m.idx, inv) == i_tgt, "right inverse", m.idx)
         for m1 in self.morphisms:
             for i2 in self._by_src.get(m1.tgt, []):
                 for i3 in self._by_src.get(self.morphisms[i2].tgt, []):
                     left = self.compose(i3, self.compose(i2, m1.idx))
                     right = self.compose(self.compose(i3, i2), m1.idx)
-                    assert left == right, "associativity failed on the table"
+                    require(left == right, "associativity", m1.idx)
 
     # -- orbits and isotropy -------------------------------------------------
 
@@ -147,29 +152,31 @@ class EpGroupoid:
             frontier = nxt
         return sorted(seen)
 
-    def find_object(self, chart_id, coords, tol=POINT_TOL):
+    def find_object(self, chart_id, coords):
+        """Index of the object at coords in the chart, within POINT_TOL; None
+        when there is none."""
         coords = np.asarray(coords, dtype=float)
         for i, (cid, c) in enumerate(self.objects):
-            if cid == chart_id and np.linalg.norm(c - coords) <= tol:
+            if cid == chart_id and np.linalg.norm(c - coords) <= POINT_TOL:
                 return i
         return None
 
     # -- constructors ----------------------------------------------------------
 
     @classmethod
-    def from_translation_action(cls, group, seeds, action, jacobian=None,
-                                name="translation-groupoid", tol=POINT_TOL):
+    def from_translation_action(cls, group, seeds, action,
+                                name="translation-groupoid"):
         """Enumerate the translation groupoid of a finite group action.
 
         seeds: list of (chart_id, coords); the object list is the closure of
-        the seeds under the action, deduplicated by coordinate distance.
-        action(g, chart_id, coords) -> (chart_id, coords).
+        the seeds under the action, deduplicated by coordinate distance
+        POINT_TOL. action(g, chart_id, coords) -> (chart_id, coords).
         """
         objects = []
 
         def find(cid, c):
             for i, (ocid, oc) in enumerate(objects):
-                if ocid == cid and np.linalg.norm(oc - c) <= tol:
+                if ocid == cid and np.linalg.norm(oc - c) <= POINT_TOL:
                     return i
             return None
 
@@ -197,7 +204,7 @@ class EpGroupoid:
                 tcid, tc = action(g, cid, c)
                 ti = find(tcid, np.asarray(tc, dtype=float))
                 specs.append((oi, ti, g))
-        payload = {"group": group, "action": action, "jacobian": jacobian}
+        payload = {"group": group, "action": action}
         return cls(objects, specs,
                    compose_label=group.mul,
                    inverse_label=group.inv,
@@ -303,12 +310,11 @@ class NaturalRepresentationReport:
     neighborhood: list
     anchored: bool
     covering_ok: bool
-    uniqueness_ok: bool
     violations: list
 
     @property
     def passed(self):
-        return self.anchored and self.covering_ok and self.uniqueness_ok
+        return self.anchored and self.covering_ok
 
 
 def natural_representation(x, obj_idx, radius=None):
@@ -317,7 +323,9 @@ def natural_representation(x, obj_idx, radius=None):
     Verifies on the sampled neighborhood that the assignment (g, y) -> the
     g-labelled morphism at y hits the isotropy at the base point, has the
     correct endpoints, and that every sampled morphism between neighborhood
-    points arises from exactly one isotropy element.
+    points arises from an isotropy element. That element is unique by
+    construction: a morphism is determined by its source, target and label,
+    and EpGroupoid rejects a table with two morphisms sharing all three.
     """
     if x.translation is None:
         raise BackendUnsupportedError(
@@ -338,7 +346,6 @@ def natural_representation(x, obj_idx, radius=None):
         for mi in iso.elements
     )
     covering_ok = True
-    uniqueness_ok = True
     violations = []
     hood_set = set(hood)
     for y in hood:
@@ -346,13 +353,9 @@ def natural_representation(x, obj_idx, radius=None):
             m = x.morphisms[mi]
             if m.tgt not in hood_set:
                 continue
-            hits = [lab for lab in iso_labels if lab == m.label]
-            if len(hits) == 0:
+            if m.label not in iso_labels:
                 covering_ok = False
                 violations.append(("uncovered", mi))
-            elif len(hits) > 1:
-                uniqueness_ok = False
-                violations.append(("ambiguous", mi))
     for g in iso_labels:
         for y in hood:
             key_found = any(
@@ -362,7 +365,7 @@ def natural_representation(x, obj_idx, radius=None):
                 covering_ok = False
                 violations.append(("missing-section", g, y))
     return NaturalRepresentationReport(obj_idx, hood, anchored, covering_ok,
-                                       uniqueness_ok, violations)
+                                       violations)
 
 
 # ---------------------------------------------------------------------------
@@ -371,14 +374,13 @@ def natural_representation(x, obj_idx, radius=None):
 
 class Functor:
     def __init__(self, source, target, object_map, morphism_map,
-                 coordinate_map=None, name="functor", regularity="sc-smooth"):
+                 coordinate_map=None, name="functor"):
         self.source = source
         self.target = target
         self.object_map = object_map
         self.morphism_map = morphism_map
         self.coordinate_map = coordinate_map
         self.name = name
-        self.regularity = regularity
         self.verify_functoriality()
 
     def on_object(self, oi):
@@ -388,18 +390,28 @@ class Functor:
         return self.morphism_map(mi)
 
     def verify_functoriality(self):
+        """Check that sources, targets, identities and composition are
+        preserved; a failure raises ValueError naming the axiom and the
+        source morphism."""
         x, y = self.source, self.target
+
+        def require(ok, axiom, mor_idx):
+            if not ok:
+                raise ValueError(f"{self.name}: {axiom} not preserved at morphism {mor_idx}")
+
         for m in x.morphisms:
             fm = y.morphisms[self.on_morphism(m.idx)]
-            assert fm.src == self.on_object(m.src), "source not preserved"
-            assert fm.tgt == self.on_object(m.tgt), "target not preserved"
+            require(fm.src == self.on_object(m.src), "source", m.idx)
+            require(fm.tgt == self.on_object(m.tgt), "target", m.idx)
         for oi in range(len(x.objects)):
-            assert self.on_morphism(x.identity(oi)) == y.identity(self.on_object(oi))
+            i_oi = x.identity(oi)
+            require(self.on_morphism(i_oi) == y.identity(self.on_object(oi)),
+                    "identity", i_oi)
         for m1 in x.morphisms:
             for m2i in x.morphisms_from(m1.tgt):
                 lhs = self.on_morphism(x.compose(m2i, m1.idx))
                 rhs = y.compose(self.on_morphism(m2i), self.on_morphism(m1.idx))
-                assert lhs == rhs, "composition not preserved"
+                require(lhs == rhs, "composition", m1.idx)
 
     @classmethod
     def identity(cls, x):

@@ -40,6 +40,9 @@ from .sc_core import (
 
 FIBER_MATCH_TOL = 1e-9
 SURJECTIVITY_FLOOR = 1e-8
+# the stricter surjectivity floor of the transversal search: solutions whose
+# smallest singular value is at most this count as failing
+SUSPECT_FLOOR = 1e-4
 # residual at which a corrector point counts as a zero
 CORRECTOR_ACCEPT_TOL = 1e-8
 # relative singular-value cutoff of the minimum-norm Gauss-Newton step:
@@ -66,9 +69,8 @@ class BundleChart:
 class StrongBundleModel:
     """Charted strong bundle with the double filtration 0 <= k <= m+1."""
 
-    def __init__(self, charts, retraction=None, name="bundle"):
+    def __init__(self, charts, name="bundle"):
         self.charts = {c.name: c for c in charts}
-        self.retraction = retraction
         self.name = name
 
     def chart(self, chart_id):
@@ -107,8 +109,7 @@ class BundleSection:
     tag "sc" maps level m to bi-level (m, m); tag "sc_plus" to (m, m+1).
     """
 
-    def __init__(self, model, fn, tag="sc", dfn=None, name="section",
-                 support=None):
+    def __init__(self, model, fn, tag="sc", dfn=None, name="section"):
         if tag not in ("sc", "sc_plus"):
             raise ValueError(f"unknown section tag {tag!r}")
         self.model = model
@@ -116,7 +117,6 @@ class BundleSection:
         self.tag = tag
         self.dfn = dfn
         self.name = name
-        self.support = support  # optional membership predicate per chart
 
     def __call__(self, chart_id, base):
         return np.asarray(self.fn(chart_id, np.asarray(base, dtype=float)), dtype=float)
@@ -219,17 +219,18 @@ class AuxiliaryNorm:
         level = min(1, fiber.max_level)
         return fiber.norm(fiber_coeffs, level)
 
-    def verify_axioms(self, chart_id, sample_count=64, seed=0, tol=1e-10):
-        """Positive homogeneity and triangle inequality on sampled fiber pairs."""
+    def verify_axioms(self, chart_id, sample_count=64, seed=0):
+        """Positive homogeneity and triangle inequality on sampled fiber pairs,
+        each within 1e-10 (relative to 1 + |a| for homogeneity)."""
         rng = np.random.default_rng(seed)
         d = self.model.chart(chart_id).fiber_dim()
         for _ in range(sample_count):
             a = rng.standard_normal(d)
             b = rng.standard_normal(d)
             t = abs(rng.standard_normal())
-            if abs(self(chart_id, t * a) - t * self(chart_id, a)) > tol * (1 + self(chart_id, a)):
+            if abs(self(chart_id, t * a) - t * self(chart_id, a)) > 1e-10 * (1 + self(chart_id, a)):
                 return False
-            if self(chart_id, a + b) > self(chart_id, a) + self(chart_id, b) + tol:
+            if self(chart_id, a + b) > self(chart_id, a) + self(chart_id, b) + 1e-10:
                 return False
         return True
 
@@ -346,20 +347,21 @@ def multisection_eval(l, element):
     return l.eval(element)
 
 
-def multisection_sum(l1, l2, merge_samples=None, tol=FIBER_MATCH_TOL):
+def multisection_sum(l1, l2):
     """Convolution sum: branch sums with multiplied weights, coinciding
-    branches merged by pointwise comparison on a fixed sample set."""
+    branches merged by pointwise comparison on a fixed sample set: five points
+    per chart, center + 0.3 N(0, I) drawn with seed 7, branches counting as
+    equal within FIBER_MATCH_TOL."""
     if l1.model is not l2.model:
         raise ValueError("multisections live on different bundle models")
     model = l1.model
-    if merge_samples is None:
-        merge_samples = []
-        for cid, chart in model.charts.items():
-            center = chart.domain.center
-            d = center.size
-            rng = np.random.default_rng(7)
-            for _ in range(5):
-                merge_samples.append((cid, center + 0.3 * rng.standard_normal(d)))
+    merge_samples = []
+    for cid, chart in model.charts.items():
+        center = chart.domain.center
+        d = center.size
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            merge_samples.append((cid, center + 0.3 * rng.standard_normal(d)))
 
     new = []
     for s1, w1 in l1.branches:
@@ -373,7 +375,7 @@ def multisection_sum(l1, l2, merge_samples=None, tol=FIBER_MATCH_TOL):
         for i, (other, _) in enumerate(merged):
             same = True
             for cid, x in merge_samples:
-                if np.linalg.norm(sec(cid, x) - other(cid, x)) > tol:
+                if np.linalg.norm(sec(cid, x) - other(cid, x)) > FIBER_MATCH_TOL:
                     same = False
                     break
             if same:
@@ -437,42 +439,31 @@ class ControlPair:
         return self.report.get("certified", False)
 
 
-def control_pair_build(f, aux_norm, margin=0.5, seeds_per_chart=24, seed=0,
-                       sublevel_samples=200, boundary_fraction=0.9):
+def control_pair_build(f, aux_norm, margin=0.5, seed=0):
     """Neighborhood of the sampled zero set certified by sublevel sampling.
 
-    Zeros are found per chart by the Gauss-Newton corrector from seeded
+    Zeros are found per chart by the Gauss-Newton corrector from 24 seeded
     starts; the region is the union of balls of the given margin around them.
-    The certificate checks, on samples, that the unit sublevel set of the
-    auxiliary norm of the section inside the closed region stays at positive
-    distance from the region boundary. Zeros found at the chart edge mean the
-    zero set escapes the window and certification fails. The certificate is a
-    sampling surrogate and records its seeds.
+    The certificate checks, on 200 samples per chart split evenly over its
+    balls, that the unit sublevel set of the auxiliary norm of the section
+    inside the closed region stays at positive distance from the region
+    boundary. A zero farther from the chart center than 0.9 of the chart
+    radius means the zero set escapes the window and certification fails.
+    The certificate is a sampling surrogate and records its seeds.
     """
     model = f.model
     rng = np.random.default_rng(seed)
     balls = {}
     escaped = []
     for cid, chart in model.charts.items():
-        d = chart.domain.center.size
-        radius = chart.domain.radii[0] if chart.domain.radii else 1.0
-        found = []
         if chart.fiber_dim() == 0:
-            found.append(chart.domain.center.copy())
+            found = [chart.domain.center.copy()]
         else:
-            for _ in range(seeds_per_chart):
-                x0 = chart.domain.center + radius * rng.uniform(-1, 1, d)
-                x_sol = _corrector(lambda z: f(cid, z), x0, chart.fiber_dim(),
-                                   jac=lambda z, h: f.derivative_matrix(cid, z, h))
-                if x_sol is None:
-                    continue
-                if not chart.domain.contains(x_sol, 0):
-                    continue
-                if any(np.linalg.norm(x_sol - y) < 1e-5 for y in found):
-                    continue
-                found.append(x_sol)
+            found = _seeded_zeros(lambda z: f(cid, z),
+                                  lambda z, h: f.derivative_matrix(cid, z, h),
+                                  chart, 24, rng, 1e-11)
         for x_sol in found:
-            if np.linalg.norm(x_sol - chart.domain.center) > boundary_fraction * radius:
+            if np.linalg.norm(x_sol - chart.domain.center) > 0.9 * _chart_radius(chart):
                 escaped.append((cid, x_sol))
             balls.setdefault(cid, []).append((x_sol, margin))
     region = ControlRegion(balls)
@@ -482,7 +473,7 @@ def control_pair_build(f, aux_norm, margin=0.5, seeds_per_chart=24, seed=0,
         if chart.fiber_dim() == 0:
             continue
         for center, radius in blist:
-            for _ in range(sublevel_samples // max(len(blist), 1)):
+            for _ in range(200 // max(len(blist), 1)):
                 x = center + radius * rng.uniform(-1, 1, center.size)
                 if aux_norm(cid, f(cid, x)) <= 1.0:
                     if region.interior_margin(cid, x) <= 1e-9:
@@ -584,6 +575,29 @@ def _corrector(fn, x0, out_dim, tol=1e-11, jac=None):
     return x if res <= CORRECTOR_ACCEPT_TOL else None
 
 
+def _chart_radius(chart):
+    """Level-0 radius of the chart's domain; 1 for a domain without radii."""
+    return chart.domain.radii[0] if chart.domain.radii else 1.0
+
+
+def _seeded_zeros(fn, jac, chart, count, rng, tol):
+    """Distinct zeros of fn in the chart's domain, by _corrector from count
+    starts drawn from rng uniformly in the box of half-width _chart_radius
+    around the center; zeros closer than 1e-5 to an earlier one are dropped."""
+    d = chart.domain.center.size
+    radius = _chart_radius(chart)
+    found = []
+    for _ in range(count):
+        x0 = chart.domain.center + radius * rng.uniform(-1, 1, d)
+        x_sol = _corrector(fn, x0, chart.fiber_dim(), tol, jac=jac)
+        if x_sol is None or not chart.domain.contains(x_sol, 0):
+            continue
+        if any(np.linalg.norm(x_sol - y) < 1e-5 for y in found):
+            continue
+        found.append(x_sol)
+    return found
+
+
 # ---------------------------------------------------------------------------
 # solution sets
 
@@ -623,7 +637,7 @@ def solution_set(f, l, seeds_per_chart=40, seed=0, tol=1e-11,
     out = []
     for cid, chart in model.charts.items():
         d = chart.domain.center.size
-        radius = chart.domain.radii[0] if chart.domain.radii else 1.0
+        radius = _chart_radius(chart)
         if chart.fiber_dim() == 0:
             # empty fiber: the whole sampled chart region solves the equation
             if d == 1:
@@ -642,15 +656,7 @@ def solution_set(f, l, seeds_per_chart=40, seed=0, tol=1e-11,
             def diff_jac(x, h, s=section):
                 return f.derivative_matrix(cid, x, h) - s.derivative_matrix(cid, x, h)
 
-            sols = []
-            for _ in range(seeds_per_chart):
-                x0 = chart.domain.center + radius * rng.uniform(-1, 1, d)
-                x_sol = _corrector(diff, x0, chart.fiber_dim(), tol, jac=diff_jac)
-                if x_sol is None or not chart.domain.contains(x_sol, 0):
-                    continue
-                if any(np.linalg.norm(x_sol - y) < 1e-5 for y in sols):
-                    continue
-                sols.append(x_sol)
+            sols = _seeded_zeros(diff, diff_jac, chart, seeds_per_chart, rng, tol)
             if not sols:
                 continue
             index = d - chart.fiber_dim()
@@ -725,11 +731,11 @@ class LinearizationSet:
         return min(vals) if vals else np.inf
 
 
-def linearization_set(f, l, chart_id, x, alternative=None, match_tol=1e-10):
+def linearization_set(f, l, chart_id, x, alternative=None):
     """Operators (f - s_i)'(x) over the active branches at a solution.
 
     When an alternative local section structure is supplied the two operator
-    sets must coincide up to permutation within the match tolerance.
+    sets must coincide up to permutation, entrywise within 1e-10.
     """
     chart = f.model.chart(chart_id)
     x = np.asarray(x, dtype=float)
@@ -750,7 +756,7 @@ def linearization_set(f, l, chart_id, x, alternative=None, match_tol=1e-10):
     result = LinearizationSet(chart_id, x, ops)
     if alternative is not None:
         other = linearization_set(f, alternative, chart_id, x)
-        if not _operator_sets_match(result, other, match_tol):
+        if not _operator_sets_match(result, other, 1e-10):
             raise ValueError(
                 "linearization set depends on the local section structure"
             )
@@ -785,11 +791,10 @@ class TransversalReport:
         return not self.failures
 
 
-def transversal_check(f, l, branches, boundary=False, position_constant=0.5,
-                      floor=SURJECTIVITY_FLOOR):
+def transversal_check(f, l, branches, boundary=False, floor=SURJECTIVITY_FLOOR):
     """Surjectivity of every linearization at every sampled solution; with
     boundary also good position of the kernels against the active tangent
-    quadrant.
+    quadrant, at constant 0.5.
 
     floor is the surjectivity threshold on the smallest singular value;
     searches that must treat nearly-degenerate points as failures pass a
@@ -815,8 +820,7 @@ def transversal_check(f, l, branches, boundary=False, position_constant=0.5,
             ok = sv > floor
             gp_ok = True
             if ok and boundary:
-                gp_ok = _kernels_in_good_position(chart, lset, p,
-                                                  position_constant)
+                gp_ok = _kernels_in_good_position(chart, lset, p)
             rows.append((branch.chart_id, p, branch.branch_index, sv, gp_ok))
             if not ok:
                 failures.append((branch.chart_id, p, branch.branch_index,
@@ -827,7 +831,7 @@ def transversal_check(f, l, branches, boundary=False, position_constant=0.5,
     return TransversalReport(rows, failures)
 
 
-def _kernels_in_good_position(chart, lset, point, c):
+def _kernels_in_good_position(chart, lset, point):
     qidx = chart.domain.quadrant.quadrant_indices
     active = tuple(i for i in qidx if abs(point[i]) <= 1e-9)
     tangent_quadrant = PartialQuadrant(FiniteDimScale(point.size), active)
@@ -836,7 +840,7 @@ def _kernels_in_good_position(chart, lset, point, c):
         if kernel.shape[1] == 0:
             continue
         comp = data.complement if data.complement.size else np.zeros((point.size, 0))
-        rep = good_position_check(kernel, tangent_quadrant, comp, c,
+        rep = good_position_check(kernel, tangent_quadrant, comp, 0.5,
                                   sample_count=200, seed=1)
         if not rep.passed:
             return False
@@ -867,17 +871,17 @@ def _bump_profile(center, radius):
     return chi, grad
 
 
-def perturb_to_transversal(f, cp, epsilon, seed=0, max_attempts=20,
-                           solver_seeds=40, suspect_floor=1e-4):
+def perturb_to_transversal(f, cp, epsilon, seed=0):
     """One-level-up multisection below the norm budget, supported in the
     certified region, making every linearization at the perturbed solution set
     surjective.
 
     Directions come from cokernel bases of the failing linearizations, bump
     localized in the control region and rescaled under the budget; the search
-    is deterministic given the seed. Internally a stricter suspect floor marks
-    nearly-degenerate solutions as failing, since degenerate roots are only
-    resolved to the square root of the solver tolerance.
+    makes at most 20 attempts and is deterministic given the seed. Internally
+    the stricter floor SUSPECT_FLOOR marks nearly-degenerate solutions as
+    failing, since degenerate roots are only resolved to the square root of
+    the solver tolerance.
     """
     if not (0 < epsilon < 1):
         raise ValueError("the norm budget must lie in (0, 1)")
@@ -885,13 +889,13 @@ def perturb_to_transversal(f, cp, epsilon, seed=0, max_attempts=20,
         raise ValueError("control pair is not certified")
     model = f.model
     zero = Multisection.zero(model)
-    sols = solution_set(f, zero, seeds_per_chart=solver_seeds, seed=seed)
-    report = transversal_check(f, zero, sols, floor=suspect_floor)
+    sols = solution_set(f, zero, seed=seed)
+    report = transversal_check(f, zero, sols, floor=SUSPECT_FLOOR)
     if report.passed:
         return zero
     rng = np.random.default_rng(seed)
     worst = report
-    for attempt in range(max_attempts):
+    for attempt in range(20):
         offsets = {}
         for cid, chart in model.charts.items():
             if chart.fiber_dim() == 0:
@@ -942,14 +946,13 @@ def perturb_to_transversal(f, cp, epsilon, seed=0, max_attempts=20,
                                name=f"cokernel-shift-{attempt}")
         tau = Multisection(model, [(branch, Fraction(1))],
                            name=f"transversal-{attempt}")
-        sols = solution_set(f, tau, seeds_per_chart=solver_seeds,
-                            seed=seed + attempt + 1)
-        rep = transversal_check(f, tau, sols, floor=suspect_floor)
+        sols = solution_set(f, tau, seed=seed + attempt + 1)
+        rep = transversal_check(f, tau, sols, floor=SUSPECT_FLOOR)
         if rep.passed and _norm_and_support_ok(tau, cp, sols, epsilon):
             return tau
         worst = rep if rep.failures else worst
     raise ExhaustedAttemptsError(
-        f"no transversal perturbation within {max_attempts} attempts",
+        "no transversal perturbation within 20 attempts",
         report=worst)
 
 
@@ -962,7 +965,7 @@ def _norm_and_support_ok(tau, cp, branches, epsilon):
     rng = np.random.default_rng(123)
     for cid, chart in tau.model.charts.items():
         d = chart.domain.center.size
-        radius = (chart.domain.radii[0] if chart.domain.radii else 1.0)
+        radius = _chart_radius(chart)
         for _ in range(20):
             x = chart.domain.center + 2.0 * radius * rng.uniform(-1, 1, d)
             if not cp.region.contains(cid, x):
@@ -1014,19 +1017,19 @@ class CobordismReport:
         return all(self.checks.values())
 
 
-def cobordism_compare(f, tau0, tau1, cp, t_samples=(0.0, 0.25, 0.5, 0.75, 1.0),
-                      seed=0, solver_seeds=40):
+def cobordism_compare(f, tau0, tau1, cp, seed=0):
     """Interpolating family between two admissible perturbations with weighted
     counts compared at the endpoints.
 
     The family uses convex branch interpolation over all branch pairs, whose
-    weights stay exactly rational. Family transversality is sampled in t; the
-    endpoint comparison is exact for index zero.
+    weights stay exactly rational. Family transversality is sampled at
+    t = 0, 0.25, 0.5, 0.75 and 1; the endpoint comparison is exact for index
+    zero.
     """
     aux = cp.aux_norm
     endpoint_sols = []
     for tau in (tau0, tau1):
-        sols = solution_set(f, tau, seeds_per_chart=solver_seeds, seed=seed)
+        sols = solution_set(f, tau, seed=seed)
         endpoint_sols.append(sols)
         for branch in sols:
             for p in branch.points:
@@ -1040,21 +1043,20 @@ def cobordism_compare(f, tau0, tau1, cp, t_samples=(0.0, 0.25, 0.5, 0.75, 1.0),
 
     model = f.model
     family_failures = []
-    for t in t_samples:
+    for t in (0.0, 0.25, 0.5, 0.75, 1.0):
         branches = []
         for s0, w0 in tau0.branches:
             for s1, w1 in tau1.branches:
                 sec = _combination(model, s0, s1, 1 - t, t, f"interp-{t}")
                 branches.append((sec, w0 * w1))
         tau_t = Multisection(model, branches, name=f"family-{t}")
-        sols_t = solution_set(f, tau_t, seeds_per_chart=solver_seeds,
-                              seed=seed + int(100 * t))
+        sols_t = solution_set(f, tau_t, seed=seed + int(100 * t))
         rep = transversal_check(f, tau_t, sols_t)
         if not rep.passed:
             family_failures.append((t, rep.failures))
 
     sols0 = endpoint_sols[0]
-    sols1 = solution_set(f, tau1, seeds_per_chart=solver_seeds, seed=seed + 1)
+    sols1 = solution_set(f, tau1, seed=seed + 1)
     # counts apply when every branch is index zero; an empty solution set
     # counts as zero by the empty-sum convention
     count0 = count1 = None

@@ -49,14 +49,14 @@ class Splicing:
     dproject: object = None
     meta: dict = field(default_factory=dict)
 
-    def check_idempotent(self, parameter_samples, fiber_samples, tol=PROJECTION_TOL):
+    def check_idempotent(self, parameter_samples, fiber_samples):
         worst = 0.0
         for v in parameter_samples:
             for e in fiber_samples:
                 once = self.project(v, e)
                 twice = self.project(v, once)
                 worst = max(worst, self.fiber.norm(twice - once, 0))
-        if worst > tol:
+        if worst > PROJECTION_TOL:
             raise NonIdempotentError(
                 f"projection family violates idempotence: residual {worst:g}"
             )
@@ -145,11 +145,11 @@ class LocalScModel:
     def scale(self):
         return self.retraction.scale
 
-    def contains(self, coeffs, tol=MEMBERSHIP_TOL):
-        return self.retraction.in_image(coeffs, tol)
+    def contains(self, coeffs):
+        return self.retraction.in_image(coeffs)
 
-    def degeneracy(self, coeffs, tol=None):
-        return degeneracy_index(self.quadrant, coeffs, tol)
+    def degeneracy(self, coeffs):
+        return degeneracy_index(self.quadrant, coeffs)
 
 
 def splicing_to_retraction(sp, parameter_samples=None, fiber_samples=None, name="spliced"):
@@ -298,12 +298,12 @@ class TangentBasis:
     singular_values: np.ndarray
 
 
-def retract_tangent_basis(r, x, probe_count=24, seed=0):
+def retract_tangent_basis(r, x, seed=0):
     """Orthonormal basis of the image of Dr(x); its dimension is the local
     retract dimension.
 
-    Dr(x) is applied to the full coordinate basis in small ambient dimension
-    and to probe_count seeded random directions otherwise, through
+    Dr(x) is applied to the full coordinate basis in ambient dimension up to
+    64 and to 24 seeded random directions otherwise, through
     r.derivative (the supplied dfn, else a centered difference); the rank
     decision applies the guard band and raises AmbiguousRankError when
     undecidable.
@@ -314,35 +314,35 @@ def retract_tangent_basis(r, x, probe_count=24, seed=0):
         probes = np.eye(d)
     else:
         rng = np.random.default_rng(seed)
-        probes = rng.standard_normal((d, probe_count))
+        probes = rng.standard_normal((d, 24))
         probes /= np.linalg.norm(probes, axis=0)
     m = np.array([r.derivative(x, v) for v in probes.T]).T
     basis, sing = _fd.orthonormal_columns(m)
     return TangentBasis(basis, basis.shape[1], sing)
 
 
-def tangent_independence_check(r1, r2, samples, probe_count=24, seed=0,
-                               tol=MEMBERSHIP_TOL):
+def tangent_independence_check(r1, r2, samples, seed=0):
     """Max principal-angle gap between the images of the two derivatives.
 
     Both retractions must present the same image: each sample must be fixed by
-    both, and retracted perturbations of samples must land in both images.
+    both within MEMBERSHIP_TOL, and retracted perturbations of samples must
+    land in both images within 10 MEMBERSHIP_TOL.
     """
     rng = np.random.default_rng(seed)
     for x in samples:
         x = np.asarray(x, dtype=float)
         for r, other in ((r1, r2), (r2, r1)):
-            if not r.in_image(x, tol):
+            if not r.in_image(x):
                 raise ImageMismatchError("sample not fixed by both retractions")
             y = r(x + 0.01 * rng.standard_normal(x.size) / np.sqrt(x.size))
-            if not other.in_image(y, 10 * tol):
+            if not other.in_image(y, 10 * MEMBERSHIP_TOL):
                 raise ImageMismatchError(
                     "retracted perturbation leaves the other image"
                 )
     worst = 0.0
     for x in samples:
-        b1 = retract_tangent_basis(r1, x, probe_count, seed)
-        b2 = retract_tangent_basis(r2, x, probe_count, seed)
+        b1 = retract_tangent_basis(r1, x, seed)
+        b2 = retract_tangent_basis(r2, x, seed)
         worst = max(worst, _fd.subspace_gap(b1.basis, b2.basis))
     return worst
 
@@ -359,21 +359,21 @@ class NeatnessReport:
         return self.complement_ok and self.sequence_status == "pass"
 
 
-def neatness_check(model, x, level=None, radii=(1e-1, 1e-2, 1e-3),
-                   samples_per_radius=12, seed=0):
+def neatness_check(model, x, seed=0):
     """Two-part boundary compatibility check at a point of the retract.
 
     Part one constructs a complement of the fixed space of Dr(x) whose basis
     vectors have vanishing quadrant coordinates (hence lie inside the
     quadrant). Part two looks for approximating points of the image with equal
-    degeneracy; for a declared-smooth x the constant sequence suffices, and
-    when sampling finds no ladder the verdict is inconclusive rather than fail.
+    degeneracy; for x in the image the constant sequence suffices. Otherwise
+    it samples a ladder: at each radius 1e-1, 1e-2, 1e-3, up to 12 retracted
+    perturbations of x, one of which must lie in the image with the
+    degeneracy of x; when sampling finds no ladder the verdict is
+    inconclusive rather than fail.
     """
     r = model.retraction
     x = np.asarray(x, dtype=float)
     d = x.size
-    scale = model.scale
-    level = scale.max_level if level is None else level
 
     cols = [r.derivative(x, e) for e in np.eye(d)]
     p = np.array(cols).T
@@ -404,15 +404,15 @@ def neatness_check(model, x, level=None, radii=(1e-1, 1e-2, 1e-3),
     details["complement_dim"] = complement.shape[1]
 
     d_x = model.degeneracy(x)
-    if level == scale.max_level and model.contains(x):
+    if model.contains(x):
         status = "pass"
         details["sequence"] = "constant sequence at smooth point"
     else:
         status = "inconclusive"
         rng = np.random.default_rng(seed)
-        for radius in radii:
+        for radius in (1e-1, 1e-2, 1e-3):
             found = False
-            for _ in range(samples_per_radius):
+            for _ in range(12):
                 y = r(x + radius * rng.standard_normal(d) / np.sqrt(d))
                 # quadrant.contains(y) rules out the NotInQuadrantError that
                 # model.degeneracy would raise: same indices, same tolerance
@@ -424,7 +424,7 @@ def neatness_check(model, x, level=None, radii=(1e-1, 1e-2, 1e-3),
                 status = "inconclusive"
                 break
             status = "pass"
-        details["sequence"] = f"sampled ladder over radii {radii}"
+        details["sequence"] = "sampled ladder over radii (0.1, 0.01, 0.001)"
     return NeatnessReport(complement_ok, complement, status, details)
 
 
@@ -435,12 +435,11 @@ def _fd_qr_pivots(a):
     return q, rr, piv
 
 
-def corner_invariance_check(fwd, inv, src_quadrant, dst_quadrant, samples,
-                            tol=MEMBERSHIP_TOL):
+def corner_invariance_check(fwd, inv, src_quadrant, dst_quadrant, samples):
     """Max degeneracy discrepancy |d(x) - d(f(x))| over samples.
 
     fwd and inv are coordinate maps; inv must undo fwd on every sample within
-    tol, otherwise the fixture is rejected as non-invertible.
+    MEMBERSHIP_TOL, otherwise the fixture is rejected as non-invertible.
     """
     worst = 0
     rows = []
@@ -448,7 +447,7 @@ def corner_invariance_check(fwd, inv, src_quadrant, dst_quadrant, samples,
         x = np.asarray(x, dtype=float)
         y = np.asarray(fwd(x), dtype=float)
         back = np.asarray(inv(y), dtype=float)
-        if src_quadrant.scale.norm(back - x, 0) > tol:
+        if src_quadrant.scale.norm(back - x, 0) > MEMBERSHIP_TOL:
             raise ValueError(f"fixture not invertible at {x.tolist()}")
         dx = degeneracy_index(src_quadrant, x)
         dy = degeneracy_index(dst_quadrant, y)
@@ -470,12 +469,13 @@ class GoodPositionReport:
 
 
 def good_position_check(n_basis, quadrant, nperp_basis, c, sample_count=400,
-                        seed=0, max_condition=1e6):
+                        seed=0):
     """Sampled test that small complement moves do not change quadrant
     membership, plus an interior witness inside the subspace.
 
     For pairs (n, m) with |m| <= c |n| the statements n + m in C and n in C
-    must agree; counterexamples are reported with both points.
+    must agree; counterexamples are reported with both points. A combined
+    basis with condition number above 1e6 raises DegenerateBasisError.
     """
     n_basis = np.atleast_2d(np.asarray(n_basis, dtype=float))
     if n_basis.shape[0] < n_basis.shape[1]:
@@ -488,7 +488,7 @@ def good_position_check(n_basis, quadrant, nperp_basis, c, sample_count=400,
     else:
         nperp_basis = np.zeros((n_basis.shape[0], 0))
     full = np.concatenate([n_basis, nperp_basis], axis=1)
-    if full.shape[1] and np.linalg.cond(full) > max_condition:
+    if full.shape[1] and np.linalg.cond(full) > 1e6:
         raise DegenerateBasisError("combined basis condition number too large")
 
     rng = np.random.default_rng(seed)
@@ -571,11 +571,11 @@ class SubmanifoldChart:
 
 
 def graph_chart_build(n_basis, nperp_basis, a_fn, quadrant, q_radius=0.5,
-                      sample_count=41, base_point=None, tol=1e-10):
-    """Build a graph chart and its sampled manifold patch.
+                      base_point=None):
+    """Build a graph chart and its sampled manifold patch of 41 points.
 
-    The graph map must satisfy A(0) = 0 and DA(0) = 0 within tol; injectivity
-    of the parametrization is asserted on the sample set.
+    The graph map must satisfy |A(0)| <= 1e-10 and |DA(0)| <= 1e-6;
+    injectivity of the parametrization is asserted on the sample set.
     """
     n_basis = np.atleast_2d(np.asarray(n_basis, dtype=float))
     if n_basis.shape[0] < n_basis.shape[1]:
@@ -588,7 +588,7 @@ def graph_chart_build(n_basis, nperp_basis, a_fn, quadrant, q_radius=0.5,
     k = n_basis.shape[1]
 
     a0 = np.linalg.norm(np.atleast_1d(a_fn(np.zeros(k))))
-    if a0 > tol:
+    if a0 > 1e-10:
         raise ValueError(f"graph map must vanish at 0, |A(0)| = {a0:g}")
     da0 = _fd.directional_derivative(lambda q: np.atleast_1d(a_fn(q)),
                                      np.zeros(k), np.ones(k) / np.sqrt(k))
@@ -596,10 +596,10 @@ def graph_chart_build(n_basis, nperp_basis, a_fn, quadrant, q_radius=0.5,
         raise ValueError("graph map must have vanishing derivative at 0")
 
     if k == 1:
-        qs = np.linspace(-q_radius, q_radius, sample_count)[:, None]
+        qs = np.linspace(-q_radius, q_radius, 41)[:, None]
     else:
         rng = np.random.default_rng(0)
-        qs = rng.uniform(-q_radius, q_radius, size=(sample_count, k))
+        qs = rng.uniform(-q_radius, q_radius, size=(41, k))
     keep = []
     for q in qs:
         candidate = base_point + n_basis @ q
@@ -622,11 +622,11 @@ def graph_chart_build(n_basis, nperp_basis, a_fn, quadrant, q_radius=0.5,
     return chart
 
 
-def chart_transition(chart_a, chart_b, max_level=3):
+def chart_transition(chart_a, chart_b):
     """Transition map between overlapping graph charts as a map on the first
-    chart's coordinates."""
+    chart's coordinates, between scales of max_level 3."""
     k = chart_a.n_basis.shape[1]
-    scale = FiniteDimScale(k, max_level=max_level)
+    scale = FiniteDimScale(k, max_level=3)
 
     def fn(q, level):
         y = chart_a.parametrize(q)
@@ -639,7 +639,7 @@ def chart_transition(chart_a, chart_b, max_level=3):
             )
         return q2
 
-    return ScMap(whole_scale_domain(scale), FiniteDimScale(k, max_level=max_level),
+    return ScMap(whole_scale_domain(scale), FiniteDimScale(k, max_level=3),
                  fn, name="transition")
 
 
@@ -672,7 +672,6 @@ class BrokenPathDemo:
     model: LocalScModel
     anchors: tuple
     samples: list
-    glue_cap: float
 
     def rows(self):
         return [s.row() for s in self.samples]
@@ -681,14 +680,16 @@ class BrokenPathDemo:
         return [(s.glue, s.degeneracy) for s in self.samples]
 
 
-def broken_path_demo(a, b, c, shape_dims=(1, 1), glue_values=(0.0, 0.08, 0.15, 0.4, 1.0),
-                     t_grid=None, shape_amplitude=0.2, glue_time_cap=1e12):
+def broken_path_demo(a, b, c, glue_values=(0.0, 0.08, 0.15, 0.4, 1.0),
+                     shape_amplitude=0.2):
     """Gluing-parameter model of paths that may break once at the middle point.
 
-    The chart is a quadrant [0, infinity) x shape space: glue parameter zero is
-    the broken stratum (degeneracy one), positive glue is unbroken interior
-    (degeneracy zero). Curves use a time shift growing like exp(1/glue), so
-    shrinking the glue parameter parks the visible window at the middle point.
+    The chart is a quadrant [0, infinity) x shape space, with one shape
+    coordinate per leg: glue parameter zero is the broken stratum (degeneracy
+    one), positive glue is unbroken interior (degeneracy zero). Curves are
+    sampled at 201 times in [-10, 10] and use a time shift growing like
+    exp(1/glue), capped at 1e12, so shrinking the glue parameter parks the
+    visible window at the middle point.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -696,8 +697,8 @@ def broken_path_demo(a, b, c, shape_dims=(1, 1), glue_values=(0.0, 0.08, 0.15, 0
     for p, q in ((a, b), (b, c), (a, c)):
         if np.linalg.norm(p - q) < 1e-12:
             raise ValueError("anchor points must be mutually distinct")
-    t_grid = np.linspace(-10.0, 10.0, 201) if t_grid is None else np.asarray(t_grid)
-    p1, p2 = shape_dims
+    t_grid = np.linspace(-10.0, 10.0, 201)
+    p1 = p2 = 1
     dim = 1 + p1 + p2
     scale = FiniteDimScale(dim, max_level=3)
     quadrant = PartialQuadrant(scale, (0,))
@@ -726,11 +727,11 @@ def broken_path_demo(a, b, c, shape_dims=(1, 1), glue_values=(0.0, 0.08, 0.15, 0
             curve = np.stack([first, second])
             kind = "broken"
         else:
-            shift = min(np.exp(1.0 / g), glue_time_cap)
+            shift = min(np.exp(1.0 / g), 1e12)
             curve = (leg(a, b, t_grid + shift) + leg(b, c, t_grid - shift) - b[None, :]
                      + bumps(t_grid, w[:p1]))[None, :, :]
             kind = "unbroken"
         basis = retract_tangent_basis(ident, coords)
         samples.append(PathSample(kind, float(g), w, d, scale.max_level,
                                   basis.dimension, curve))
-    return BrokenPathDemo(model, (a, b, c), samples, glue_time_cap)
+    return BrokenPathDemo(model, (a, b, c), samples)

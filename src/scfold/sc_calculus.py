@@ -70,8 +70,9 @@ class ScDomain:
             raise DomainExitError("point left the declared domain")
 
 
-def whole_scale_domain(scale, quadrant_indices=()):
-    return ScDomain(PartialQuadrant(scale, quadrant_indices))
+def whole_scale_domain(scale):
+    """The whole scale as a domain: the quadrant with no sign constraints."""
+    return ScDomain(PartialQuadrant(scale))
 
 
 class ScMap:
@@ -93,9 +94,7 @@ class ScMap:
             return np.asarray(self.dfn(np.asarray(coeffs, dtype=float),
                                        np.asarray(direction, dtype=float), level), dtype=float)
         if not fd_fallback:
-            raise MissingDerivativeError(
-                f"{self.name} has no derivative evaluator; pass fd_fallback=True"
-            )
+            raise MissingDerivativeError(f"{self.name} has no derivative evaluator")
         return _fd.directional_derivative(lambda z: self(z, level), coeffs, direction)
 
     def vector(self, x):
@@ -140,13 +139,12 @@ def tangent_scale(scale):
     return direct_sum(scale.shifted(1), scale.truncated(scale.max_level - 1))
 
 
-def tangent_map(f, te, fd_fallback=False):
-    """(x, h) -> (f(x), Df(x)h) with the tangent level pairing kept."""
+def tangent_map(f, te):
+    """(x, h) -> (f(x), Df(x)h) with the tangent level pairing kept; f must
+    have a derivative evaluator."""
     x, h = te.base, te.vector
-    if f.dfn is None and not fd_fallback:
-        raise MissingDerivativeError(f"{f.name} has no derivative evaluator")
     fx = f(x.coeffs, x.level)
-    dfh = f.derivative(x.coeffs, h.coeffs, x.level, fd_fallback=fd_fallback)
+    dfh = f.derivative(x.coeffs, h.coeffs, x.level)
     return TangentElement(
         ScVector(f.target, fx, x.level),
         ScVector(f.target, dfh, h.level),
@@ -263,12 +261,12 @@ class _GridShift:
         return np.nan_to_num(shifted, nan=0.0)
 
 
-def shift_map(scale, window_margin=0.5):
+def shift_map(scale):
     """The translation map (t, u) -> u(. + t) on the line-plus-functions scale.
 
     Uses cubic interpolation for non-integral shifts; its derivative evaluator
     sends (tau, v) to tau * u'(. + t) + v(. + t). Shifts with |t| beyond
-    window_margin * R raise WindowExitError.
+    R / 2 raise WindowExitError.
     """
     if not isinstance(scale, WeightedGridScale):
         raise ValueError("shift map needs a weighted_grid scale")
@@ -276,7 +274,7 @@ def shift_map(scale, window_margin=0.5):
     source_scale = direct_sum(param, scale)
     interp = _GridShift(scale)
     d1 = scale.diff(1)
-    max_shift = window_margin * scale.R
+    max_shift = 0.5 * scale.R
 
     def split(coeffs):
         t = coeffs[0]

@@ -32,7 +32,6 @@ GRID_TOL = 1e-9
 class ScScale:
     """Base class: a nested family of norms indexed by level 0..max_level."""
 
-    backend_kind = "abstract"
     max_level: int
 
     def dim(self, level):
@@ -68,13 +67,13 @@ class ScScale:
             return self
         if self.max_level - k < 0:
             raise LevelRangeError("no room to shift: max_level would be negative")
-        return ShiftedScale(self, k)
+        return LevelWindow(self, k, self.max_level - k)
 
     def truncated(self, max_level):
         """View of this scale with levels capped at max_level."""
         if max_level == self.max_level:
             return self
-        return TruncatedScale(self, max_level)
+        return LevelWindow(self, 0, max_level)
 
     def compatible(self, other):
         """Structural equality: same level range and dimensions."""
@@ -111,8 +110,6 @@ class ScScale:
 class FiniteDimScale(ScScale):
     """Constant scale: identical dimension and Euclidean norm at every level."""
 
-    backend_kind = "finite_dim"
-
     def __init__(self, dim, max_level=3):
         if dim < 0 or max_level < 0:
             raise ValueError("dimension and max_level must be nonnegative")
@@ -145,8 +142,6 @@ class WeightedGridScale(ScScale):
     be strictly increasing with delta_0 = 0. R and h must be positive and R/h
     an even integer so both Simpson halves have even panel counts.
     """
-
-    backend_kind = "weighted_grid"
 
     def __init__(self, R, h, deltas, orders=None):
         deltas = [float(d) for d in deltas]
@@ -273,8 +268,6 @@ class CircleGridScale(ScScale):
     Hosts the loop-space demos where the base scale uses orders 1+m and the
     fiber uses orders m."""
 
-    backend_kind = "circle_grid"
-
     def __init__(self, n, max_level=3, orders=None):
         self.n = int(n)
         self.max_level = int(max_level)
@@ -319,17 +312,18 @@ class CircleGridScale(ScScale):
         return f"CircleGridScale(n={self.n}, orders={self.orders})"
 
 
-class ShiftedScale(ScScale):
-    """View of a scale with levels shifted up by a fixed offset."""
+class LevelWindow(ScScale):
+    """View of the levels offset..offset + max_level of a scale, renumbered
+    from 0. A shift by k is the window (k, base top - k); a truncation is a
+    shift by 0 with a lower top level."""
 
-    backend_kind = "shifted"
-
-    def __init__(self, base, offset):
-        if offset < 0 or base.max_level - offset < 0:
-            raise LevelRangeError("invalid shift offset")
+    def __init__(self, base, offset, max_level):
+        if offset < 0 or not (0 <= max_level <= base.max_level - offset):
+            raise LevelRangeError(
+                f"invalid level window +{offset} up to {max_level} of {base!r}")
         self.base = base
         self.offset = int(offset)
-        self.max_level = base.max_level - self.offset
+        self.max_level = int(max_level)
 
     def dim(self, level):
         self.check_level(level)
@@ -340,6 +334,7 @@ class ShiftedScale(ScScale):
         return self.base.norm(coeffs, level + self.offset)
 
     def embedding_constant(self, m):
+        self.check_level(m + 1)
         return self.base.embedding_constant(m + self.offset)
 
     def membership_tol(self):
@@ -351,48 +346,12 @@ class ShiftedScale(ScScale):
         return min(cap, max(0, r - self.offset))
 
     def __repr__(self):
-        return f"ShiftedScale({self.base!r}, +{self.offset})"
-
-
-class TruncatedScale(ScScale):
-    """View of a scale with a reduced maximal level."""
-
-    backend_kind = "truncated"
-
-    def __init__(self, base, max_level):
-        if not (0 <= max_level <= base.max_level):
-            raise LevelRangeError("invalid truncation level")
-        self.base = base
-        self.max_level = int(max_level)
-
-    def dim(self, level):
-        self.check_level(level)
-        return self.base.dim(level)
-
-    def norm(self, coeffs, level):
-        self.check_level(level)
-        return self.base.norm(coeffs, level)
-
-    def embedding_constant(self, m):
-        self.check_level(m + 1)
-        return self.base.embedding_constant(m)
-
-    def membership_tol(self):
-        return self.base.membership_tol()
-
-    def regularity_level(self, coeffs, cap=None):
-        cap = self.max_level if cap is None else min(cap, self.max_level)
-        return min(cap, self.base.regularity_level(coeffs, cap=cap))
-
-    def __repr__(self):
-        return f"TruncatedScale({self.base!r}, max_level={self.max_level})"
+        return f"LevelWindow({self.base!r}, +{self.offset}, max_level={self.max_level})"
 
 
 class SumScale(ScScale):
     """Direct sum of scales; the level norm is the l2 combination of the
     component norms, so the parallelogram relation with components is exact."""
-
-    backend_kind = "sum"
 
     def __init__(self, components):
         if not components:
@@ -502,15 +461,16 @@ class PartialQuadrant:
             raise ValueError("repeated quadrant index")
         self.quadrant_indices = idx
 
-    def contains(self, coeffs, tol=None):
-        tol = self.scale.membership_tol() if tol is None else tol
+    def contains(self, coeffs):
+        """Quadrant coordinates of coeffs are at least -membership_tol()."""
+        tol = self.scale.membership_tol()
         coeffs = np.asarray(coeffs, dtype=float)
         if not self.quadrant_indices:
             return True
         return bool(np.all(coeffs[list(self.quadrant_indices)] >= -tol))
 
-    def degeneracy(self, coeffs, tol=None):
-        return degeneracy_index(self, coeffs, tol)
+    def degeneracy(self, coeffs):
+        return degeneracy_index(self, coeffs)
 
 
 def degeneracy_index(quadrant, x, tol=None):
@@ -689,14 +649,14 @@ def fredholm_split(op):
     )
 
 
-def reconstruction_residual(op, split, sample_count=16, seed=0):
+def reconstruction_residual(op, split, seed=0):
     """Residual of T = (T restricted to the complement) composed with the
-    projection along the kernel, evaluated on random samples."""
+    projection along the kernel, evaluated on 16 random samples."""
     rng = np.random.default_rng(seed)
     a = op.dense()
     k = split.kernel
     worst = 0.0
-    for _ in range(sample_count):
+    for _ in range(16):
         x = rng.standard_normal(a.shape[1])
         px = x - k @ (k.T @ x) if k.size else x
         worst = max(worst, float(np.linalg.norm(a @ x - a @ px)))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scfold import _fd
+from scfold.errors import AmbiguousRankError
 
 
 def stencil_width(order):
@@ -104,3 +105,27 @@ def test_gauss01_cached_and_read_only(order):
             arr[0] = 0.5
         with pytest.raises(ValueError, match="read-only"):
             arr *= 2.0
+
+
+@pytest.mark.parametrize("rel,rank", [(1e-11, 1), (1e-7, 2)])
+def test_numerical_rank_decides_outside_the_guard_band(rel, rank):
+    # below the band a relative singular value counts as zero, above it as one
+    assert _fd.numerical_rank([3.0, 3.0 * rel]) == rank
+
+
+def test_numerical_rank_raises_inside_the_guard_band():
+    with pytest.raises(AmbiguousRankError, match=r"guard band \(1e-10, 1e-08\)"):
+        _fd.numerical_rank([3.0, 3.0 * 1e-9])
+
+
+@pytest.mark.parametrize("s", [[], [0.0], [0.0, 0.0]])
+def test_numerical_rank_of_an_empty_or_zero_spectrum_is_zero(s):
+    assert _fd.numerical_rank(s) == 0
+
+
+@pytest.mark.parametrize("n,split", [(9, 3), (8, 2)])
+def test_simpson_weights_reject_an_odd_panel_count(n, split):
+    # n nodes make n - 1 panels: 3 + 5 fails on the left side, 2 + 5 on the
+    # right one
+    with pytest.raises(ValueError, match="even panel count per side"):
+        _fd.simpson_weights(n, 0.1, split)

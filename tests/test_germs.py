@@ -284,6 +284,24 @@ def test_trivial_filling_passes():
     assert rep.passed
 
 
+def test_filling_disagreeing_section_fails_agreement():
+    # with section_fn unset the agreement check compares the extension with
+    # itself; a section off by 1e-6 from the extension must fail it, and
+    # only it
+    scale = FiniteDimScale(3)
+    from scfold.retracts import Retraction
+    from scfold.sc_calculus import whole_scale_domain
+
+    ident = Retraction(whole_scale_domain(scale), lambda x: x, lambda x, h: h)
+    shift = np.array([0.1, 0.2, 0.3])
+    fdata = FillingData(lambda y: y - shift, ident, lambda y, h: h, scale,
+                        section_fn=lambda y: y - shift + 1e-6)
+    rep = filling_verify(fdata, shift)
+    assert rep.agreement == pytest.approx(np.sqrt(3) * 1e-6, rel=1e-6)
+    assert not rep.checks["agreement"]
+    assert rep.checks["solutions_in_retract"] and rep.checks["isomorphism"]
+
+
 def test_bump_filling_passes(small_bump):
     fdata = make_filling(small_bump)
     x = np.concatenate([[1.0], 0.4 * small_bump.f_s(1.0)])

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -383,6 +388,45 @@ def test_groupoid_from_config_unknown_key():
 
 
 # ------------------------------------------------------------ axioms property
+
+def test_axioms_checked_under_optimized_python():
+    # python -O strips assert statements; the groupoid axioms and
+    # functoriality must still be checked there. The one-object table's
+    # composition ignores its second argument, so compose(identity, m1) is
+    # the identity; the functor sends both objects to object 0 but keeps
+    # the identity of object 1, whose source is 1
+    script = (
+        "import numpy as np\n"
+        "from scfold.groupoids import EpGroupoid, Functor\n"
+        "def attempt(build):\n"
+        "    try:\n"
+        "        build()\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+        "    else:\n"
+        "        print('accepted')\n"
+        "attempt(lambda: EpGroupoid([('pt', np.zeros(1))], [(0, 0, 0), (0, 0, 1)],\n"
+        "                           compose_label=lambda a, b: a,\n"
+        "                           inverse_label=lambda a: a,\n"
+        "                           identity_label=lambda oi: 0))\n"
+        "two = EpGroupoid([('pt', np.zeros(1)), ('pt', np.ones(1))],\n"
+        "                 [(0, 0, 0), (1, 1, 0)], compose_label=lambda a, b: 0,\n"
+        "                 inverse_label=lambda a: 0, identity_label=lambda oi: 0)\n"
+        "attempt(lambda: Functor(two, two, lambda oi: 0, lambda mi: mi,\n"
+        "                        name='collapse'))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "left unit fails at morphism 1",
+        "collapse: source not preserved at morphism 1",
+    ]
+
 
 def test_axioms_checked_exhaustively():
     # a deliberately broken table (identity missing) must be rejected

@@ -1,7 +1,8 @@
 """Static checks on the library source: no catch-all exception handler, one
 module that knows how a config fails to parse, no sparse matrix turned dense,
-no pseudo-inverse formed to solve one system, no scipy loaded on import and
-no parameter that its function never reads."""
+no pseudo-inverse formed to solve one system, no scipy loaded on import, no
+parameter that its function never reads and no attribute stored for no
+reader."""
 
 import ast
 from pathlib import Path
@@ -137,4 +138,26 @@ def test_every_parameter_is_read():
                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
             found += [f"{name}:{fn.lineno} {qualname}({p.arg})"
                       for p in params if p.arg not in read]
+    assert found == []
+
+
+def test_every_stored_attribute_is_read():
+    # an attribute a method stores on self and nothing reads is state kept
+    # for no one; attributes are matched by name across the library, and a
+    # getattr or hasattr with a literal name counts as a read
+    stored, read = {}, set()
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                if isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+                elif getattr(node.value, "id", None) == "self":
+                    stored.setdefault(node.attr, f"{name}:{node.lineno}")
+            elif (isinstance(node, ast.Call)
+                  and _names(node.func) & {"getattr", "hasattr"}
+                  and len(node.args) > 1
+                  and isinstance(node.args[1], ast.Constant)):
+                read.add(node.args[1].value)
+    found = sorted(f"{where} self.{attr}" for attr, where in stored.items()
+                   if attr not in read)
     assert found == []

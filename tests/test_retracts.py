@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from scfold.errors import ImageMismatchError, NonIdempotentError, WindowExitError
+from scfold.errors import (
+    AmbiguousRankError,
+    ImageMismatchError,
+    NonIdempotentError,
+    WindowExitError,
+)
 from scfold.retracts import (
     BrokenPathDemo,
     LocalScModel,
@@ -171,6 +176,29 @@ def test_identity_retraction_full_dimension():
     ident = Retraction(dom, lambda x: x, lambda x, h: h)
     tb = retract_tangent_basis(ident, np.array([0.1, 0.2, 0.3]))
     assert tb.dimension == 3
+
+
+def squeezed_retraction():
+    # r(x) = (x0, x1 exp(-x2), 0) retracts R^3 onto the plane x2 = 0; off the
+    # image, at (0, 0, t), Dr = diag(1, exp(-t), 0), whose second singular
+    # value is exp(-t) relative to the first
+    dom = whole_scale_domain(FiniteDimScale(3))
+    return Retraction(
+        dom, lambda x: np.array([x[0], x[1] * np.exp(-x[2]), 0.0]),
+        lambda x, h: np.array([h[0], h[1] * np.exp(-x[2])
+                               - h[2] * x[1] * np.exp(-x[2]), 0.0]))
+
+
+@pytest.mark.parametrize("rel,expected", [(1e-11, 1), (1e-7, 2)])
+def test_tangent_basis_decides_outside_the_guard_band(rel, expected):
+    x = np.array([0.0, 0.0, -np.log(rel)])
+    assert retract_tangent_basis(squeezed_retraction(), x).dimension == expected
+
+
+def test_tangent_basis_raises_inside_the_guard_band():
+    x = np.array([0.0, 0.0, -np.log(1e-9)])
+    with pytest.raises(AmbiguousRankError):
+        retract_tangent_basis(squeezed_retraction(), x)
 
 
 @pytest.mark.parametrize("s,t,expected", [
