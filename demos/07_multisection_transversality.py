@@ -22,7 +22,7 @@ chart = pert.BundleChart("main", domain, FiniteDimScale(1, max_level=3))
 model = pert.StrongBundleModel([chart])
 
 fold = pert.BundleSection(model, lambda cid, x: np.array([x[0] ** 2]),
-                          dfn=lambda cid, x, h: np.array([2 * x[0] * h[0]]),
+                          jac=lambda cid, x: np.array([[2 * x[0]]]),
                           name="fold")
 aux = pert.AuxiliaryNorm(model,
                          norm_fn=lambda cid, v: float(np.linalg.norm(v)) / 0.04)

@@ -125,14 +125,6 @@ def gauss01(order):
     return pts, wts
 
 
-@functools.lru_cache
-def identity(n):
-    """The n x n identity, whose rows are the unit vectors; cached, so read-only."""
-    eye = np.eye(n)
-    eye.flags.writeable = False
-    return eye
-
-
 def directional_derivative(fn, x, v):
     """Centered difference of fn at x in direction v."""
     x = np.asarray(x, dtype=float)

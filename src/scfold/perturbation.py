@@ -31,12 +31,7 @@ from .errors import (
 )
 from .germs import germ_from_map, solve_germ
 from .retracts import good_position_check
-from .sc_core import (
-    FiniteDimScale,
-    LinearScOperator,
-    PartialQuadrant,
-    fredholm_split,
-)
+from .sc_core import FiniteDimScale, PartialQuadrant, dense_split
 
 FIBER_MATCH_TOL = 1e-9
 SURJECTIVITY_FLOOR = 1e-8
@@ -107,27 +102,30 @@ class BundleSection:
     """Base-to-fiber evaluator with a declared class tag.
 
     tag "sc" maps level m to bi-level (m, m); tag "sc_plus" to (m, m+1).
+    jac(chart_id, x), when given, is the chart Jacobian of fn at x: the
+    fiber_dim x d array.
     """
 
-    def __init__(self, model, fn, tag="sc", dfn=None, name="section"):
+    def __init__(self, model, fn, tag="sc", jac=None, name="section"):
         if tag not in ("sc", "sc_plus"):
             raise ValueError(f"unknown section tag {tag!r}")
         self.model = model
         self.fn = fn
         self.tag = tag
-        self.dfn = dfn
+        self.jac = jac
         self.name = name
 
     def __call__(self, chart_id, base):
         return np.asarray(self.fn(chart_id, np.asarray(base, dtype=float)), dtype=float)
 
     def derivative_matrix(self, chart_id, base, step=_fd.JACOBIAN_STEP):
+        """The fiber_dim x d Jacobian at base: jac's array from one call, or
+        central differences of fn at the given step for a section without a
+        jac."""
+        if self.jac is not None:
+            return self.jac(chart_id, base)
         base = np.asarray(base, dtype=float)
-        chart = self.model.chart(chart_id)
-        out_dim = chart.fiber_dim()
-        if self.dfn is not None:
-            cols = [self.dfn(chart_id, base, e) for e in _fd.identity(base.size)]
-            return np.array(cols, dtype=float).T.reshape(out_dim, base.size)
+        out_dim = self.model.chart(chart_id).fiber_dim()
         return _fd.jacobian(lambda z: self(chart_id, z), base, out_dim, step)
 
     def element(self, chart_id, base, base_level):
@@ -139,7 +137,7 @@ class BundleSection:
 def zero_section(model, tag="sc_plus", name="zero"):
     return BundleSection(
         model, lambda cid, x: np.zeros(model.chart(cid).fiber_dim()),
-        tag=tag, dfn=lambda cid, x, h: np.zeros(model.chart(cid).fiber_dim()),
+        tag=tag, jac=lambda cid, x: np.zeros((model.chart(cid).fiber_dim(), x.size)),
         name=name)
 
 
@@ -317,7 +315,7 @@ def constant_branch_section(model, value, name=None):
     v = np.atleast_1d(np.asarray(value, dtype=float))
     sec = BundleSection(
         model, lambda cid, x: v.copy(), tag="sc_plus",
-        dfn=lambda cid, x, h: np.zeros_like(v),
+        jac=lambda cid, x: np.zeros((v.size, x.size)),
         name=name or f"const{v.tolist()}")
     sec.serial_kind = "constant"
     sec.serial_params = {"value": v.tolist()}
@@ -389,15 +387,16 @@ def multisection_sum(l1, l2):
 
 
 def _combination(model, a, b, wa, wb, name):
-    """One-level-up section wa a + wb b; it has a dfn when a and b have one."""
+    """One-level-up section wa a + wb b; its jac is wa a.jac + wb b.jac when
+    both a and b have a jac, and it has none otherwise."""
     def fn(cid, x):
         return wa * a(cid, x) + wb * b(cid, x)
 
-    def dfn(cid, x, h):
-        return wa * a.dfn(cid, x, h) + wb * b.dfn(cid, x, h)
+    def jac(cid, x):
+        return wa * a.jac(cid, x) + wb * b.jac(cid, x)
 
-    both = a.dfn is not None and b.dfn is not None
-    return BundleSection(model, fn, tag="sc_plus", dfn=dfn if both else None,
+    both = a.jac is not None and b.jac is not None
+    return BundleSection(model, fn, tag="sc_plus", jac=jac if both else None,
                          name=name)
 
 
@@ -721,12 +720,14 @@ class LinearizationSet:
     operators: list  # (branch_index, weight, matrix, ScFredholmData)
 
     def min_surjectivity(self):
+        """Smallest fiber_dim-th singular value over the operators, read from
+        their splits; 0 when an operator has fewer singular values than rows."""
         vals = []
-        for _, _, mat, _ in self.operators:
+        for _, _, mat, data in self.operators:
             if mat.shape[0] == 0:
                 vals.append(np.inf)
                 continue
-            sv = np.linalg.svd(mat, compute_uv=False)
+            sv = data.singular_values
             vals.append(float(sv[mat.shape[0] - 1]) if sv.size >= mat.shape[0] else 0.0)
         return min(vals) if vals else np.inf
 
@@ -750,9 +751,7 @@ def linearization_set(f, l, chart_id, x, alternative=None):
         if chart.fiber_dim() and chart.fiber.norm(v - fx, 0) > FIBER_MATCH_TOL:
             continue
         mat = f.derivative_matrix(chart_id, x) - section.derivative_matrix(chart_id, x)
-        op = LinearScOperator(FiniteDimScale(x.size), FiniteDimScale(mat.shape[0]),
-                              matrix=mat)
-        ops.append((bi, w, mat, fredholm_split(op)))
+        ops.append((bi, w, mat, dense_split(mat)))
     result = LinearizationSet(chart_id, x, ops)
     if alternative is not None:
         other = linearization_set(f, alternative, chart_id, x)
@@ -905,10 +904,7 @@ def perturb_to_transversal(f, cp, epsilon, seed=0):
                 if chart_id2 != cid:
                     continue
                 mat = f.derivative_matrix(cid, np.asarray(p))
-                op = LinearScOperator(FiniteDimScale(mat.shape[1]),
-                                      FiniteDimScale(mat.shape[0]), matrix=mat)
-                data = fredholm_split(op)
-                coker = data.cokernel
+                coker = dense_split(mat).cokernel
                 if coker.shape[1] == 0:
                     coker = np.eye(mat.shape[0])
                 directions.append((np.asarray(p), coker))
@@ -936,13 +932,13 @@ def perturb_to_transversal(f, cp, epsilon, seed=0):
             chi, _, vec = offsets[cid]
             return chi(x) * vec
 
-        def pert_dfn(cid, x, h, offsets=offsets):
+        def pert_jac(cid, x, offsets=offsets):
             if cid not in offsets:
-                return np.zeros(f.model.chart(cid).fiber_dim())
+                return np.zeros((f.model.chart(cid).fiber_dim(), x.size))
             _, grad, vec = offsets[cid]
-            return grad(x).dot(h) * vec
+            return np.outer(vec, grad(x))
 
-        branch = BundleSection(model, pert_fn, tag="sc_plus", dfn=pert_dfn,
+        branch = BundleSection(model, pert_fn, tag="sc_plus", jac=pert_jac,
                                name=f"cokernel-shift-{attempt}")
         tau = Multisection(model, [(branch, Fraction(1))],
                            name=f"transversal-{attempt}")

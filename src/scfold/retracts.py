@@ -141,10 +141,6 @@ class LocalScModel:
     def quadrant(self):
         return self.retraction.quadrant
 
-    @property
-    def scale(self):
-        return self.retraction.scale
-
     def contains(self, coeffs):
         return self.retraction.in_image(coeffs)
 

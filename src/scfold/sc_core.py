@@ -57,9 +57,9 @@ class ScScale:
         level = self.max_level if level is None else level
         return ScVector(self, np.asarray(coeffs, dtype=float), level)
 
-    def zero(self, level=None):
-        level = self.max_level if level is None else level
-        return ScVector(self, np.zeros(self.dim(level)), level)
+    def zero(self):
+        """The zero vector at max_level."""
+        return ScVector(self, np.zeros(self.dim(self.max_level)), self.max_level)
 
     def shifted(self, k):
         """The scale whose level m is this scale's level m+k."""

@@ -165,14 +165,14 @@ def _porkbarrel_bundle():
             return np.zeros(0)
         return np.array([x[1] ** 2 + ramp(x[0]) ** 2])
 
-    def dfn(cid, x, h):
+    def jac(cid, x):
         if cid != "spanned":
-            return np.zeros(0)
+            return np.zeros((0, x.size))
         g = ramp(x[0])
         gp = 2.0 * g * np.sign(x[0] - 0.8) if g > 0 else 0.0
-        return np.array([gp * h[0] + 2 * x[1] * h[1]])
+        return np.array([[gp, 2 * x[1]]])
 
-    section = pert.BundleSection(model, fn, dfn=dfn, name="trough")
+    section = pert.BundleSection(model, fn, jac=jac, name="trough")
     return model, section
 
 
@@ -344,7 +344,7 @@ def _fold_model():
     chart = pert.BundleChart("main", dom, FiniteDimScale(1, max_level=3))
     model = pert.StrongBundleModel([chart], name="fold")
     f = pert.BundleSection(model, lambda cid, x: np.array([x[0] ** 2]),
-                           dfn=lambda cid, x, h: np.array([2 * x[0] * h[0]]),
+                           jac=lambda cid, x: np.array([[2 * x[0]]]),
                            name="fold")
     aux = pert.AuxiliaryNorm(model,
                              norm_fn=lambda cid, v: float(np.linalg.norm(v)) / 0.04)

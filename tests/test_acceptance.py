@@ -270,7 +270,7 @@ def test_criterion_06_multisection_algebra():
             val = float(np.round(rng.uniform(-1, 1), 3))
             sec = pert.BundleSection(
                 model, lambda cid, x, v=val: np.array([v]), tag="sc_plus",
-                dfn=lambda cid, x, h: np.zeros(1), name=f"c{val}")
+                jac=lambda cid, x: np.zeros((1, x.size)), name=f"c{val}")
             branches.append((sec, Fraction(int(raw[i]), total)))
         return pert.Multisection(model, branches)
 
@@ -322,7 +322,7 @@ def test_criterion_07_transversal_perturbation():
     chart = pert.BundleChart("main", dom, FiniteDimScale(1, max_level=3))
     model = pert.StrongBundleModel([chart])
     f = pert.BundleSection(model, lambda cid, x: np.array([x[0] ** 2]),
-                           dfn=lambda cid, x, h: np.array([2 * x[0] * h[0]]),
+                           jac=lambda cid, x: np.array([[2 * x[0]]]),
                            name="fold")
     aux = pert.AuxiliaryNorm(model,
                              norm_fn=lambda cid, v: float(np.linalg.norm(v)) / 0.04)
@@ -453,7 +453,7 @@ def test_criterion_10_pairing_stability():
     chart = pert.BundleChart("main", dom, FiniteDimScale(1, max_level=3))
     model = pert.StrongBundleModel([chart])
     f = pert.BundleSection(model, lambda cid, x: np.array([x[0] ** 2]),
-                           dfn=lambda cid, x, h: np.array([2 * x[0] * h[0]]),
+                           jac=lambda cid, x: np.array([[2 * x[0]]]),
                            name="fold")
     aux = pert.AuxiliaryNorm(model,
                              norm_fn=lambda cid, v: float(np.linalg.norm(v)) / 0.04)
@@ -470,7 +470,7 @@ def test_criterion_10_pairing_stability():
     # degree one: x^3 has weighted count 1 under every small perturbation, so
     # a pairing that loses or doubles a solution shows here (x^2 counts 0)
     g = pert.BundleSection(model, lambda cid, x: np.array([x[0] ** 3]),
-                           dfn=lambda cid, x, h: np.array([3 * x[0] ** 2 * h[0]]),
+                           jac=lambda cid, x: np.array([[3 * x[0] ** 2]]),
                            name="cubic")
     cp_g = pert.control_pair_build(g, aux, margin=0.5, seed=100)
     rep_g = bi.de_rham_pairing(g, cp_g, one, trials=5, seed=100)

@@ -322,7 +322,7 @@ def pairing_fixture():
     chart = BundleChart("main", domain, FiniteDimScale(1, max_level=3))
     model = StrongBundleModel([chart])
     f = BundleSection(model, lambda cid, x: np.array([x[0] ** 2]),
-                      dfn=lambda cid, x, h: np.array([2 * x[0] * h[0]]),
+                      jac=lambda cid, x: np.array([[2 * x[0]]]),
                       name="fold")
     aux = AuxiliaryNorm(model, norm_fn=lambda cid, v: float(np.linalg.norm(v)) / 0.04)
     cp = control_pair_build(f, aux, margin=0.5, seed=30)
@@ -364,7 +364,7 @@ def test_pairing_index_one_circle():
     model = StrongBundleModel([chart])
     f = BundleSection(model,
                       lambda cid, x: np.array([x[0] ** 2 + x[1] ** 2 - 1.0]),
-                      dfn=lambda cid, x, h: np.array([2 * x[0] * h[0] + 2 * x[1] * h[1]]),
+                      jac=lambda cid, x: np.array([[2 * x[0], 2 * x[1]]]),
                       name="circle")
     aux = AuxiliaryNorm(model, norm_fn=lambda cid, v: float(np.linalg.norm(v)) / 0.2)
     cp = control_pair_build(f, aux, margin=0.6, seed=50)

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,10 @@ from scfold.perturbation import (
     AuxiliaryNorm,
     BundleChart,
     BundleSection,
+    ControlPair,
+    ControlRegion,
     Multisection,
+    SolutionBranch,
     StrongBundleModel,
     _corrector,
     _gauss_newton,
@@ -51,14 +55,14 @@ def fold_section(model):
     """f(x) = x^2: degenerate at the origin, index zero."""
     return BundleSection(
         model, lambda cid, x: np.array([x[0] ** 2]),
-        dfn=lambda cid, x, h: np.array([2 * x[0] * h[0]]), name="fold")
+        jac=lambda cid, x: np.array([[2 * x[0]]]), name="fold")
 
 
 def const_branch(model, value, name="shift"):
     v = np.atleast_1d(np.asarray(value, dtype=float))
     return BundleSection(
         model, lambda cid, x: v.copy(), tag="sc_plus",
-        dfn=lambda cid, x, h: np.zeros_like(v), name=name)
+        jac=lambda cid, x: np.zeros((v.size, x.size)), name=name)
 
 
 def scaled_aux(model, scale=0.04):
@@ -375,7 +379,7 @@ def test_control_pair_escaping_zero_set_fails():
 def test_solution_set_zero_section_is_zero_set():
     model = finite_model()
     f = BundleSection(model, lambda cid, x: np.array([x[0] ** 2 - 0.25]),
-                      dfn=lambda cid, x, h: np.array([2 * x[0] * h[0]]))
+                      jac=lambda cid, x: np.array([[2 * x[0]]]))
     sols = solution_set(f, Multisection.zero(model), seed=5)
     pts = sorted(p[0] for b in sols for p in b.points)
     assert len(pts) == 2
@@ -388,7 +392,7 @@ def test_solution_set_two_branch_parallel_lines():
     # linear surjective map on the plane, two constant branches
     model = finite_model(base_dim=2, fiber_dim=1, radius=1.5)
     f = BundleSection(model, lambda cid, x: np.array([x[0] + x[1]]),
-                      dfn=lambda cid, x, h: np.array([h[0] + h[1]]))
+                      jac=lambda cid, x: np.array([[1.0, 1.0]]))
     lam = Multisection(model, [(const_branch(model, [0.4]), Fraction(1, 2)),
                                (const_branch(model, [-0.4]), Fraction(1, 2))])
     sols = solution_set(f, lam, seed=6)
@@ -404,7 +408,7 @@ def test_solution_set_two_branch_parallel_lines():
 def test_solution_set_branch_without_solutions_contributes_nothing():
     model = finite_model()
     f = BundleSection(model, lambda cid, x: np.array([x[0] ** 2]),
-                      dfn=lambda cid, x, h: np.array([2 * x[0] * h[0]]))
+                      jac=lambda cid, x: np.array([[2 * x[0]]]))
     lam = Multisection(model, [(const_branch(model, [-0.5]), Fraction(1))])
     sols = solution_set(f, lam, seed=7)
     assert sols == []
@@ -635,7 +639,7 @@ def test_solution_set_work_guard():
     # above 3,988 evaluations (failed solves stop at their first non-finite
     # residual, one evaluation per corrector point) and below 14,121 (failed
     # solves run to max_iter, accepted corrector points evaluated twice).
-    # Since the corrector steps with the section's dfn it takes 1,252.
+    # Since the corrector steps with the section's jac it takes 1,252.
     model, section = _porkbarrel_bundle()
     fn = section.fn
     calls = [0]
@@ -652,10 +656,10 @@ def test_solution_set_work_guard():
 
 
 def _counting(*sections):
-    """Wrap the sections' fn and dfn; returns the list their calls append to."""
+    """Wrap the sections' fn and jac; returns the list their calls append to."""
     calls = []
     for section in sections:
-        for attr in ("fn", "dfn"):
+        for attr in ("fn", "jac"):
             inner = getattr(section, attr)
             if inner is not None:
                 def counted(*args, inner=inner, attr=attr):
@@ -668,7 +672,7 @@ def _counting(*sections):
 
 def line_section(model):
     return BundleSection(model, lambda cid, x: np.array([x[0] + x[1]]),
-                         dfn=lambda cid, x, h: np.array([h[0] + h[1]]),
+                         jac=lambda cid, x: np.array([[1.0, 1.0]]),
                          name="line")
 
 
@@ -696,7 +700,7 @@ def test_solution_set_recomputes_when_an_argument_changes(change):
     lam = Multisection.zero(model)
     first = solution_set(f, lam, **MEMO_ARGS)
     if change == "f":
-        g, args = BundleSection(model, f.fn, dfn=f.dfn), MEMO_ARGS
+        g, args = BundleSection(model, f.fn, jac=f.jac), MEMO_ARGS
     else:
         g, args = f, {**MEMO_ARGS, **change}
     calls = _counting(g)
@@ -769,7 +773,7 @@ def test_index_zero_solution_set_makes_no_germ_solve(monkeypatch):
 def test_linearization_single_zero_branch():
     model = finite_model()
     f = BundleSection(model, lambda cid, x: np.array([x[0] ** 2 - 0.25]),
-                      dfn=lambda cid, x, h: np.array([2 * x[0] * h[0]]))
+                      jac=lambda cid, x: np.array([[2 * x[0]]]))
     lam = Multisection.zero(model)
     lset = linearization_set(f, lam, "main", np.array([0.5]))
     assert len(lset.operators) == 1
@@ -809,7 +813,7 @@ def test_linearization_not_a_solution():
 def test_transversal_surjective_linear():
     model = finite_model(base_dim=2, fiber_dim=1)
     f = BundleSection(model, lambda cid, x: np.array([x[0] + 2 * x[1]]),
-                      dfn=lambda cid, x, h: np.array([h[0] + 2 * h[1]]))
+                      jac=lambda cid, x: np.array([[1.0, 2.0]]))
     lam = Multisection.zero(model)
     sols = solution_set(f, lam, seed=8)
     rep = transversal_check(f, lam, sols)
@@ -833,7 +837,7 @@ def test_transversal_boundary_good_position():
     # kernel along the diagonal is in good position; along a face it is not
     model_ok = finite_model(base_dim=2, fiber_dim=1, quadrant=(0, 1))
     f_ok = BundleSection(model_ok, lambda cid, x: np.array([x[0] - x[1]]),
-                         dfn=lambda cid, x, h: np.array([h[0] - h[1]]))
+                         jac=lambda cid, x: np.array([[1.0, -1.0]]))
     lam = Multisection.zero(model_ok)
     sols = [b for b in solution_set(f_ok, lam, seed=10)]
     corner = [b for b in sols if any(np.linalg.norm(p) < 1e-6 for p in b.points)]
@@ -842,7 +846,7 @@ def test_transversal_boundary_good_position():
 
     model_bad = finite_model(base_dim=2, fiber_dim=1, quadrant=(0, 1))
     f_bad = BundleSection(model_bad, lambda cid, x: np.array([x[1]]),
-                          dfn=lambda cid, x, h: np.array([h[1]]))
+                          jac=lambda cid, x: np.array([[0.0, 1.0]]))
     lam_bad = Multisection.zero(model_bad)
     sols_bad = solution_set(f_bad, lam_bad, seed=11)
     rep_bad = transversal_check(f_bad, lam_bad, sols_bad, boundary=True)
@@ -855,7 +859,7 @@ def test_transversal_boundary_good_position():
 def test_perturb_already_transversal_returns_zero():
     model = finite_model()
     f = BundleSection(model, lambda cid, x: np.array([x[0] - 0.2]),
-                      dfn=lambda cid, x, h: np.array([h[0]]))
+                      jac=lambda cid, x: np.array([[1.0]]))
     aux = scaled_aux(model)
     cp = control_pair_build(f, aux, margin=0.5, seed=12)
     tau = perturb_to_transversal(f, cp, 0.1, seed=12)
@@ -919,22 +923,60 @@ def test_cobordism_support_violation_refused():
 def test_weighted_count_signs():
     model = finite_model()
     f = BundleSection(model, lambda cid, x: np.array([x[0] ** 2 - 0.25]),
-                      dfn=lambda cid, x, h: np.array([2 * x[0] * h[0]]))
+                      jac=lambda cid, x: np.array([[2 * x[0]]]))
     lam = Multisection.zero(model)
     sols = solution_set(f, lam, seed=18)
     count = weighted_count(f, sols, lam)
     assert count == Fraction(0)  # +1 at x=1/2, -1 at x=-1/2
 
     g = BundleSection(model, lambda cid, x: np.array([x[0] - 0.3]),
-                      dfn=lambda cid, x, h: np.array([h[0]]))
+                      jac=lambda cid, x: np.array([[1.0]]))
     sols_g = solution_set(g, lam, seed=19)
     assert weighted_count(g, sols_g, lam) == Fraction(1)
 
 
+# ------------------------------------------------------------ raising guards
+
+@pytest.mark.parametrize("error, message, call", [
+    pytest.param(UnchartedPointError, "no chart named 'elsewhere'",
+                 lambda model: model.chart("elsewhere"), id="unknown-chart"),
+    pytest.param(ValueError, "unknown section tag 'sc_minus'",
+                 lambda model: BundleSection(model, None, tag="sc_minus"),
+                 id="unknown-tag"),
+    pytest.param(ValueError, "weights must be positive rationals",
+                 lambda model: Multisection(model, [(zero_section(model), 0)]),
+                 id="zero-weight"),
+    pytest.param(ValueError, "multisection branches must be one-level-up sections",
+                 lambda model: Multisection(model, [(fold_section(model), 1)]),
+                 id="plain-branch"),
+    pytest.param(ValueError, "multisections live on different bundle models",
+                 lambda model: multisection_sum(Multisection.zero(model),
+                                                Multisection.zero(finite_model())),
+                 id="sum-across-models"),
+    pytest.param(ValueError, "the norm budget must lie in (0, 1)",
+                 lambda model: perturb_to_transversal(fold_section(model), None, 1.0),
+                 id="budget-outside"),
+    pytest.param(ValueError, "control pair is not certified",
+                 lambda model: perturb_to_transversal(
+                     fold_section(model),
+                     ControlPair(ControlRegion({}), scaled_aux(model),
+                                 {"certified": False}), 0.1),
+                 id="uncertified-pair"),
+    pytest.param(ValueError, "weighted counts need index-zero branches",
+                 lambda model: weighted_count(
+                     fold_section(model),
+                     [SolutionBranch("main", 0, Fraction(1), [np.zeros(1)], 1)]),
+                 id="positive-index-count"),
+])
+def test_guard_raises(error, message, call):
+    with pytest.raises(error, match=re.escape(message)):
+        call(finite_model())
+
+
 # ------------------------------------------- derivatives of built sections
 
-def assert_dfn_matches_differences(section, cid, points):
-    assert section.dfn is not None
+def assert_jac_matches_differences(section, cid, points):
+    assert section.jac is not None
     out_dim = section.model.chart(cid).fiber_dim()
     for x in points:
         analytic = section.derivative_matrix(cid, x)
@@ -985,7 +1027,7 @@ def test_cokernel_shift_derivative(bundle):
     points = [p for center, r in cp.region.balls[cid]
               for p in seeded_points(center, r)]
     assert any(np.abs(shift.derivative_matrix(cid, p)).max() > 0 for p in points)
-    assert_dfn_matches_differences(shift, cid, points)
+    assert_jac_matches_differences(shift, cid, points)
     if bundle == "porkbarrel":  # no offset on the empty-fiber chart
         assert shift.derivative_matrix("collapsed", np.array([-0.6])).shape == (0, 1)
 
@@ -1009,7 +1051,7 @@ def test_interpolated_family_derivative(monkeypatch):
     assert len(family) == 5
     for tau_t in family:
         for section, _ in tau_t.branches:
-            assert_dfn_matches_differences(section, "main",
+            assert_jac_matches_differences(section, "main",
                                            seeded_points([0.0], 1.2))
 
 
@@ -1023,19 +1065,37 @@ def test_convolution_sum_derivative():
     total = multisection_sum(tau, shifts)
     assert len(total.branches) == 2
     for section, _ in total.branches:
-        assert_dfn_matches_differences(section, "main", seeded_points([0.0], 1.2))
+        assert_jac_matches_differences(section, "main", seeded_points([0.0], 1.2))
     opaque = Multisection(model, [(BundleSection(
         model, lambda cid, x: np.array([0.1]), tag="sc_plus"), Fraction(1))])
-    assert multisection_sum(tau, opaque).branches[0][0].dfn is None
+    assert multisection_sum(tau, opaque).branches[0][0].jac is None
 
 
 def test_zero_and_constant_section_derivatives():
     model = finite_model(base_dim=2, fiber_dim=3)
     for section in (zero_section(model),
                     perturbation.constant_branch_section(model, [0.1, -2.0, 3.0])):
-        assert_dfn_matches_differences(section, "main",
+        assert_jac_matches_differences(section, "main",
                                        seeded_points([0.0, 0.0], 1.2))
         assert section.derivative_matrix("main", np.ones(2)).shape == (3, 2)
+
+
+def test_derivative_matrix_is_one_jac_call():
+    model = finite_model(base_dim=2, fiber_dim=3)
+    matrix = np.arange(6.0).reshape(3, 2)
+    calls = []
+
+    def fn(cid, x):
+        calls.append("fn")
+        return np.zeros(3)
+
+    def jac(cid, x):
+        calls.append("jac")
+        return matrix
+
+    section = BundleSection(model, fn, jac=jac)
+    assert section.derivative_matrix("main", np.array([0.3, -0.4])) is matrix
+    assert calls == ["jac"]
 
 
 def test_failed_curve_samples_are_counted():
