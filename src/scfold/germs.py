@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _fd
 from .errors import NonConvergenceError, NotInQuadrantError
-from .sc_core import FiniteDimScale, PartialQuadrant, degeneracy_index, dense_split
+from .sc_core import FiniteDimScale, PartialQuadrant, degeneracy_index, fredholm_split
 
 GERM_ORIGIN_TOL = 1e-12
 # relative singular-value cutoff of the kernels compared in filling_verify
@@ -317,10 +317,10 @@ def filling_verify(fd, x, seed=0):
 
     p_cols = [r.derivative(x, e) for e in np.eye(d)]
     p = np.array(p_cols).T
-    ker_r = dense_split(p, rcond=FILLING_RANK_CUTOFF).kernel
+    ker_r = fredholm_split(p, rcond=FILLING_RANK_CUTOFF).kernel
     phi_cols = [np.asarray(fd.phi(x, e), dtype=float) for e in np.eye(fiber_dim)]
     phi_mat = np.array(phi_cols).T
-    ker_phi = dense_split(phi_mat, rcond=FILLING_RANK_CUTOFF).kernel
+    ker_phi = fredholm_split(phi_mat, rcond=FILLING_RANK_CUTOFF).kernel
     lin_cols = [
         _fd.directional_derivative(fd.gap, x, ker_r[:, j])
         for j in range(ker_r.shape[1])
@@ -393,21 +393,21 @@ def local_solution_manifold(germ, kernel_dim=None, samples_per_dim=9):
         kernel = np.eye(n)
         base_sv = np.inf
     else:
-        jac = _fd.jacobian(reduced, np.zeros(n), N, _fd.JACOBIAN_STEP)
-        sv = np.linalg.svd(jac, compute_uv=False)
+        split = fredholm_split(_fd.jacobian(reduced, np.zeros(n), N, _fd.JACOBIAN_STEP))
+        sv = split.singular_values
         base_sv = float(sv[N - 1]) if sv.size >= N else 0.0
         if base_sv <= 1e-8:
             raise NonConvergenceError(
                 f"linearization not surjective at the base point "
                 f"(smallest residue singular value {base_sv:g})"
             )
-        kernel = dense_split(jac).kernel
+        kernel = split.kernel
     k_dim = kernel.shape[1]
     if kernel_dim is not None and kernel_dim != k_dim:
         raise ValueError(f"expected kernel dimension {kernel_dim}, got {k_dim}")
 
     quadrant = germ.base_quadrant()
-    complement = dense_split(kernel.T).kernel if N else np.zeros((n, 0))
+    complement = fredholm_split(kernel.T).kernel if N else np.zeros((n, 0))
     grids = [np.linspace(-0.3, 0.3, samples_per_dim)] * k_dim
     mesh = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, k_dim) \
         if k_dim else np.zeros((1, 0))
@@ -472,14 +472,15 @@ class PointGerm:
 def germ_from_map(fn, x0, out_dim, radius=1.0):
     """Normal form of a finite-dimensional map near a point.
 
-    Splits coordinates along the kernel and row space of the derivative
-    (dense_split at RANK_CUTOFF); the fixed-point part becomes a contraction near the point and the
-    cokernel component becomes the finite residue block. Solving the
-    fixed-point equation implements a quasi-Newton corrector whose fixed
-    points are the zeros of the image component.
+    Splits coordinates along the kernel and row space of the derivative, one
+    fredholm_split of its matrix at RANK_CUTOFF, whose singular values also
+    scale the image block; the fixed-point part becomes a contraction near the
+    point and the cokernel component becomes the finite residue block.
+    Solving the fixed-point equation implements a quasi-Newton corrector whose
+    fixed points are the zeros of the image component.
     """
     x0 = np.asarray(x0, dtype=float)
-    split = dense_split(_fd.jacobian(fn, x0, out_dim, _fd.JACOBIAN_STEP))
+    split = fredholm_split(_fd.jacobian(fn, x0, out_dim, _fd.JACOBIAN_STEP))
     kernel, row, image, coker = split.kernel, split.complement, split.image, split.cokernel
     r = image.shape[1]
     sigma = split.singular_values[:r]

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .germs import germ_from_map, solve_germ
 from .retracts import good_position_check
-from .sc_core import FiniteDimScale, PartialQuadrant, dense_split
+from .sc_core import FiniteDimScale, PartialQuadrant, fredholm_split
 
 FIBER_MATCH_TOL = 1e-9
 SURJECTIVITY_FLOOR = 1e-8
@@ -733,25 +733,26 @@ class LinearizationSet:
 
 
 def linearization_set(f, l, chart_id, x, alternative=None):
-    """Operators (f - s_i)'(x) over the active branches at a solution.
+    """Operators (f - s_i)'(x) over the active branches at a solution, each
+    with its fredholm_split; NotASolutionError when no branch is active.
 
     When an alternative local section structure is supplied the two operator
     sets must coincide up to permutation, entrywise within 1e-10.
     """
     chart = f.model.chart(chart_id)
     x = np.asarray(x, dtype=float)
+    if not chart.domain.contains(x, 0):
+        raise UnchartedPointError("base point outside the chart domain")
     fx = f(chart_id, x)
-    elem = f.model.element(chart_id, x, chart.base_scale.max_level, fx,
-                           chart.base_scale.max_level)
-    if l.eval(elem) <= 0:
-        raise NotASolutionError("the multisection vanishes on the section value here")
     ops = []
     for bi, (section, w) in enumerate(l.branches):
         v = section(chart_id, x)
         if chart.fiber_dim() and chart.fiber.norm(v - fx, 0) > FIBER_MATCH_TOL:
             continue
         mat = f.derivative_matrix(chart_id, x) - section.derivative_matrix(chart_id, x)
-        ops.append((bi, w, mat, dense_split(mat)))
+        ops.append((bi, w, mat, fredholm_split(mat)))
+    if not ops:
+        raise NotASolutionError("the multisection vanishes on the section value here")
     result = LinearizationSet(chart_id, x, ops)
     if alternative is not None:
         other = linearization_set(f, alternative, chart_id, x)
@@ -899,18 +900,15 @@ def perturb_to_transversal(f, cp, epsilon, seed=0):
         for cid, chart in model.charts.items():
             if chart.fiber_dim() == 0:
                 continue
-            directions = []
-            for chart_id2, p, bi, why in worst.failures:
-                if chart_id2 != cid:
-                    continue
-                mat = f.derivative_matrix(cid, np.asarray(p))
-                coker = dense_split(mat).cokernel
-                if coker.shape[1] == 0:
-                    coker = np.eye(mat.shape[0])
-                directions.append((np.asarray(p), coker))
-            if not directions:
+            # the chart's first failing point aims the bump; only it is split
+            p0 = next((np.asarray(p) for chart_id2, p, _, _ in worst.failures
+                       if chart_id2 == cid), None)
+            if p0 is None:
                 continue
-            p0, coker = directions[0]
+            mat = f.derivative_matrix(cid, p0)
+            coker = fredholm_split(mat).cokernel
+            if coker.shape[1] == 0:
+                coker = np.eye(mat.shape[0])
             coeff = rng.uniform(0.3, 1.0, coker.shape[1]) * rng.choice([-1.0, 1.0])
             vec = coker @ coeff
             balls = cp.region.balls.get(cid, [])

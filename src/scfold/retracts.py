@@ -26,8 +26,8 @@ from .sc_core import (
     PartialQuadrant,
     WeightedGridScale,
     degeneracy_index,
-    dense_split,
     direct_sum,
+    fredholm_split,
 )
 
 MEMBERSHIP_TOL = 1e-9
@@ -173,9 +173,7 @@ def splicing_to_retraction(sp, parameter_samples=None, fiber_samples=None, name=
             dv, de = h[:pdim], h[pdim:]
             return np.concatenate([dv, sp.dproject(v, e, dv, de)])
 
-    r = Retraction(dom, fn, dfn, name=name)
-    r.parameter_dim = pdim
-    return r
+    return Retraction(dom, fn, dfn, name=name)
 
 
 def _poly_bump(t):
@@ -280,9 +278,7 @@ def bump_splicing(scale, beta=None, dbeta=None, support_radius=1.0):
         dproject=dproject,
         meta={"kind": "bump", "support_radius": support_radius},
     )
-    sp.profile = profile
     sp.f_s = f_s
-    sp.df_ds = df_ds
     sp.min_parameter = 1.0 / np.log(scale.R - support_radius)
     return sp
 
@@ -396,7 +392,7 @@ def neatness_check(model, x, seed=0):
         _, _, piv = _fd_qr_pivots(z)
         complement = w_basis[:, piv[:need]]
         stacked = np.concatenate([n_basis, complement], axis=1)
-        complement_ok = dense_split(stacked).image.shape[1] == d
+        complement_ok = fredholm_split(stacked).image.shape[1] == d
     details["complement_dim"] = complement.shape[1]
 
     d_x = model.degeneracy(x)

@@ -7,6 +7,9 @@ grid-discretized function scales on a truncation window [-R, R] whose level-m
 norm combines derivatives up to the level's order, each weighted by
 exp(delta_m |s|). A periodic circle backend hosts loop-space demos. Sums and
 index shifts of scales are first-class so tangent constructions can reuse them.
+Linear maps are plain matrices: fredholm_split gives the kernel, complement,
+image and cokernel of one from a single SVD, and lowrank_split the kernel and
+cokernel of an identity-plus-finite-rank grid operator I + U V' given as (U, V).
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import numpy as np
 
 from . import _fd
 from .errors import (
-    BackendUnsupportedError,
     ConfigError,
     LevelRangeError,
     NotInQuadrantError,
@@ -536,43 +538,6 @@ def embedding_report(scale, m, sample_count=64, seed=0):
     return EmbeddingReport(scale, m, c, max_ratio, ratios, tail_profile, violation)
 
 
-class LinearScOperator:
-    """Level-wise bounded linear operator between scales.
-
-    Finite-dimensional backends store one matrix applied at every level. Grid
-    backends may instead carry an identity-plus-finite-rank structure
-    T = I + U V', the only grid form whose splitting is computed here.
-    """
-
-    def __init__(self, source, target, matrix=None, lowrank=None):
-        if matrix is None and lowrank is None:
-            raise ValueError("need a matrix or a lowrank (U, V) pair")
-        self.source = source
-        self.target = target
-        self.matrix = None if matrix is None else np.asarray(matrix, dtype=float)
-        self.lowrank = None
-        if lowrank is not None:
-            u, v = lowrank
-            self.lowrank = (np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-
-    def apply(self, coeffs):
-        coeffs = np.asarray(coeffs, dtype=float)
-        if self.matrix is not None:
-            return self.matrix @ coeffs
-        u, v = self.lowrank
-        return coeffs + u @ (v.T @ coeffs)
-
-    def __call__(self, coeffs):
-        return self.apply(coeffs)
-
-    def dense(self):
-        if self.matrix is not None:
-            return self.matrix
-        u, v = self.lowrank
-        n = u.shape[0]
-        return np.eye(n) + u @ v.T
-
-
 @dataclass
 class ScFredholmData:
     """Kernel/complement/image/cokernel bases with the resulting index."""
@@ -583,7 +548,6 @@ class ScFredholmData:
     cokernel: np.ndarray
     index: int
     singular_values: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    cutoff: float = 0.0
 
     @property
     def kernel_dim(self):
@@ -597,13 +561,12 @@ class ScFredholmData:
 RANK_CUTOFF = 1e-10
 
 
-def dense_split(a, rcond=RANK_CUTOFF):
+def fredholm_split(a, rcond=RANK_CUTOFF):
     """Kernel, complement (row space), image and cokernel of a dense matrix
     from one SVD.
 
     The rank counts the singular values above rcond times the largest one, or
-    above rcond itself when the matrix is zero or empty; that cutoff is
-    recorded in the result.
+    above rcond itself when the matrix is zero or empty.
     """
     nt, ns = a.shape
     u, s, vt = np.linalg.svd(a) if a.size else (np.eye(nt), np.zeros(0), np.eye(ns))
@@ -611,49 +574,43 @@ def dense_split(a, rcond=RANK_CUTOFF):
     r = int(np.sum(s > cutoff))
     return ScFredholmData(
         vt[r:].T, vt[:r].T, u[:, :r], u[:, r:],
-        index=(ns - r) - (nt - r), singular_values=s, cutoff=cutoff,
+        index=(ns - r) - (nt - r), singular_values=s,
     )
 
 
-def fredholm_split(op):
-    """Kernel, complement, image and cokernel of a linear operator.
+def lowrank_split(u, v):
+    """Kernel, cokernel and index of T = I + U V' on a grid, from one SVD of
+    the r x r core I + V'U; the complement and image are left empty.
 
-    Supported inputs: any finite-dimensional matrix backend, or a grid operator
-    in identity-plus-finite-rank form. Rank decisions use a relative
-    singular-value cutoff of RANK_CUTOFF recorded in the result.
+    Rank decisions use a cutoff of RANK_CUTOFF times max(largest core
+    singular value, 1).
     """
-    if op.matrix is not None:
-        return dense_split(op.matrix)
-    if op.lowrank is not None:
-        u, v = op.lowrank
-        r = u.shape[1]
-        core = np.eye(r) + v.T @ u
-        cu, cs, cvt = np.linalg.svd(core)
-        cutoff = RANK_CUTOFF * max(cs[0], 1.0)
-        rk = int(np.sum(cs > cutoff))
-        # kernel of I + U V' lives in the span of U: x = U a with core a = 0
-        ker_a = cvt[rk:].T
-        kernel, _ = _fd.orthonormal_columns(u @ ker_a, rank=ker_a.shape[1]) if ker_a.size else (np.zeros((u.shape[0], 0)), None)
-        # cokernel: kernel of the adjoint I + V U', x = V b with core' b = 0,
-        # so b runs over the left null vectors of core
-        cok_a = cu[:, rk:]
-        cokernel, _ = _fd.orthonormal_columns(v @ cok_a, rank=cok_a.shape[1]) if cok_a.size else (np.zeros((v.shape[0], 0)), None)
-        n = u.shape[0]
-        return ScFredholmData(
-            kernel, np.zeros((n, 0)), np.zeros((n, 0)), cokernel,
-            index=kernel.shape[1] - cokernel.shape[1],
-            singular_values=cs, cutoff=cutoff,
-        )
-    raise BackendUnsupportedError(
-        "splitting needs a dense matrix or identity-plus-finite-rank structure"
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    r = u.shape[1]
+    core = np.eye(r) + v.T @ u
+    cu, cs, cvt = np.linalg.svd(core)
+    cutoff = RANK_CUTOFF * max(cs[0], 1.0)
+    rk = int(np.sum(cs > cutoff))
+    # kernel of I + U V' lives in the span of U: x = U a with core a = 0
+    ker_a = cvt[rk:].T
+    kernel, _ = _fd.orthonormal_columns(u @ ker_a, rank=ker_a.shape[1]) if ker_a.size else (np.zeros((u.shape[0], 0)), None)
+    # cokernel: kernel of the adjoint I + V U', x = V b with core' b = 0,
+    # so b runs over the left null vectors of core
+    cok_a = cu[:, rk:]
+    cokernel, _ = _fd.orthonormal_columns(v @ cok_a, rank=cok_a.shape[1]) if cok_a.size else (np.zeros((v.shape[0], 0)), None)
+    n = u.shape[0]
+    return ScFredholmData(
+        kernel, np.zeros((n, 0)), np.zeros((n, 0)), cokernel,
+        index=kernel.shape[1] - cokernel.shape[1],
+        singular_values=cs,
     )
 
 
-def reconstruction_residual(op, split, seed=0):
-    """Residual of T = (T restricted to the complement) composed with the
+def reconstruction_residual(a, split, seed=0):
+    """Residual of A = (A restricted to the complement) composed with the
     projection along the kernel, evaluated on 16 random samples."""
     rng = np.random.default_rng(seed)
-    a = op.dense()
     k = split.kernel
     worst = 0.0
     for _ in range(16):

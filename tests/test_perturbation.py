@@ -808,6 +808,17 @@ def test_linearization_not_a_solution():
         linearization_set(f, lam, "main", np.array([0.5]))
 
 
+def test_linearization_evaluates_each_branch_section_once():
+    model = finite_model()
+    f = fold_section(model)
+    hit, miss = const_branch(model, [0.25]), const_branch(model, [0.3])
+    lam = Multisection(model, [(hit, Fraction(1, 2)), (miss, Fraction(1, 2))])
+    hit_calls, miss_calls = _counting(hit), _counting(miss)
+    linearization_set(f, lam, "main", np.array([0.5]))
+    assert hit_calls == ["fn", "jac"]
+    assert miss_calls == ["fn"]
+
+
 # ---------------------------------------------------------- transversal_check
 
 def test_transversal_surjective_linear():
@@ -967,6 +978,10 @@ def test_weighted_count_signs():
                      fold_section(model),
                      [SolutionBranch("main", 0, Fraction(1), [np.zeros(1)], 1)]),
                  id="positive-index-count"),
+    pytest.param(UnchartedPointError, "base point outside the chart domain",
+                 lambda model: linearization_set(fold_section(model), Multisection.zero(model),
+                                                 "main", np.array([5.0])),
+                 id="linearization-off-chart"),
 ])
 def test_guard_raises(error, message, call):
     with pytest.raises(error, match=re.escape(message)):

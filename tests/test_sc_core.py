@@ -1,3 +1,6 @@
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,24 +12,36 @@ from scfold import sc_core
 from scfold.errors import (
     ConfigError,
     LevelRangeError,
-    BackendUnsupportedError,
     NotInQuadrantError,
 )
-from scfold.germs import FILLING_RANK_CUTOFF
+from scfold.germs import (
+    FILLING_RANK_CUTOFF,
+    BasicGerm,
+    germ_from_map,
+    local_solution_manifold,
+)
+from scfold.perturbation import (
+    BundleChart,
+    BundleSection,
+    Multisection,
+    StrongBundleModel,
+    linearization_set,
+)
+from scfold.retracts import LocalScModel, Retraction, neatness_check
+from scfold.sc_calculus import ScDomain
 from scfold.sc_core import (
     CircleGridScale,
     FiniteDimScale,
-    LinearScOperator,
     PartialQuadrant,
     RANK_CUTOFF,
     SumScale,
     WeightedGridScale,
     degeneracy_index,
-    dense_split,
     direct_sum,
     embedding_report,
     fredholm_split,
     level_norm,
+    lowrank_split,
     reconstruction_residual,
     scale_from_config,
 )
@@ -241,18 +256,14 @@ def elimination_rank(a, tol=1e-10):
 
 
 def test_fredholm_identity():
-    scale = FiniteDimScale(5)
-    op = LinearScOperator(scale, scale, matrix=np.eye(5))
-    data = fredholm_split(op)
+    data = fredholm_split(np.eye(5))
     assert data.kernel_dim == 0
     assert data.cokernel_dim == 0
     assert data.index == 0
 
 
 def test_fredholm_zero_operator():
-    src, tgt = FiniteDimScale(3), FiniteDimScale(2)
-    op = LinearScOperator(src, tgt, matrix=np.zeros((2, 3)))
-    data = fredholm_split(op)
+    data = fredholm_split(np.zeros((2, 3)))
     assert data.kernel_dim == 3
     assert data.cokernel_dim == 2
     assert data.index == 1
@@ -262,12 +273,11 @@ def test_fredholm_random_rank2():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((3, 2)) @ rng.standard_normal((2, 4))
     assert elimination_rank(a) == 2  # oracle fixes the rank first
-    op = LinearScOperator(FiniteDimScale(4), FiniteDimScale(3), matrix=a)
-    data = fredholm_split(op)
+    data = fredholm_split(a)
     assert data.kernel_dim == 2
     assert data.cokernel_dim == 1
     assert data.index == 1
-    assert reconstruction_residual(op, data, seed=1) < 1e-10
+    assert reconstruction_residual(a, data, seed=1) < 1e-10
 
 
 def test_fredholm_index_vs_elimination_oracle_randomized():
@@ -276,8 +286,7 @@ def test_fredholm_index_vs_elimination_oracle_randomized():
         nt, ns = rng.integers(1, 6, size=2)
         r = int(rng.integers(0, min(nt, ns) + 1))
         a = rng.standard_normal((nt, r)) @ rng.standard_normal((r, ns)) if r else np.zeros((nt, ns))
-        op = LinearScOperator(FiniteDimScale(ns), FiniteDimScale(nt), matrix=a)
-        data = fredholm_split(op)
+        data = fredholm_split(a)
         rank = elimination_rank(a)
         assert data.kernel_dim == ns - rank
         assert data.cokernel_dim == nt - rank
@@ -288,18 +297,17 @@ def test_fredholm_index_vs_elimination_oracle_randomized():
 @given(nt=st.integers(0, 7), ns=st.integers(0, 7), seed=st.integers(0, 2 ** 32 - 1))
 def test_fredholm_split_index_is_dimension_difference(nt, ns, seed):
     a = np.random.default_rng(seed).standard_normal((nt, ns))
-    op = LinearScOperator(FiniteDimScale(ns), FiniteDimScale(nt), matrix=a)
-    data = fredholm_split(op)
+    data = fredholm_split(a)
     assert data.index == ns - nt
     assert data.kernel_dim - data.cokernel_dim == ns - nt
 
 
-def test_dense_split_rank_cutoffs():
+def test_fredholm_split_rank_cutoffs():
     a = np.diag([1.0, 1e-9])
-    assert dense_split(a, rcond=FILLING_RANK_CUTOFF).image.shape[1] == 1
-    assert dense_split(a, rcond=RANK_CUTOFF).image.shape[1] == 2
+    assert fredholm_split(a, rcond=FILLING_RANK_CUTOFF).image.shape[1] == 1
+    assert fredholm_split(a, rcond=RANK_CUTOFF).image.shape[1] == 2
     for a in (np.zeros((2, 3)), np.zeros((0, 4))):
-        data = dense_split(a)
+        data = fredholm_split(a)
         assert data.image.shape[1] == 0
         assert data.kernel_dim == a.shape[1]
         assert data.cokernel_dim == a.shape[0]
@@ -311,8 +319,7 @@ def test_fredholm_grid_lowrank():
     rng = np.random.default_rng(0)
     u = rng.standard_normal((n, 2)) * 0.1
     v = rng.standard_normal((n, 2)) * 0.1
-    op = LinearScOperator(scale, scale, lowrank=(u, v))
-    data = fredholm_split(op)
+    data = lowrank_split(u, v)
     assert data.index == 0
     # generic small perturbation of the identity is invertible
     assert data.kernel_dim == 0 and data.cokernel_dim == 0
@@ -325,12 +332,12 @@ def test_fredholm_grid_lowrank_with_kernel():
     u[3, 0] = 1.0
     v = np.zeros((n, 1))
     v[3, 0] = -1.0  # I + u v' kills the coordinate 3 direction
-    op = LinearScOperator(scale, scale, lowrank=(u, v))
-    data = fredholm_split(op)
+    data = lowrank_split(u, v)
     assert data.kernel_dim == 1
     assert data.cokernel_dim == 1
     assert data.index == 0
-    assert np.linalg.norm(op.apply(data.kernel[:, 0])) < 1e-12
+    k = data.kernel[:, 0]
+    assert np.linalg.norm(k + u @ (v.T @ k)) < 1e-12
 
 
 def test_fredholm_grid_lowrank_cokernel_is_the_adjoint_kernel():
@@ -344,23 +351,81 @@ def test_fredholm_grid_lowrank_cokernel_is_the_adjoint_kernel():
     v = np.zeros((n, 2))
     v[0, 0], v[1, 0], v[2, 1] = -1.0, 1.0, 1.0
     assert np.array_equal(np.eye(2) + v.T @ u, [[0.0, 1.0], [0.0, 1.0]])
-    op = LinearScOperator(scale, scale, lowrank=(u, v))
-    data = fredholm_split(op)
+    data = lowrank_split(u, v)
     assert data.kernel_dim == 1 and data.cokernel_dim == 1
     assert data.index == 0
-    assert np.linalg.norm(op.dense() @ data.kernel) < 1e-12
-    assert np.linalg.norm(op.dense().T @ data.cokernel) < 1e-12
+    t = np.eye(n) + u @ v.T
+    assert np.linalg.norm(t @ data.kernel) < 1e-12
+    assert np.linalg.norm(t.T @ data.cokernel) < 1e-12
 
 
-def test_fredholm_general_grid_unsupported():
-    scale = WeightedGridScale(4.0, 1 / 16, (0.0, 0.1))
+def _scfold_modules():
+    return [m for k, m in sorted(sys.modules.items())
+            if k == "scfold" or k.startswith("scfold.")]
 
-    class Fake:
-        matrix = None
-        lowrank = None
 
-    with pytest.raises(BackendUnsupportedError):
-        fredholm_split(Fake())
+def _count_splits(monkeypatch):
+    """Patch every scfold module binding of sc_core.fredholm_split with a
+    counter, the way a tracer that wraps the function finds it."""
+    raw = sc_core.fredholm_split
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return raw(*args, **kwargs)
+
+    for mod in _scfold_modules():
+        for key, value in list(vars(mod).items()):
+            if value is raw:
+                monkeypatch.setattr(mod, key, counted)
+    return calls
+
+
+def _linearization_of_two_branches():
+    base, fiber = FiniteDimScale(1, max_level=3), FiniteDimScale(1, max_level=3)
+    domain = ScDomain(PartialQuadrant(base, ()), center=np.zeros(1), radii=(1.5,) * 4)
+    model = StrongBundleModel([BundleChart("main", domain, fiber)])
+    f = BundleSection(model, lambda cid, x: x ** 2, jac=lambda cid, x: np.array([[2 * x[0]]]))
+    shift = BundleSection(model, lambda cid, x: np.array([0.25]), tag="sc_plus",
+                          jac=lambda cid, x: np.zeros((1, 1)))
+    lam = Multisection(model, [(shift, Fraction(1, 3)), (shift, Fraction(2, 3))])
+    linearization_set(f, lam, "main", np.array([0.5]))
+
+
+def _neatness_of_tilted_projection():
+    n = np.array([3e-12, 1.0]) / np.hypot(3e-12, 1.0)
+    proj = Retraction(ScDomain(PartialQuadrant(FiniteDimScale(2), (0,))),
+                      lambda x: n * (n @ x), lambda x, h: n * (n @ h))
+    neatness_check(LocalScModel(proj), n)
+
+
+def _affine_index_one_manifold():
+    g = BasicGerm(2, 0, 1, FiniteDimScale(1),
+                  b_fn=lambda a, w, m: 0.5 * w + 0.5 * (a[0] - a[1]),
+                  residue_fn=lambda a, w: np.array([a[0] + a[1] + w[0]]),
+                  eps=(0.5,), radii=(5.0,))
+    local_solution_manifold(g, kernel_dim=1, samples_per_dim=9)
+
+
+@pytest.mark.parametrize("run, expected", [
+    pytest.param(_linearization_of_two_branches, [(1, 1), (1, 1)], id="linearization_set"),
+    pytest.param(lambda: germ_from_map(lambda x: np.array([x[0] ** 2 + x[1] - 1.0]),
+                                       np.array([0.3, 0.8]), out_dim=1),
+                 [(1, 2)], id="germ_from_map"),
+    pytest.param(_neatness_of_tilted_projection, [(2, 2)], id="neatness_check"),
+    # the base-point Jacobian once, then the complement of its kernel
+    pytest.param(_affine_index_one_manifold, [(1, 2), (1, 2)], id="local_solution_manifold"),
+])
+def test_every_library_split_is_fredholm_split(monkeypatch, run, expected):
+    calls = _count_splits(monkeypatch)
+    run()
+    assert calls == expected
+
+
+def test_no_module_binds_a_second_split_name():
+    found = [f"{m.__name__}.{name}" for m in _scfold_modules()
+             for name in ("dense_split", "LinearScOperator") if name in vars(m)]
+    assert found == []
 
 
 # ---------------------------------------------------------------- direct_sum
