@@ -170,14 +170,13 @@ def numerical_rank(singular_values):
     return int(np.sum(rel >= RANK_GUARD_UPPER))
 
 
-def orthonormal_columns(columns, rank=None):
+def orthonormal_columns(columns):
     """Orthonormal basis of the column span, rank decided with the guard band."""
     m = np.asarray(columns, dtype=float)
     if m.ndim == 1:
         m = m[:, None]
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    r = numerical_rank(s) if rank is None else rank
-    return u[:, :r], s
+    return u[:, :numerical_rank(s)], s
 
 
 def subspace_gap(basis_a, basis_b):

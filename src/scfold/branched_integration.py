@@ -386,7 +386,7 @@ class WeightedMeasureResult:
 
     def formula_value(self, weights, effective_order):
         total = 0.0
-        for (name, raw), w in zip(self.per_branch, weights):
+        for (_, raw), w in zip(self.per_branch, weights):
             total += float(w) * raw
         return total / effective_order
 

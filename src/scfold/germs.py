@@ -22,8 +22,6 @@ from .errors import NonConvergenceError, NotInQuadrantError
 from .sc_core import FiniteDimScale, PartialQuadrant, degeneracy_index, fredholm_split
 
 GERM_ORIGIN_TOL = 1e-12
-# relative singular-value cutoff of the kernels compared in filling_verify
-FILLING_RANK_CUTOFF = 1e-8
 
 
 @dataclass
@@ -290,7 +288,8 @@ def filling_verify(fd, x, seed=0):
     retract within 1e-9;
     (3) the linearization of the gap map restricted to the kernel of Dr(x)
     is an isomorphism onto the kernel of phi(x): its smallest singular value
-    exceeds 1e-8, and its condition is reported.
+    exceeds 1e-8, and its condition is reported. AmbiguousRankError
+    propagates from the splits of Dr(x) and phi(x).
     """
     rng = np.random.default_rng(seed)
     x = np.asarray(x, dtype=float)
@@ -317,10 +316,10 @@ def filling_verify(fd, x, seed=0):
 
     p_cols = [r.derivative(x, e) for e in np.eye(d)]
     p = np.array(p_cols).T
-    ker_r = fredholm_split(p, rcond=FILLING_RANK_CUTOFF).kernel
+    ker_r = fredholm_split(p).kernel
     phi_cols = [np.asarray(fd.phi(x, e), dtype=float) for e in np.eye(fiber_dim)]
     phi_mat = np.array(phi_cols).T
-    ker_phi = fredholm_split(phi_mat, rcond=FILLING_RANK_CUTOFF).kernel
+    ker_phi = fredholm_split(phi_mat).kernel
     lin_cols = [
         _fd.directional_derivative(fd.gap, x, ker_r[:, j])
         for j in range(ker_r.shape[1])
@@ -381,7 +380,7 @@ def local_solution_manifold(germ, kernel_dim=None, samples_per_dim=9):
     over its kernel, on a grid of half-width 0.3, whose dimension is the
     expected manifold dimension. Surjectivity of the reduced derivative (a
     smallest singular value above 1e-8) is required at the origin and
-    reported at every sample.
+    reported at every sample; AmbiguousRankError propagates from its split.
     """
     n, N = germ.base_dim, germ.residue_dim
 
@@ -461,9 +460,6 @@ class PointGerm:
     x0: np.ndarray
     kernel_frame: np.ndarray
     row_frame: np.ndarray
-    image_frame: np.ndarray
-    cokernel_frame: np.ndarray
-    sigma: np.ndarray
 
     def ambient(self, a, w):
         return self.x0 + self.kernel_frame @ np.atleast_1d(a) + self.row_frame @ np.atleast_1d(w)
@@ -473,11 +469,12 @@ def germ_from_map(fn, x0, out_dim, radius=1.0):
     """Normal form of a finite-dimensional map near a point.
 
     Splits coordinates along the kernel and row space of the derivative, one
-    fredholm_split of its matrix at RANK_CUTOFF, whose singular values also
-    scale the image block; the fixed-point part becomes a contraction near the
-    point and the cokernel component becomes the finite residue block.
-    Solving the fixed-point equation implements a quasi-Newton corrector whose
-    fixed points are the zeros of the image component.
+    fredholm_split of its matrix, whose singular values also scale the image
+    block; the fixed-point part becomes a contraction near the point and the
+    cokernel component becomes the finite residue block. Solving the
+    fixed-point equation implements a quasi-Newton corrector whose fixed
+    points are the zeros of the image component. AmbiguousRankError
+    propagates from the split.
     """
     x0 = np.asarray(x0, dtype=float)
     split = fredholm_split(_fd.jacobian(fn, x0, out_dim, _fd.JACOBIAN_STEP))
@@ -505,4 +502,4 @@ def germ_from_map(fn, x0, out_dim, radius=1.0):
         radii=(radius,),
         validate=False,
     )
-    return PointGerm(germ, x0, kernel, row, image, coker, sigma)
+    return PointGerm(germ, x0, kernel, row)

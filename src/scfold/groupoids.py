@@ -633,8 +633,6 @@ def compose_generalized(d1, d2):
         name="fibered-product",
     )
 
-    mor_lookup = {(s, t, lab): i for i, (s, t, lab) in enumerate(specs)}
-
     def left_obj(oi):
         return d1.left.on_object(triples[oi][0])
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import _fd
 from .errors import (
+    AmbiguousRankError,
     BiLevelError,
     ConfigError,
     ExhaustedAttemptsError,
@@ -734,7 +735,8 @@ class LinearizationSet:
 
 def linearization_set(f, l, chart_id, x, alternative=None):
     """Operators (f - s_i)'(x) over the active branches at a solution, each
-    with its fredholm_split; NotASolutionError when no branch is active.
+    with its fredholm_split, whose AmbiguousRankError propagates;
+    NotASolutionError when no branch is active.
 
     When an alternative local section structure is supplied the two operator
     sets must coincide up to permutation, entrywise within 1e-10.
@@ -744,15 +746,16 @@ def linearization_set(f, l, chart_id, x, alternative=None):
     if not chart.domain.contains(x, 0):
         raise UnchartedPointError("base point outside the chart domain")
     fx = f(chart_id, x)
-    ops = []
-    for bi, (section, w) in enumerate(l.branches):
-        v = section(chart_id, x)
-        if chart.fiber_dim() and chart.fiber.norm(v - fx, 0) > FIBER_MATCH_TOL:
-            continue
-        mat = f.derivative_matrix(chart_id, x) - section.derivative_matrix(chart_id, x)
-        ops.append((bi, w, mat, fredholm_split(mat)))
-    if not ops:
+    active = [(bi, section, w) for bi, (section, w) in enumerate(l.branches)
+              if not (chart.fiber_dim() and chart.fiber.norm(
+                  section(chart_id, x) - fx, 0) > FIBER_MATCH_TOL)]
+    if not active:
         raise NotASolutionError("the multisection vanishes on the section value here")
+    df = f.derivative_matrix(chart_id, x)
+    ops = []
+    for bi, section, w in active:
+        mat = df - section.derivative_matrix(chart_id, x)
+        ops.append((bi, w, mat, fredholm_split(mat)))
     result = LinearizationSet(chart_id, x, ops)
     if alternative is not None:
         other = linearization_set(f, alternative, chart_id, x)
@@ -799,7 +802,8 @@ def transversal_check(f, l, branches, boundary=False, floor=SURJECTIVITY_FLOOR):
     floor is the surjectivity threshold on the smallest singular value;
     searches that must treat nearly-degenerate points as failures pass a
     stricter value (solutions are only resolved to the square root of the
-    solver tolerance at degenerate roots).
+    solver tolerance at degenerate roots). A point whose linearization rank
+    the guard band cannot decide fails with the reason "ambiguous rank".
     """
     rows = []
     failures = []
@@ -815,6 +819,10 @@ def transversal_check(f, l, branches, boundary=False, floor=SURJECTIVITY_FLOOR):
             except NotASolutionError:
                 failures.append((branch.chart_id, p, branch.branch_index,
                                  "not-a-solution"))
+                continue
+            except AmbiguousRankError:
+                failures.append((branch.chart_id, p, branch.branch_index,
+                                 "ambiguous rank"))
                 continue
             sv = lset.min_surjectivity()
             ok = sv > floor
@@ -835,7 +843,7 @@ def _kernels_in_good_position(chart, lset, point):
     qidx = chart.domain.quadrant.quadrant_indices
     active = tuple(i for i in qidx if abs(point[i]) <= 1e-9)
     tangent_quadrant = PartialQuadrant(FiniteDimScale(point.size), active)
-    for _, _, mat, data in lset.operators:
+    for _, _, _, data in lset.operators:
         kernel = data.kernel
         if kernel.shape[1] == 0:
             continue
@@ -877,11 +885,12 @@ def perturb_to_transversal(f, cp, epsilon, seed=0):
     surjective.
 
     Directions come from cokernel bases of the failing linearizations, bump
-    localized in the control region and rescaled under the budget; the search
-    makes at most 20 attempts and is deterministic given the seed. Internally
-    the stricter floor SUSPECT_FLOOR marks nearly-degenerate solutions as
-    failing, since degenerate roots are only resolved to the square root of
-    the solver tolerance.
+    localized in the control region and rescaled under the budget; an empty
+    cokernel, or one the guard band cannot decide, gives way to the whole
+    fiber. The search makes at most 20 attempts and is deterministic given the
+    seed. Internally the stricter floor SUSPECT_FLOOR marks nearly-degenerate
+    solutions as failing, since degenerate roots are only resolved to the
+    square root of the solver tolerance.
     """
     if not (0 < epsilon < 1):
         raise ValueError("the norm budget must lie in (0, 1)")
@@ -906,7 +915,10 @@ def perturb_to_transversal(f, cp, epsilon, seed=0):
             if p0 is None:
                 continue
             mat = f.derivative_matrix(cid, p0)
-            coker = fredholm_split(mat).cokernel
+            try:
+                coker = fredholm_split(mat).cokernel
+            except AmbiguousRankError:
+                coker = np.zeros((mat.shape[0], 0))
             if coker.shape[1] == 0:
                 coker = np.eye(mat.shape[0])
             coeff = rng.uniform(0.3, 1.0, coker.shape[1]) * rng.choice([-1.0, 1.0])

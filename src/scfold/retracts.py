@@ -361,7 +361,8 @@ def neatness_check(model, x, seed=0):
     it samples a ladder: at each radius 1e-1, 1e-2, 1e-3, up to 12 retracted
     perturbations of x, one of which must lie in the image with the
     degeneracy of x; when sampling finds no ladder the verdict is
-    inconclusive rather than fail.
+    inconclusive rather than fail. Both rank decisions use the guard band, so
+    AmbiguousRankError propagates.
     """
     r = model.retraction
     x = np.asarray(x, dtype=float)

@@ -8,14 +8,15 @@ norm combines derivatives up to the level's order, each weighted by
 exp(delta_m |s|). A periodic circle backend hosts loop-space demos. Sums and
 index shifts of scales are first-class so tangent constructions can reuse them.
 Linear maps are plain matrices: fredholm_split gives the kernel, complement,
-image and cokernel of one from a single SVD, and lowrank_split the kernel and
-cokernel of an identity-plus-finite-rank grid operator I + U V' given as (U, V).
+image and cokernel of one from a single SVD, lowrank_split the kernel and
+cokernel of a grid operator I + U V' given as (U, V), and _fd.numerical_rank
+decides every rank in both.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -547,7 +548,7 @@ class ScFredholmData:
     image: np.ndarray
     cokernel: np.ndarray
     index: int
-    singular_values: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    singular_values: np.ndarray
 
     @property
     def kernel_dim(self):
@@ -558,20 +559,16 @@ class ScFredholmData:
         return self.cokernel.shape[1]
 
 
-RANK_CUTOFF = 1e-10
-
-
-def fredholm_split(a, rcond=RANK_CUTOFF):
+def fredholm_split(a):
     """Kernel, complement (row space), image and cokernel of a dense matrix
     from one SVD.
 
-    The rank counts the singular values above rcond times the largest one, or
-    above rcond itself when the matrix is zero or empty.
+    The rank is _fd.numerical_rank of the singular values, so
+    AmbiguousRankError propagates from its guard band.
     """
     nt, ns = a.shape
     u, s, vt = np.linalg.svd(a) if a.size else (np.eye(nt), np.zeros(0), np.eye(ns))
-    cutoff = rcond * (s[0] if s.size and s[0] > 0 else 1.0)
-    r = int(np.sum(s > cutoff))
+    r = _fd.numerical_rank(s)
     return ScFredholmData(
         vt[r:].T, vt[:r].T, u[:, :r], u[:, r:],
         index=(ns - r) - (nt - r), singular_values=s,
@@ -582,23 +579,20 @@ def lowrank_split(u, v):
     """Kernel, cokernel and index of T = I + U V' on a grid, from one SVD of
     the r x r core I + V'U; the complement and image are left empty.
 
-    Rank decisions use a cutoff of RANK_CUTOFF times max(largest core
-    singular value, 1).
+    Every rank, of the core and of both frames, is _fd.numerical_rank's, so
+    AmbiguousRankError propagates from its guard band.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     r = u.shape[1]
     core = np.eye(r) + v.T @ u
     cu, cs, cvt = np.linalg.svd(core)
-    cutoff = RANK_CUTOFF * max(cs[0], 1.0)
-    rk = int(np.sum(cs > cutoff))
+    rk = _fd.numerical_rank(cs)
     # kernel of I + U V' lives in the span of U: x = U a with core a = 0
-    ker_a = cvt[rk:].T
-    kernel, _ = _fd.orthonormal_columns(u @ ker_a, rank=ker_a.shape[1]) if ker_a.size else (np.zeros((u.shape[0], 0)), None)
+    kernel, _ = _fd.orthonormal_columns(u @ cvt[rk:].T)
     # cokernel: kernel of the adjoint I + V U', x = V b with core' b = 0,
     # so b runs over the left null vectors of core
-    cok_a = cu[:, rk:]
-    cokernel, _ = _fd.orthonormal_columns(v @ cok_a, rank=cok_a.shape[1]) if cok_a.size else (np.zeros((v.shape[0], 0)), None)
+    cokernel, _ = _fd.orthonormal_columns(v @ cu[:, rk:])
     n = u.shape[0]
     return ScFredholmData(
         kernel, np.zeros((n, 0)), np.zeros((n, 0)), cokernel,

@@ -20,7 +20,6 @@ from . import groupoids as gpd
 from . import perturbation as pert
 from .errors import ConfigError, check_keys, read_config
 from .retracts import (
-    LocalScModel,
     bump_splicing,
     retract_tangent_basis,
     retraction_check,
@@ -178,7 +177,6 @@ def _porkbarrel_bundle():
 
 def run_porkbarrel(params, seed):
     scale, sp, r = _bump_setup(params)
-    model = LocalScModel(r)
     s_values = list(params["profile_negative"]) + list(params["profile_positive"])
     rows = []
     dims = set()
@@ -352,7 +350,7 @@ def _fold_model():
 
 
 def run_perturb(params, seed):
-    model, f, aux = _fold_model()
+    _, f, aux = _fold_model()
     cp = pert.control_pair_build(f, aux, margin=0.5, seed=seed)
     tau0 = pert.perturb_to_transversal(f, cp, params["epsilon"], seed=seed)
     tau1 = pert.perturb_to_transversal(f, cp, params["epsilon"], seed=seed + 100)
@@ -467,7 +465,7 @@ def run_groupoid(params, seed):
 
 
 def run_pairing(params, seed):
-    model, f, aux = _fold_model()
+    _, f, aux = _fold_model()
     cp = pert.control_pair_build(f, aux, margin=0.5, seed=seed)
     one = bi.PolynomialForm(1, 0, {(): bi.Polynomial.constant(1, 1.0)})
     rep = bi.de_rham_pairing(f, cp, one, trials=params["trials"], seed=seed)

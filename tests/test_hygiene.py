@@ -1,8 +1,8 @@
 """Static checks on the library source: no catch-all exception handler, one
 module that knows how a config fails to parse, no sparse matrix turned dense,
 no pseudo-inverse formed to solve one system, no scipy loaded on import, no
-parameter that its function never reads and no attribute stored for no
-reader."""
+parameter that its function never reads, no attribute stored for no reader
+and no local stored for no reader."""
 
 import ast
 from pathlib import Path
@@ -177,3 +177,20 @@ def test_every_stored_attribute_is_read():
                 if node.attr not in read:
                     found.append(f"{name}:{node.lineno} {owner}.{node.attr}")
     assert found == []
+
+
+def test_every_local_is_read():
+    # a name a function stores and never loads is work done for no reader; a
+    # nested body counts as part of the function around it, and names that
+    # start with an underscore are placeholders by intent
+    found = set()
+    for name, tree in _modules():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            names = [n for n in ast.walk(fn) if isinstance(n, ast.Name)]
+            loaded = {n.id for n in names if isinstance(n.ctx, ast.Load)}
+            found |= {f"{name}:{n.lineno} {n.id}" for n in names
+                      if isinstance(n.ctx, ast.Store)
+                      and not n.id.startswith("_") and n.id not in loaded}
+    assert sorted(found) == []

@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scfold import _fd, perturbation
-from scfold.errors import BiLevelError, NotASolutionError, UnchartedPointError
+from scfold.errors import (
+    BiLevelError,
+    ExhaustedAttemptsError,
+    NotASolutionError,
+    UnchartedPointError,
+)
 from scfold.perturbation import (
     CORRECTOR_ACCEPT_TOL,
     GAUSS_NEWTON_RCOND,
@@ -819,6 +824,17 @@ def test_linearization_evaluates_each_branch_section_once():
     assert miss_calls == ["fn"]
 
 
+def test_linearization_differentiates_f_once_for_all_branches():
+    model = finite_model()
+    f = fold_section(model)
+    lam = Multisection(model, [(const_branch(model, [0.25]), Fraction(1, 3)),
+                               (const_branch(model, [0.25]), Fraction(2, 3))])
+    f_calls = _counting(f)
+    lset = linearization_set(f, lam, "main", np.array([0.5]))
+    assert len(lset.operators) == 2
+    assert f_calls.count("jac") == 1
+
+
 # ---------------------------------------------------------- transversal_check
 
 def test_transversal_surjective_linear():
@@ -865,6 +881,25 @@ def test_transversal_boundary_good_position():
     assert any(x[3] == "good-position failure" for x in rep_bad.failures)
 
 
+def ambiguous_section(model):
+    """f(x) = diag(1, 1e-9) x: its linearization's second relative singular
+    value lies inside the guard band, so its rank is undecidable."""
+    d = np.diag([1.0, 1e-9])
+    return BundleSection(model, lambda cid, x: d @ x,
+                         jac=lambda cid, x: d.copy(), name="ambiguous")
+
+
+def test_transversal_ambiguous_rank_is_a_failure():
+    model = finite_model(base_dim=2, fiber_dim=2)
+    f = ambiguous_section(model)
+    lam = Multisection.zero(model)
+    sols = solution_set(f, lam, seed=8)
+    assert sols
+    rep = transversal_check(f, lam, sols)
+    assert not rep.passed
+    assert {x[3] for x in rep.failures} == {"ambiguous rank"}
+
+
 # ------------------------------------------------------ perturb_to_transversal
 
 def test_perturb_already_transversal_returns_zero():
@@ -890,6 +925,18 @@ def test_perturb_fold_finds_transversal_shift():
     for b in sols:
         for p in b.points:
             assert tau.norm(aux, "main", p) < 0.1
+
+
+def test_perturb_ambiguous_cokernel_aims_along_the_whole_fiber():
+    # every bump is too small to move the undecidable singular value, so the
+    # search runs out of attempts rather than failing on the rank
+    model = finite_model(base_dim=2, fiber_dim=2)
+    f = ambiguous_section(model)
+    aux = scaled_aux(model, scale=1e-12)
+    cp = control_pair_build(f, aux, margin=0.5, seed=0)
+    assert cp.certified
+    with pytest.raises(ExhaustedAttemptsError):
+        perturb_to_transversal(f, cp, 0.1, seed=0)
 
 
 # --------------------------------------------------------- cobordism_compare

@@ -363,8 +363,8 @@ def test_neatness_bump_at_jump(bump, bump_retraction):
 def test_neatness_nearly_parallel_complement_is_rejected():
     # the fixed space is tilted 3e-12 off the non-quadrant axis e_1, the only
     # admissible complement, so the stacked frame [n, e_1] has relative
-    # sigma_min near 1e-12: rank 2 at numpy's default tolerance, rank 1 at
-    # RANK_CUTOFF
+    # sigma_min near 1e-12: rank 2 at numpy's default tolerance, rank 1 below
+    # the guard band of _fd.numerical_rank
     scale = FiniteDimScale(2)
     quadrant = PartialQuadrant(scale, (0,))
     n = np.array([3e-12, 1.0]) / np.hypot(3e-12, 1.0)

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from scfold import sc_core
 from scfold.errors import (
+    AmbiguousRankError,
     ConfigError,
     LevelRangeError,
     NotInQuadrantError,
 )
 from scfold.germs import (
-    FILLING_RANK_CUTOFF,
     BasicGerm,
     germ_from_map,
     local_solution_manifold,
@@ -33,7 +33,6 @@ from scfold.sc_core import (
     CircleGridScale,
     FiniteDimScale,
     PartialQuadrant,
-    RANK_CUTOFF,
     SumScale,
     WeightedGridScale,
     degeneracy_index,
@@ -303,9 +302,12 @@ def test_fredholm_split_index_is_dimension_difference(nt, ns, seed):
 
 
 def test_fredholm_split_rank_cutoffs():
-    a = np.diag([1.0, 1e-9])
-    assert fredholm_split(a, rcond=FILLING_RANK_CUTOFF).image.shape[1] == 1
-    assert fredholm_split(a, rcond=RANK_CUTOFF).image.shape[1] == 2
+    # the one rank rule, _fd.numerical_rank: a relative singular value inside
+    # the guard band (1e-10, 1e-8) raises, one outside it decides the rank
+    with pytest.raises(AmbiguousRankError):
+        fredholm_split(np.diag([1.0, 1e-9]))
+    assert fredholm_split(np.diag([1.0, 1e-7])).image.shape[1] == 2
+    assert fredholm_split(np.diag([1.0, 1e-11])).image.shape[1] == 1
     for a in (np.zeros((2, 3)), np.zeros((0, 4))):
         data = fredholm_split(a)
         assert data.image.shape[1] == 0
@@ -323,6 +325,17 @@ def test_fredholm_grid_lowrank():
     assert data.index == 0
     # generic small perturbation of the identity is invertible
     assert data.kernel_dim == 0 and data.cokernel_dim == 0
+
+
+def test_fredholm_grid_lowrank_core_rank_uses_the_guard_band():
+    # core = I + V'U = diag(1, 1e-9): its second singular value lies inside
+    # the guard band, so the kernel dimension is undecidable
+    n = WeightedGridScale(4.0, 1 / 16, (0.0, 0.1)).n
+    u = np.eye(n)[:, :2]
+    v = np.zeros((n, 2))
+    v[1, 1] = -1.0 + 1e-9
+    with pytest.raises(AmbiguousRankError):
+        lowrank_split(u, v)
 
 
 def test_fredholm_grid_lowrank_with_kernel():
