@@ -618,12 +618,13 @@ def solution_set(f, l, seeds_per_chart=40, seed=0, tol=1e-11,
                  curve_samples=33, patch_radius=None):
     """Weighted solution samples of the multisection equation per branch.
 
-    Each active branch solves f(x) = s_i(x) through the Gauss-Newton
-    corrector from seeded starts, stepping with the derivative_matrix of f
-    minus that of s_i; zero-dimensional solutions are deduplicated,
-    positive-index solutions get a kernel parametrization by Picard iteration
-    on the germ normal form. Charts with zero-dimensional fiber
-    contribute their whole sampled region at the branch weight.
+    Each active branch solves f(x) = s_i(x) through the Gauss-Newton corrector
+    from seeded starts, stepping with the derivative_matrix of f minus that of
+    s_i; zero-dimensional solutions are deduplicated, positive-index solutions
+    get a kernel parametrization by Picard iteration on the germ normal form,
+    whose AmbiguousRankError propagates (never at fiber dimension 1). Charts
+    with zero-dimensional fiber contribute their whole sampled region at the
+    branch weight.
 
     The result is a pure function of the arguments, so l keeps it, keyed by
     the identity of f and every other argument: a repeat call returns the
@@ -802,8 +803,8 @@ def transversal_check(f, l, branches, boundary=False, floor=SURJECTIVITY_FLOOR):
     floor is the surjectivity threshold on the smallest singular value;
     searches that must treat nearly-degenerate points as failures pass a
     stricter value (solutions are only resolved to the square root of the
-    solver tolerance at degenerate roots). A point whose linearization rank
-    the guard band cannot decide fails with the reason "ambiguous rank".
+    solver tolerance at degenerate roots). Points of undecidable rank,
+    diag(1e9, 1) too, fail as "ambiguous rank" whatever the floor.
     """
     rows = []
     failures = []
@@ -887,10 +888,10 @@ def perturb_to_transversal(f, cp, epsilon, seed=0):
     Directions come from cokernel bases of the failing linearizations, bump
     localized in the control region and rescaled under the budget; an empty
     cokernel, or one the guard band cannot decide, gives way to the whole
-    fiber. The search makes at most 20 attempts and is deterministic given the
-    seed. Internally the stricter floor SUSPECT_FLOOR marks nearly-degenerate
-    solutions as failing, since degenerate roots are only resolved to the
-    square root of the solver tolerance.
+    fiber. It makes at most 20 attempts, deterministic given the seed;
+    solution_set's AmbiguousRankError propagates. Internally the stricter
+    floor SUSPECT_FLOOR marks nearly-degenerate solutions as failing, since
+    degenerate roots are only resolved to the solver tolerance's square root.
     """
     if not (0 < epsilon < 1):
         raise ValueError("the norm budget must lie in (0, 1)")
@@ -918,7 +919,7 @@ def perturb_to_transversal(f, cp, epsilon, seed=0):
             try:
                 coker = fredholm_split(mat).cokernel
             except AmbiguousRankError:
-                coker = np.zeros((mat.shape[0], 0))
+                coker = np.eye(mat.shape[0])
             if coker.shape[1] == 0:
                 coker = np.eye(mat.shape[0])
             coeff = rng.uniform(0.3, 1.0, coker.shape[1]) * rng.choice([-1.0, 1.0])

@@ -10,7 +10,7 @@ index shifts of scales are first-class so tangent constructions can reuse them.
 Linear maps are plain matrices: fredholm_split gives the kernel, complement,
 image and cokernel of one from a single SVD, lowrank_split the kernel and
 cokernel of a grid operator I + U V' given as (U, V), and _fd.numerical_rank
-decides every rank in both.
+decides the rank in both.
 """
 
 from __future__ import annotations
@@ -579,20 +579,19 @@ def lowrank_split(u, v):
     """Kernel, cokernel and index of T = I + U V' on a grid, from one SVD of
     the r x r core I + V'U; the complement and image are left empty.
 
-    Every rank, of the core and of both frames, is _fd.numerical_rank's, so
-    AmbiguousRankError propagates from its guard band.
+    _fd.numerical_rank decides the core's rank against the identity's scale
+    max(sigma_0, 1), so AmbiguousRankError propagates from its guard band.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    r = u.shape[1]
-    core = np.eye(r) + v.T @ u
+    core = np.eye(u.shape[1]) + v.T @ u
     cu, cs, cvt = np.linalg.svd(core)
-    rk = _fd.numerical_rank(cs)
-    # kernel of I + U V' lives in the span of U: x = U a with core a = 0
-    kernel, _ = _fd.orthonormal_columns(u @ cvt[rk:].T)
-    # cokernel: kernel of the adjoint I + V U', x = V b with core' b = 0,
-    # so b runs over the left null vectors of core
-    cokernel, _ = _fd.orthonormal_columns(v @ cu[:, rk:])
+    rk = _fd.numerical_rank(np.r_[max(cs[0], 1.0), cs]) - 1
+    # kernel: x = U a with core a = 0; cokernel, the adjoint's kernel: x = V b
+    # with core' b = 0. core a = a + V'U a, so U a = 0 forces a = 0 (likewise
+    # V b): both frames have full column rank and need no rank decision
+    kernel = np.linalg.svd(u @ cvt[rk:].T, full_matrices=False)[0]
+    cokernel = np.linalg.svd(v @ cu[:, rk:], full_matrices=False)[0]
     n = u.shape[0]
     return ScFredholmData(
         kernel, np.zeros((n, 0)), np.zeros((n, 0)), cokernel,

@@ -881,10 +881,10 @@ def test_transversal_boundary_good_position():
     assert any(x[3] == "good-position failure" for x in rep_bad.failures)
 
 
-def ambiguous_section(model):
-    """f(x) = diag(1, 1e-9) x: its linearization's second relative singular
-    value lies inside the guard band, so its rank is undecidable."""
-    d = np.diag([1.0, 1e-9])
+def ambiguous_section(model, diagonal=(1.0, 1e-9)):
+    """f(x) = diag(1, 1e-9) x by default: its linearization's second relative
+    singular value lies inside the guard band, so its rank is undecidable."""
+    d = np.diag(diagonal)
     return BundleSection(model, lambda cid, x: d @ x,
                          jac=lambda cid, x: d.copy(), name="ambiguous")
 
@@ -897,6 +897,19 @@ def test_transversal_ambiguous_rank_is_a_failure():
     assert sols
     rep = transversal_check(f, lam, sols)
     assert not rep.passed
+    assert {x[3] for x in rep.failures} == {"ambiguous rank"}
+
+
+def test_transversal_ill_conditioned_surjection_is_ambiguous():
+    # diag(1e9, 1) is surjective with smallest singular value 1, far above
+    # the floor, but its relative spectrum (1, 1e-9) lies in the guard band:
+    # the one rank rule reads it as undecidable, not as transversal
+    model = finite_model(base_dim=2, fiber_dim=2)
+    f = ambiguous_section(model, diagonal=(1e9, 1.0))
+    lam = Multisection.zero(model)
+    sols = solution_set(f, lam, seed=8)
+    assert sols
+    rep = transversal_check(f, lam, sols)
     assert {x[3] for x in rep.failures} == {"ambiguous rank"}
 
 

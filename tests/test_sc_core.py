@@ -338,6 +338,39 @@ def test_fredholm_grid_lowrank_core_rank_uses_the_guard_band():
         lowrank_split(u, v)
 
 
+def test_fredholm_grid_lowrank_rank_is_measured_against_the_identity():
+    # T = I - q q' for a unit q: the 1 x 1 core 1 - q'q is round-off, far
+    # below the identity's scale, so both splits find the kernel q
+    n = WeightedGridScale(4.0, 1 / 16, (0.0, 0.1)).n
+    q = np.random.default_rng(1).standard_normal(n)
+    q /= np.linalg.norm(q)
+    u, v = q[:, None], -q[:, None]
+    assert 0.0 < abs((np.eye(1) + v.T @ u).item()) < 1e-15
+    data = lowrank_split(u, v)
+    dense = fredholm_split(np.eye(n) - np.outer(q, q))
+    assert data.kernel_dim == dense.kernel_dim == 1
+    assert data.cokernel_dim == dense.cokernel_dim == 1
+    assert abs(data.kernel[:, 0] @ q) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("power", [30, 34])
+def test_fredholm_grid_lowrank_badly_scaled_frames_keep_their_dimension(power):
+    # core = I + V'U is exactly zero, a two-dimensional kernel, while the
+    # columns of U and V differ in scale by 2^power: the frames U a and V b
+    # have full column rank whatever their spread
+    n = WeightedGridScale(4.0, 1 / 16, (0.0, 0.1)).n
+    u = np.zeros((n, 2))
+    u[0, 0], u[1, 1] = 1.0, 2.0 ** -power
+    v = np.zeros((n, 2))
+    v[0, 0], v[1, 1] = -1.0, -(2.0 ** power)
+    assert not (np.eye(2) + v.T @ u).any()
+    data = lowrank_split(u, v)
+    assert data.kernel_dim == 2 and data.cokernel_dim == 2
+    t = np.eye(n) + u @ v.T
+    assert np.linalg.norm(t @ data.kernel) < 1e-12
+    assert np.linalg.norm(t.T @ data.cokernel) < 1e-12
+
+
 def test_fredholm_grid_lowrank_with_kernel():
     scale = WeightedGridScale(4.0, 1 / 16, (0.0, 0.1))
     n = scale.n
