@@ -889,27 +889,18 @@ def ambiguous_section(model, diagonal=(1.0, 1e-9)):
                          jac=lambda cid, x: d.copy(), name="ambiguous")
 
 
-def test_transversal_ambiguous_rank_is_a_failure():
+# diag(1e9, 1) is surjective with smallest singular value 1, far above the
+# floor, but its relative spectrum (1, 1e-9) lies in the guard band too: the
+# one rank rule reads it as undecidable, not as transversal
+@pytest.mark.parametrize("diagonal", [(1.0, 1e-9), (1e9, 1.0)])
+def test_transversal_ambiguous_rank_is_a_failure(diagonal):
     model = finite_model(base_dim=2, fiber_dim=2)
-    f = ambiguous_section(model)
+    f = ambiguous_section(model, diagonal)
     lam = Multisection.zero(model)
     sols = solution_set(f, lam, seed=8)
     assert sols
     rep = transversal_check(f, lam, sols)
     assert not rep.passed
-    assert {x[3] for x in rep.failures} == {"ambiguous rank"}
-
-
-def test_transversal_ill_conditioned_surjection_is_ambiguous():
-    # diag(1e9, 1) is surjective with smallest singular value 1, far above
-    # the floor, but its relative spectrum (1, 1e-9) lies in the guard band:
-    # the one rank rule reads it as undecidable, not as transversal
-    model = finite_model(base_dim=2, fiber_dim=2)
-    f = ambiguous_section(model, diagonal=(1e9, 1.0))
-    lam = Multisection.zero(model)
-    sols = solution_set(f, lam, seed=8)
-    assert sols
-    rep = transversal_check(f, lam, sols)
     assert {x[3] for x in rep.failures} == {"ambiguous rank"}
 
 
