@@ -21,8 +21,8 @@ domain = ScDomain(PartialQuadrant(base), center=np.zeros(1), radii=(1.5,) * 4)
 chart = pert.BundleChart("main", domain, FiniteDimScale(1, max_level=3))
 model = pert.StrongBundleModel([chart])
 
-fold = pert.BundleSection(model, lambda cid, x: np.array([x[0] ** 2]),
-                          jac=lambda cid, x: np.array([[2 * x[0]]]),
+fold = pert.BundleSection(model, lambda cid, x: x ** 2,
+                          jac=lambda cid, x: 2 * x[..., None],
                           name="fold")
 aux = pert.AuxiliaryNorm(model,
                          norm_fn=lambda cid, v: float(np.linalg.norm(v)) / 0.04)
@@ -57,16 +57,12 @@ assert report.count0 == report.count1 == Fraction(0)
 
 # exact rational weights under the convolution sum
 l1 = pert.Multisection(model, [
-    (pert.BundleSection(model, lambda cid, x: np.array([0.1]), tag="sc_plus"),
-     Fraction(1, 3)),
-    (pert.BundleSection(model, lambda cid, x: np.array([0.2]), tag="sc_plus"),
-     Fraction(2, 3)),
+    (pert.constant_branch_section(model, 0.1), Fraction(1, 3)),
+    (pert.constant_branch_section(model, 0.2), Fraction(2, 3)),
 ])
 l2 = pert.Multisection(model, [
-    (pert.BundleSection(model, lambda cid, x: np.array([1.0]), tag="sc_plus"),
-     Fraction(1, 4)),
-    (pert.BundleSection(model, lambda cid, x: np.array([2.0]), tag="sc_plus"),
-     Fraction(3, 4)),
+    (pert.constant_branch_section(model, 1.0), Fraction(1, 4)),
+    (pert.constant_branch_section(model, 2.0), Fraction(3, 4)),
 ])
 total = pert.multisection_sum(l1, l2)
 print("\nconvolution weights:", sorted(str(w) for _, w in total.branches),

@@ -53,8 +53,8 @@ base = FiniteDimScale(1, max_level=3)
 domain = ScDomain(PartialQuadrant(base), center=np.zeros(1), radii=(1.5,) * 4)
 chart = pert.BundleChart("main", domain, FiniteDimScale(1, max_level=3))
 model = pert.StrongBundleModel([chart])
-fold = pert.BundleSection(model, lambda cid, x: np.array([x[0] ** 2]),
-                          jac=lambda cid, x: np.array([[2 * x[0]]]),
+fold = pert.BundleSection(model, lambda cid, x: x ** 2,
+                          jac=lambda cid, x: 2 * x[..., None],
                           name="fold")
 aux = pert.AuxiliaryNorm(model,
                          norm_fn=lambda cid, v: float(np.linalg.norm(v)) / 0.04)

@@ -134,21 +134,23 @@ def directional_derivative(fn, x, v):
 
 
 def jacobian(fn, x, out_dim, step):
-    """Central-difference Jacobian of fn at x, shape (out_dim, x.size).
+    """Central-difference Jacobians of fn at the rows of x, shape
+    x.shape[:-1] + (out_dim, d); a 1-D x is the one-row case.
 
-    Column j is (fn(x + h e_j) - fn(x - h e_j)) / 2h with h = step; with
-    out_dim None the row count is taken from the first column.
+    fn maps rows to rows. Column j is (fn(x + h e_j) - fn(x - h e_j)) / 2h
+    with h = step, one number or one per row; with out_dim None the row count
+    is taken from the first column.
     """
     x = np.asarray(x, dtype=float)
-    jac = None if out_dim is None else np.zeros((out_dim, x.size))
-    for j in range(x.size):
-        e = np.zeros(x.size)
-        e[j] = step
-        col = (np.atleast_1d(fn(x + e)) - np.atleast_1d(fn(x - e))) / (2 * step)
-        if jac is None:
-            jac = np.zeros((col.size, x.size))
-        jac[:, j] = col
-    return jac if jac is not None else np.zeros((0, 0))
+    h = np.asarray(step, dtype=float)[..., None]
+    cols = []
+    for j in range(x.shape[-1]):
+        e = np.zeros_like(x)
+        e[..., j] = h[..., 0]
+        cols.append((np.atleast_1d(fn(x + e)) - np.atleast_1d(fn(x - e))) / (2 * h))
+    if not cols:
+        return np.zeros(x.shape[:-1] + (out_dim or 0, 0))
+    return np.stack(cols, axis=-1)
 
 
 def numerical_rank(singular_values):

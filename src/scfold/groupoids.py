@@ -17,6 +17,7 @@ import numpy as np
 
 from . import _fd
 from .errors import (
+    AmbiguousRankError,
     BackendUnsupportedError,
     ConfigError,
     check_keys,
@@ -441,7 +442,11 @@ class EquivalenceReport:
 
 def is_equivalence(f):
     """Three-part equivalence check: local diffeomorphism on objects, orbit
-    bijectivity in both directions, and isotropy bijections at samples."""
+    bijectivity in both directions, and isotropy bijections at samples.
+
+    The coordinate map's Jacobian rank is decided by _fd.numerical_rank: a
+    rank below the dimension is the witness "singular-jacobian", a rank the
+    guard band cannot decide the witness "ambiguous-rank"."""
     witnesses = []
     jac_checked = False
     local_ok = True
@@ -453,8 +458,13 @@ def is_equivalence(f):
                 continue
             jac = _fd.jacobian(lambda z: f.coordinate_map(cid, z)[1], c, d,
                                _fd.JACOBIAN_STEP)
-            sv = np.linalg.svd(jac, compute_uv=False)
-            if sv.size and sv[-1] < 1e-8:
+            try:
+                rank = _fd.numerical_rank(np.linalg.svd(jac, compute_uv=False))
+            except AmbiguousRankError:
+                local_ok = False
+                witnesses.append(("ambiguous-rank", oi))
+                continue
+            if rank < d:
                 local_ok = False
                 witnesses.append(("singular-jacobian", oi))
     src_orbits = orbit_space(f.source)

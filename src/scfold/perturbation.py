@@ -103,8 +103,10 @@ class BundleSection:
     """Base-to-fiber evaluator with a declared class tag.
 
     tag "sc" maps level m to bi-level (m, m); tag "sc_plus" to (m, m+1).
-    jac(chart_id, x), when given, is the chart Jacobian of fn at x: the
-    fiber_dim x d array.
+    fn(chart_id, x) evaluates rows: x of shape (..., d) gives values of shape
+    (..., fiber_dim), and a 1-D x is the one-row case. jac(chart_id, x), when
+    given, is the chart Jacobian of fn at the rows of x, shape
+    (..., fiber_dim, d).
     """
 
     def __init__(self, model, fn, tag="sc", jac=None, name="section"):
@@ -117,17 +119,33 @@ class BundleSection:
         self.name = name
 
     def __call__(self, chart_id, base):
-        return np.asarray(self.fn(chart_id, np.asarray(base, dtype=float)), dtype=float)
+        base = np.asarray(base, dtype=float)
+        value = np.asarray(self.fn(chart_id, base), dtype=float)
+        return self._rows(chart_id, base, value)
 
     def derivative_matrix(self, chart_id, base, step=_fd.JACOBIAN_STEP):
-        """The fiber_dim x d Jacobian at base: jac's array from one call, or
-        central differences of fn at the given step for a section without a
-        jac."""
+        """The fiber_dim x d Jacobian at each row of base: jac's array from
+        one call, or central differences of fn at the given step (one per
+        row, or one for all) for a section without a jac."""
         if self.jac is not None:
-            return self.jac(chart_id, base)
-        base = np.asarray(base, dtype=float)
+            base = np.asarray(base, dtype=float)
+            return self._rows(chart_id, base, self.jac(chart_id, base),
+                              base.shape[-1])
         out_dim = self.model.chart(chart_id).fiber_dim()
         return _fd.jacobian(lambda z: self(chart_id, z), base, out_dim, step)
+
+    def _rows(self, chart_id, x, out, *tail):
+        """out, once a batch x of rows has given one result of shape
+        (fiber_dim, *tail) per row; ValueError naming the section otherwise,
+        since a result shaped for one point broadcasts silently against the
+        rows of another section."""
+        if x.ndim > 1:
+            want = x.shape[:-1] + (self.model.chart(chart_id).fiber_dim(), *tail)
+            if np.shape(out) != want:
+                raise ValueError(
+                    f"section {self.name!r} returned shape {np.shape(out)} for "
+                    f"rows x of shape {x.shape}; rows need shape {want}")
+        return out
 
     def element(self, chart_id, base, base_level):
         k = base_level + (1 if self.tag == "sc_plus" else 0)
@@ -136,9 +154,10 @@ class BundleSection:
 
 
 def zero_section(model, tag="sc_plus", name="zero"):
+    dims = {cid: chart.fiber_dim() for cid, chart in model.charts.items()}
     return BundleSection(
-        model, lambda cid, x: np.zeros(model.chart(cid).fiber_dim()),
-        tag=tag, jac=lambda cid, x: np.zeros((model.chart(cid).fiber_dim(), x.size)),
+        model, lambda cid, x: np.zeros(x.shape[:-1] + (dims[cid],)), tag=tag,
+        jac=lambda cid, x: np.zeros(x.shape[:-1] + (dims[cid], x.shape[-1])),
         name=name)
 
 
@@ -315,8 +334,8 @@ def constant_branch_section(model, value, name=None):
     """One-level-up section with a constant fiber value; serializable."""
     v = np.atleast_1d(np.asarray(value, dtype=float))
     sec = BundleSection(
-        model, lambda cid, x: v.copy(), tag="sc_plus",
-        jac=lambda cid, x: np.zeros((v.size, x.size)),
+        model, lambda cid, x: np.tile(v, x.shape[:-1] + (1,)), tag="sc_plus",
+        jac=lambda cid, x: np.zeros(x.shape[:-1] + (v.size, x.shape[-1])),
         name=name or f"const{v.tolist()}")
     sec.serial_kind = "constant"
     sec.serial_params = {"value": v.tolist()}
@@ -489,90 +508,107 @@ def control_pair_build(f, aux_norm, margin=0.5, seed=0):
     return ControlPair(region, aux_norm, report)
 
 
+def _squares(v):
+    """v . v for each row of v, shape v.shape[:-1]: matmul takes one BLAS dot
+    per row, so a row sums exactly as the 1-D v.dot(v) does."""
+    return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
 def _norm(v):
-    """Euclidean norm of a real 1-D array: numpy's sum, without the dispatch;
-    a finite v whose square overflows is divided by its largest entry first."""
-    sq = v.dot(v)
-    if math.isfinite(sq) or not np.isfinite(v).all():
-        return math.sqrt(sq)
-    big = np.abs(v).max()
-    return big * _norm(v / big)
+    """Euclidean norms of the rows of a real array, shape v.shape[:-1],
+    without the dispatch of numpy's norm; a finite row whose square
+    overflows is divided by its largest entry first."""
+    sq = _squares(v)
+    if np.isfinite(sq).all():
+        return np.sqrt(sq)
+    over = np.isinf(sq) & np.isfinite(v).all(axis=-1)
+    big = np.where(over, np.abs(v).max(axis=-1), 1.0)
+    return big * np.sqrt(_squares(v / big[..., None]))
 
 
 def _min_norm_step(jac, val):
-    """Minimum-norm least-squares solution of jac @ step = val, singular values
-    at most GAUSS_NEWTON_RCOND * sigma_0 counting as zero; None when jac is
-    not finite.
+    """Minimum-norm least-squares solutions of jac[i] @ step[i] = val[i] for
+    finite (n, k, d) Jacobians and (n, k) values, n >= 1, singular values at
+    most GAUSS_NEWTON_RCOND * sigma_0 counting as zero.
 
     A single row has the one singular value |row|, which the relative cutoff
-    never drops, so its step is row * val / |row|^2 (zero for a zero row).
+    never drops, so its step is row * val / |row|^2 (zero for a zero row),
+    taken for all rows at once; taller Jacobians are solved one by one.
     """
-    if jac.shape[0] == 1:
-        row = jac[0]
-        sq = row.dot(row)
-        if 1e-300 < sq < math.inf:
-            return row * (val[0] / sq)
-        # zero, not finite, or a square that under- or overflows: rescale
-        if not np.isfinite(row).all():
-            return None
-        big = np.abs(row).max()
-        if big == 0.0:
-            return np.zeros_like(row)
-        row = row / big
-        return row * (val[0] / big / row.dot(row))
-    if not np.isfinite(jac).all():  # LAPACK would fail on it, or print
-        return None
-    return np.linalg.lstsq(jac, val, rcond=GAUSS_NEWTON_RCOND)[0]
+    if jac.shape[1] != 1:
+        return np.array([np.linalg.lstsq(j, v, rcond=GAUSS_NEWTON_RCOND)[0]
+                         for j, v in zip(jac, val)])
+    row, v = jac[:, 0], val[:, 0]
+    sq = _squares(row)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        step = row * (v / sq)[:, None]
+    # zero, or a square that under- or overflows: rescale by the largest entry
+    for i in np.flatnonzero(~((1e-300 < sq) & (sq < math.inf))):
+        big = np.abs(row[i]).max()
+        step[i] = 0.0
+        if big:
+            r = row[i] / big
+            step[i] = r * (v[i] / big / r.dot(r))
+    return step
 
 
 def _gauss_newton(fn, x0, out_dim, tol=1e-11, max_iter=80, jac=None):
-    """Damped Gauss-Newton presolve; refreshes the frame every step so even
-    degenerate roots are approached geometrically.
+    """Damped Gauss-Newton presolve from every row of the (m, d) starts x0;
+    refreshes the frame every step so even degenerate roots are approached
+    geometrically.
 
-    jac(x, h) is the Jacobian of fn at x for the difference step
-    h = 1e-7 (1 + |x|), by default the central differences of fn.
-    Returns the last accepted point and the norm of fn there; fn is evaluated
-    once per accepted point, the line search's value being carried forward.
-    A Jacobian that is not finite ends the solve at the last accepted point.
+    fn maps an (n, d) array of rows to their (n, out_dim) values, and
+    jac(x, h) to their (n, out_dim, d) Jacobians for the per-row difference
+    steps h = 1e-7 (1 + |x|), by default the central differences of fn. Each
+    row keeps its own iteration count, step cap and 12-halving line search,
+    and stops when its residual is at most tol, its line search fails or its
+    Jacobian is not finite. Returns the last accepted point of every row and
+    the norm of fn there; fn is evaluated only at rows still searching, once
+    per accepted point, the line search's value being carried forward.
     """
     if jac is None:
         def jac(z, h):
             return _fd.jacobian(fn, z, out_dim, h)
 
-    x = np.asarray(x0, dtype=float)
+    x = np.array(x0, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        val = np.atleast_1d(fn(x))
+        val = fn(x)
         res = _norm(val)
+        live = np.arange(len(x))
         for _ in range(max_iter):
-            if res <= tol:
+            live = live[~(res[live] <= tol)]
+            if not live.size:
                 break
-            size = 1.0 + _norm(x)
-            step = _min_norm_step(jac(x, 1e-7 * size), val)
-            if step is None:
+            size = 1.0 + _norm(x[live])
+            jl = jac(x[live], 1e-7 * size)
+            ok = np.isfinite(jl).all(axis=(-2, -1))
+            live, size = live[ok], size[ok]
+            if not live.size:
                 break
+            step = _min_norm_step(jl[ok], val[live])
             cap = 10.0 * size
             sn = _norm(step)
-            if sn > cap:
-                step *= cap / sn
+            over = sn > cap
+            step[over] *= (cap[over] / sn[over])[:, None]
+            # rows of live whose line search is still running, as indices
+            # into live and step; every row of one search halves together
+            search = np.arange(live.size)
             t = 1.0
             for _ in range(12):
-                cand = x - t * step
-                cand_val = np.atleast_1d(fn(cand))
+                rows = live[search]
+                cand = x[rows] - t * step[search]
+                cand_val = fn(cand)
                 cand_res = _norm(cand_val)
-                if cand_res < res:
-                    x, val, res = cand, cand_val, cand_res
+                better = cand_res < res[rows]
+                won = rows[better]
+                x[won], val[won], res[won] = (cand[better], cand_val[better],
+                                              cand_res[better])
+                search = search[~better]
+                if not search.size:
                     break
                 t *= 0.5
-            else:
-                break
+            live = np.delete(live, search)
     return x, res
-
-
-def _corrector(fn, x0, out_dim, tol=1e-11, jac=None):
-    """Zero of fn from a seeded start by _gauss_newton; None unless the
-    residual at the returned point is at most CORRECTOR_ACCEPT_TOL."""
-    x, res = _gauss_newton(fn, x0, out_dim, tol=tol, jac=jac)
-    return x if res <= CORRECTOR_ACCEPT_TOL else None
 
 
 def _chart_radius(chart):
@@ -581,16 +617,18 @@ def _chart_radius(chart):
 
 
 def _seeded_zeros(fn, jac, chart, count, rng, tol):
-    """Distinct zeros of fn in the chart's domain, by _corrector from count
-    starts drawn from rng uniformly in the box of half-width _chart_radius
-    around the center; zeros closer than 1e-5 to an earlier one are dropped."""
+    """Distinct zeros of fn in the chart's domain, from count starts drawn
+    from rng uniformly in the box of half-width _chart_radius around the
+    center and solved together by _gauss_newton; a row counts as a zero when
+    its residual is at most CORRECTOR_ACCEPT_TOL, and zeros closer than 1e-5
+    to an earlier one, in start order, are dropped."""
     d = chart.domain.center.size
-    radius = _chart_radius(chart)
+    starts = (chart.domain.center
+              + _chart_radius(chart) * rng.uniform(-1, 1, (count, d)))
+    xs, res = _gauss_newton(fn, starts, chart.fiber_dim(), tol, jac=jac)
     found = []
-    for _ in range(count):
-        x0 = chart.domain.center + radius * rng.uniform(-1, 1, d)
-        x_sol = _corrector(fn, x0, chart.fiber_dim(), tol, jac=jac)
-        if x_sol is None or not chart.domain.contains(x_sol, 0):
+    for x_sol in xs[res <= CORRECTOR_ACCEPT_TOL]:
+        if not chart.domain.contains(x_sol, 0):
             continue
         if any(np.linalg.norm(x_sol - y) < 1e-5 for y in found):
             continue
@@ -862,20 +900,23 @@ def _kernels_in_good_position(chart, lset, point):
 
 def _bump_profile(center, radius):
     """chi(x) = exp(1 - 1/(1 - t^2)) with t = |x - c| / r, zero for t >= 1,
-    and its gradient -2 chi(x) (x - c) / (r^2 (1 - t^2)^2)."""
+    and its gradient -2 chi(x) (x - c) / (r^2 (1 - t^2)^2), at the rows of x."""
     center = np.asarray(center, dtype=float)
 
     def chi(x):
         t = _norm(np.asarray(x, dtype=float) - center) / radius
-        if t >= 1.0:
-            return 0.0
-        return float(np.exp(1.0 - 1.0 / (1.0 - t * t)))
+        # 1 - t^2 is at least 2^-53 for t < 1, so the floor changes nothing
+        # there and sends exp to exactly zero for t >= 1
+        return np.exp(1.0 - 1.0 / np.maximum(1.0 - t * t, 2.0 ** -60))
 
     def grad(x):
         dx = np.asarray(x, dtype=float) - center
         c = chi(x)
-        u = 1.0 - (_norm(dx) / radius) ** 2
-        return (-2.0 * c / (radius * radius * u * u)) * dx if c else np.zeros_like(dx)
+        q = _norm(dx) / radius
+        on = c != 0.0
+        u = np.where(on, 1.0 - q * q, 1.0)
+        g = (-2.0 * c / (radius * radius * u * u))[..., None] * dx
+        return np.where(on[..., None], g, 0.0)
 
     return chi, grad
 
@@ -905,6 +946,7 @@ def perturb_to_transversal(f, cp, epsilon, seed=0):
         return zero
     rng = np.random.default_rng(seed)
     worst = report
+    dims = {cid: chart.fiber_dim() for cid, chart in model.charts.items()}
     for attempt in range(20):
         offsets = {}
         for cid, chart in model.charts.items():
@@ -939,15 +981,15 @@ def perturb_to_transversal(f, cp, epsilon, seed=0):
 
         def pert_fn(cid, x, offsets=offsets):
             if cid not in offsets:
-                return np.zeros(f.model.chart(cid).fiber_dim())
+                return np.zeros(x.shape[:-1] + (dims[cid],))
             chi, _, vec = offsets[cid]
-            return chi(x) * vec
+            return chi(x)[..., None] * vec
 
         def pert_jac(cid, x, offsets=offsets):
             if cid not in offsets:
-                return np.zeros((f.model.chart(cid).fiber_dim(), x.size))
+                return np.zeros(x.shape[:-1] + (dims[cid], x.shape[-1]))
             _, grad, vec = offsets[cid]
-            return np.outer(vec, grad(x))
+            return vec[:, None] * grad(x)[..., None, :]
 
         branch = BundleSection(model, pert_fn, tag="sc_plus", jac=pert_jac,
                                name=f"cokernel-shift-{attempt}")

@@ -157,19 +157,19 @@ def _porkbarrel_bundle():
     model = pert.StrongBundleModel([chart_a, chart_b], name="porkbarrel")
 
     def ramp(s):
-        return max(0.0, abs(s - 0.8) - 0.25)
+        return np.maximum(0.0, np.abs(s - 0.8) - 0.25)
 
     def fn(cid, x):
         if cid != "spanned":
-            return np.zeros(0)
-        return np.array([x[1] ** 2 + ramp(x[0]) ** 2])
+            return np.zeros(x.shape[:-1] + (0,))
+        return (x[..., 1] ** 2 + ramp(x[..., 0]) ** 2)[..., None]
 
     def jac(cid, x):
         if cid != "spanned":
-            return np.zeros((0, x.size))
-        g = ramp(x[0])
-        gp = 2.0 * g * np.sign(x[0] - 0.8) if g > 0 else 0.0
-        return np.array([[gp, 2 * x[1]]])
+            return np.zeros(x.shape[:-1] + (0, x.shape[-1]))
+        g = ramp(x[..., 0])
+        gp = np.where(g > 0, 2.0 * g * np.sign(x[..., 0] - 0.8), 0.0)
+        return np.stack([gp, 2 * x[..., 1]], axis=-1)[..., None, :]
 
     section = pert.BundleSection(model, fn, jac=jac, name="trough")
     return model, section
@@ -341,8 +341,8 @@ def _fold_model():
     dom = ScDomain(PartialQuadrant(base), center=np.zeros(1), radii=(1.5,) * 4)
     chart = pert.BundleChart("main", dom, FiniteDimScale(1, max_level=3))
     model = pert.StrongBundleModel([chart], name="fold")
-    f = pert.BundleSection(model, lambda cid, x: np.array([x[0] ** 2]),
-                           jac=lambda cid, x: np.array([[2 * x[0]]]),
+    f = pert.BundleSection(model, lambda cid, x: x ** 2,
+                           jac=lambda cid, x: 2 * x[..., None],
                            name="fold")
     aux = pert.AuxiliaryNorm(model,
                              norm_fn=lambda cid, v: float(np.linalg.norm(v)) / 0.04)

@@ -321,8 +321,8 @@ def test_criterion_07_transversal_perturbation():
     dom = ScDomain(PartialQuadrant(base), center=np.zeros(1), radii=(1.5,) * 4)
     chart = pert.BundleChart("main", dom, FiniteDimScale(1, max_level=3))
     model = pert.StrongBundleModel([chart])
-    f = pert.BundleSection(model, lambda cid, x: np.array([x[0] ** 2]),
-                           jac=lambda cid, x: np.array([[2 * x[0]]]),
+    f = pert.BundleSection(model, lambda cid, x: x ** 2,
+                           jac=lambda cid, x: 2 * x[..., None],
                            name="fold")
     aux = pert.AuxiliaryNorm(model,
                              norm_fn=lambda cid, v: float(np.linalg.norm(v)) / 0.04)
@@ -452,8 +452,8 @@ def test_criterion_10_pairing_stability():
     dom = ScDomain(PartialQuadrant(base), center=np.zeros(1), radii=(1.5,) * 4)
     chart = pert.BundleChart("main", dom, FiniteDimScale(1, max_level=3))
     model = pert.StrongBundleModel([chart])
-    f = pert.BundleSection(model, lambda cid, x: np.array([x[0] ** 2]),
-                           jac=lambda cid, x: np.array([[2 * x[0]]]),
+    f = pert.BundleSection(model, lambda cid, x: x ** 2,
+                           jac=lambda cid, x: 2 * x[..., None],
                            name="fold")
     aux = pert.AuxiliaryNorm(model,
                              norm_fn=lambda cid, v: float(np.linalg.norm(v)) / 0.04)
@@ -469,8 +469,8 @@ def test_criterion_10_pairing_stability():
 
     # degree one: x^3 has weighted count 1 under every small perturbation, so
     # a pairing that loses or doubles a solution shows here (x^2 counts 0)
-    g = pert.BundleSection(model, lambda cid, x: np.array([x[0] ** 3]),
-                           jac=lambda cid, x: np.array([[3 * x[0] ** 2]]),
+    g = pert.BundleSection(model, lambda cid, x: x ** 3,
+                           jac=lambda cid, x: 3 * x[..., None] ** 2,
                            name="cubic")
     cp_g = pert.control_pair_build(g, aux, margin=0.5, seed=100)
     rep_g = bi.de_rham_pairing(g, cp_g, one, trials=5, seed=100)

@@ -321,8 +321,8 @@ def pairing_fixture():
     domain = ScDomain(PartialQuadrant(base), center=np.zeros(1), radii=(1.5,) * 4)
     chart = BundleChart("main", domain, FiniteDimScale(1, max_level=3))
     model = StrongBundleModel([chart])
-    f = BundleSection(model, lambda cid, x: np.array([x[0] ** 2]),
-                      jac=lambda cid, x: np.array([[2 * x[0]]]),
+    f = BundleSection(model, lambda cid, x: x ** 2,
+                      jac=lambda cid, x: 2 * x[..., None],
                       name="fold")
     aux = AuxiliaryNorm(model, norm_fn=lambda cid, v: float(np.linalg.norm(v)) / 0.04)
     cp = control_pair_build(f, aux, margin=0.5, seed=30)
@@ -363,8 +363,8 @@ def test_pairing_index_one_circle():
     chart = BundleChart("main", domain, FiniteDimScale(1, max_level=3))
     model = StrongBundleModel([chart])
     f = BundleSection(model,
-                      lambda cid, x: np.array([x[0] ** 2 + x[1] ** 2 - 1.0]),
-                      jac=lambda cid, x: np.array([[2 * x[0], 2 * x[1]]]),
+                      lambda cid, x: (x[..., :1] ** 2 + x[..., 1:] ** 2 - 1.0),
+                      jac=lambda cid, x: 2 * x[..., None, :],
                       name="circle")
     aux = AuxiliaryNorm(model, norm_fn=lambda cid, v: float(np.linalg.norm(v)) / 0.2)
     cp = control_pair_build(f, aux, margin=0.6, seed=50)

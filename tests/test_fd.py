@@ -129,3 +129,34 @@ def test_simpson_weights_reject_an_odd_panel_count(n, split):
     # right one
     with pytest.raises(ValueError, match="even panel count per side"):
         _fd.simpson_weights(n, 0.1, split)
+
+
+def loop_jacobian(fn, x, out_dim, step):
+    """Reference: the central-difference Jacobian of one point, column by
+    column."""
+    jac = np.zeros((out_dim, x.size))
+    for j in range(x.size):
+        e = np.zeros(x.size)
+        e[j] = step
+        jac[:, j] = (np.atleast_1d(fn(x + e)) - np.atleast_1d(fn(x - e))) / (2 * step)
+    return jac
+
+
+def test_jacobian_of_rows_is_the_jacobian_of_each_row():
+    def fn(x):
+        return np.stack([np.sin(x[..., 0]) * x[..., 1], np.exp(x[..., 1]),
+                         x[..., 0] ** 3], axis=-1)
+
+    rng = np.random.default_rng(5)
+    xs = rng.uniform(-1, 1, (5, 2))
+    steps = 1e-7 * (1.0 + np.linalg.norm(xs, axis=1))
+    rows = _fd.jacobian(fn, xs, 3, steps)
+    assert rows.shape == (5, 3, 2)
+    for x, h, jac in zip(xs, steps, rows):
+        assert np.array_equal(jac, _fd.jacobian(fn, x, 3, h))
+        assert np.array_equal(jac, loop_jacobian(fn, x, 3, h))
+    # one step for every row
+    same = _fd.jacobian(fn, xs, 3, 1e-6)
+    for x, jac in zip(xs, same):
+        assert np.array_equal(jac, loop_jacobian(fn, x, 3, 1e-6))
+    assert _fd.jacobian(fn, np.zeros(0), 3, 1e-6).shape == (3, 0)

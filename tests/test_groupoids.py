@@ -206,6 +206,33 @@ def test_identity_functor_is_equivalence():
     assert rep.passed
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-9])
+def test_scaled_coordinate_map_is_a_local_diffeomorphism(scale):
+    # the rank is relative to the Jacobian's own scale, not an absolute cutoff
+    f = Functor.identity(reflection_groupoid())
+    f.coordinate_map = lambda cid, z: (cid, scale * z)
+    rep = is_equivalence(f)
+    assert rep.passed and rep.jacobian_checked
+
+
+def test_coordinate_map_with_zero_jacobian_is_singular():
+    f = Functor.identity(reflection_groupoid())
+    f.coordinate_map = lambda cid, z: (cid, 0.0 * z)
+    rep = is_equivalence(f)
+    assert not rep.passed
+    assert {w[0] for w in rep.witnesses} == {"singular-jacobian"}
+
+
+def test_coordinate_map_of_undecidable_rank_is_a_witness():
+    x = rotation_groupoid()
+    f = Functor.identity(x)
+    f.coordinate_map = lambda cid, z: (cid, np.array([1.0, 1e-9]) * z)
+    rep = is_equivalence(f)
+    assert not rep.passed
+    assert rep.witnesses == [("ambiguous-rank", oi)
+                             for oi in range(len(x.objects))]
+
+
 def test_full_subgroupoid_inclusion_is_equivalence():
     x = reflection_groupoid()
     # keep one representative pair per orbit plus the fixed point

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scfold import _fd, perturbation
+from scfold import _fd, perturbation, scenarios
 from scfold.errors import (
     BiLevelError,
     ExhaustedAttemptsError,
@@ -25,7 +25,7 @@ from scfold.perturbation import (
     Multisection,
     SolutionBranch,
     StrongBundleModel,
-    _corrector,
+    _chart_radius,
     _gauss_newton,
     _min_norm_step,
     bilevel_check,
@@ -59,15 +59,21 @@ def finite_model(base_dim=1, fiber_dim=1, radius=1.5, quadrant=()):
 def fold_section(model):
     """f(x) = x^2: degenerate at the origin, index zero."""
     return BundleSection(
-        model, lambda cid, x: np.array([x[0] ** 2]),
-        jac=lambda cid, x: np.array([[2 * x[0]]]), name="fold")
+        model, lambda cid, x: x ** 2,
+        jac=lambda cid, x: 2 * x[..., None], name="fold")
 
 
 def const_branch(model, value, name="shift"):
     v = np.atleast_1d(np.asarray(value, dtype=float))
     return BundleSection(
-        model, lambda cid, x: v.copy(), tag="sc_plus",
-        jac=lambda cid, x: np.zeros((v.size, x.size)), name=name)
+        model, lambda cid, x: np.tile(v, x.shape[:-1] + (1,)), tag="sc_plus",
+        jac=lambda cid, x: np.zeros(x.shape[:-1] + (v.size, x.shape[-1])),
+        name=name)
+
+
+def rows_of(matrix, x):
+    """The Jacobian of an affine section at every row of x: matrix, repeated."""
+    return np.broadcast_to(matrix, x.shape[:-1] + np.shape(matrix))
 
 
 def scaled_aux(model, scale=0.04):
@@ -361,7 +367,7 @@ def test_control_pair_fold():
 
 def test_control_pair_no_zeros_is_certified():
     model = finite_model()
-    f = BundleSection(model, lambda cid, x: np.array([x[0] ** 2 + 1.0]),
+    f = BundleSection(model, lambda cid, x: x ** 2 + 1.0,
                       name="positive")
     aux = scaled_aux(model)
     cp = control_pair_build(f, aux, margin=0.3, seed=2)
@@ -371,7 +377,7 @@ def test_control_pair_no_zeros_is_certified():
 
 def test_control_pair_escaping_zero_set_fails():
     model = finite_model(base_dim=2, fiber_dim=1, radius=2.0)
-    f = BundleSection(model, lambda cid, x: np.array([x[0] - x[1]]),
+    f = BundleSection(model, lambda cid, x: x[..., :1] - x[..., 1:],
                       name="line")
     aux = scaled_aux(model, scale=1.0)
     cp = control_pair_build(f, aux, margin=0.4, seed=3)
@@ -383,8 +389,8 @@ def test_control_pair_escaping_zero_set_fails():
 
 def test_solution_set_zero_section_is_zero_set():
     model = finite_model()
-    f = BundleSection(model, lambda cid, x: np.array([x[0] ** 2 - 0.25]),
-                      jac=lambda cid, x: np.array([[2 * x[0]]]))
+    f = BundleSection(model, lambda cid, x: x ** 2 - 0.25,
+                      jac=lambda cid, x: 2 * x[..., None])
     sols = solution_set(f, Multisection.zero(model), seed=5)
     pts = sorted(p[0] for b in sols for p in b.points)
     assert len(pts) == 2
@@ -396,8 +402,8 @@ def test_solution_set_zero_section_is_zero_set():
 def test_solution_set_two_branch_parallel_lines():
     # linear surjective map on the plane, two constant branches
     model = finite_model(base_dim=2, fiber_dim=1, radius=1.5)
-    f = BundleSection(model, lambda cid, x: np.array([x[0] + x[1]]),
-                      jac=lambda cid, x: np.array([[1.0, 1.0]]))
+    f = BundleSection(model, lambda cid, x: x[..., :1] + x[..., 1:],
+                      jac=lambda cid, x: rows_of([[1.0, 1.0]], x))
     lam = Multisection(model, [(const_branch(model, [0.4]), Fraction(1, 2)),
                                (const_branch(model, [-0.4]), Fraction(1, 2))])
     sols = solution_set(f, lam, seed=6)
@@ -412,8 +418,8 @@ def test_solution_set_two_branch_parallel_lines():
 
 def test_solution_set_branch_without_solutions_contributes_nothing():
     model = finite_model()
-    f = BundleSection(model, lambda cid, x: np.array([x[0] ** 2]),
-                      jac=lambda cid, x: np.array([[2 * x[0]]]))
+    f = BundleSection(model, lambda cid, x: x ** 2,
+                      jac=lambda cid, x: 2 * x[..., None])
     lam = Multisection(model, [(const_branch(model, [-0.5]), Fraction(1))])
     sols = solution_set(f, lam, seed=7)
     assert sols == []
@@ -421,11 +427,24 @@ def test_solution_set_branch_without_solutions_contributes_nothing():
 
 # ------------------------------------------------------------------ corrector
 
+def _rows(x):
+    """Rows in x: 1 for one point, n for an (n, d) batch."""
+    return int(np.prod(np.shape(x)[:-1]))
+
+
+def _corrected(fn, x0, out_dim):
+    """The corrector on one start: _gauss_newton on a one-row batch and its
+    point, or None unless the residual there is at most CORRECTOR_ACCEPT_TOL."""
+    x, res = _gauss_newton(fn, np.array([x0], dtype=float), out_dim)
+    return x[0] if res[0] <= CORRECTOR_ACCEPT_TOL else None
+
+
 def test_corrector_square_system_root():
     def fn(x):
-        return np.array([x[0] ** 2 + x[1] ** 2 - 2.0, x[0] - x[1]])
+        return np.stack([x[..., 0] ** 2 + x[..., 1] ** 2 - 2.0,
+                         x[..., 0] - x[..., 1]], axis=-1)
 
-    x = _corrector(fn, np.array([0.7, 1.4]), 2)
+    x = _corrected(fn, [0.7, 1.4], 2)
     assert x is not None
     assert np.linalg.norm(fn(x)) <= 1e-8
     assert x == pytest.approx([1.0, 1.0], abs=1e-8)
@@ -433,16 +452,15 @@ def test_corrector_square_system_root():
 
 def test_corrector_index_one_circle():
     def fn(x):
-        return np.array([x[0] ** 2 + x[1] ** 2 - 1.0])
+        return (x[..., 0] ** 2 + x[..., 1] ** 2 - 1.0)[..., None]
 
-    x = _corrector(fn, np.array([0.3, 0.8]), 1)
+    x = _corrected(fn, [0.3, 0.8], 1)
     assert x is not None
     assert np.linalg.norm(fn(x)) <= 1e-8
 
 
 def test_corrector_rejects_map_without_zero():
-    x = _corrector(lambda x: np.array([x[0] ** 2 + 1.0]), np.array([0.4]), 1)
-    assert x is None
+    assert _corrected(lambda x: x ** 2 + 1.0, [0.4], 1) is None
 
 
 def _with_singular_values(rng, sigmas):
@@ -480,7 +498,7 @@ STEP_CASES = _step_cases()
 def test_min_norm_step_matches_pinv(name, jac, val):
     with np.errstate(over="ignore"):  # |row|^2 of the huge row overflows
         ref = np.linalg.pinv(jac, rcond=GAUSS_NEWTON_RCOND) @ val
-        step = _min_norm_step(jac, val)
+        (step,) = _min_norm_step(jac[None], val[None])
     scale = np.abs(ref).max() or 1.0  # keeps the norms of 1e199 finite
     assert (np.linalg.norm((step - ref) / scale)
             <= 1e-12 * np.linalg.norm(ref / scale))
@@ -492,18 +510,119 @@ def test_min_norm_step_matches_pinv(name, jac, val):
         assert np.linalg.norm(step) > 1e10
 
 
+@pytest.mark.parametrize("shape", [(1, 2), (1, 3), (2, 3), (3, 2)], ids=str)
+def test_min_norm_step_of_a_batch_is_the_step_of_each_row(shape):
+    # the one-row formula runs on all rows at once, so the zero, huge and
+    # tiny rows that it rescales sit in the same batch as ordinary ones
+    cases = [(jac, val) for _, jac, val in STEP_CASES if jac.shape == shape]
+    if shape[0] == 1:
+        cases += [(np.zeros(shape), np.ones(1)),
+                  (np.full(shape, 1e200), np.ones(1)),
+                  (np.full(shape, 1e-200), np.ones(1))]
+    jacs = np.array([jac for jac, _ in cases])
+    vals = np.array([val for _, val in cases])
+    with np.errstate(over="ignore"):
+        steps = _min_norm_step(jacs, vals)
+        assert steps.shape == (len(cases), shape[1])
+        for step, jac, val in zip(steps, jacs, vals):
+            assert np.array_equal(step, _min_norm_step(jac[None], val[None])[0])
+            assert np.array_equal(step, scalar_min_norm_step(jac, val))
+
+
 @pytest.mark.parametrize("fn,x0,out_dim", [
-    (lambda x: np.array([np.sqrt(x[0]) - 0.5]), [-1.0], 1),
-    (lambda x: np.array([np.exp(800 * x[0]) - 1.0]), [1.0], 1),
-    (lambda x: np.array([np.sqrt(x[0]) - 0.5, x[1]]), [-1.0, 0.3], 2),
-    (lambda x: np.array([np.exp(800 * x[0]) - 1.0, x[0] - x[1]]), [1.0, 0.0], 2),
+    (lambda x: np.sqrt(x) - 0.5, [-1.0], 1),
+    (lambda x: np.exp(800 * x) - 1.0, [1.0], 1),
+    (lambda x: np.stack([np.sqrt(x[..., 0]) - 0.5, x[..., 1]], axis=-1),
+     [-1.0, 0.3], 2),
+    (lambda x: np.stack([np.exp(800 * x[..., 0]) - 1.0, x[..., 0] - x[..., 1]],
+                        axis=-1), [1.0, 0.0], 2),
 ], ids=["sqrt 1 row", "exp 1 row", "sqrt 2 rows", "exp 2 rows"])
 def test_corrector_ends_quietly_on_non_finite_jacobian(fn, x0, out_dim, capfd):
     with np.errstate(invalid="ignore", over="ignore"):
         jac = _fd.jacobian(fn, np.array(x0), out_dim, 1e-7)
     assert not np.isfinite(jac).all()
-    assert _corrector(fn, np.array(x0), out_dim) is None
+    assert _corrected(fn, x0, out_dim) is None
     assert capfd.readouterr() == ("", "")
+
+
+# the Gauss-Newton loop and seeded search as they were for one start at a
+# time: the references that the batched solve must match row by row, bit for
+# bit; fn and jac take one point
+
+
+def scalar_norm(v):
+    sq = v.dot(v)
+    if math.isfinite(sq) or not np.isfinite(v).all():
+        return math.sqrt(sq)
+    big = np.abs(v).max()
+    return big * scalar_norm(v / big)
+
+
+def scalar_min_norm_step(jac, val):
+    if jac.shape[0] == 1:
+        row = jac[0]
+        sq = row.dot(row)
+        if 1e-300 < sq < math.inf:
+            return row * (val[0] / sq)
+        if not np.isfinite(row).all():
+            return None
+        big = np.abs(row).max()
+        if big == 0.0:
+            return np.zeros_like(row)
+        row = row / big
+        return row * (val[0] / big / row.dot(row))
+    if not np.isfinite(jac).all():
+        return None
+    return np.linalg.lstsq(jac, val, rcond=GAUSS_NEWTON_RCOND)[0]
+
+
+def scalar_gauss_newton(fn, x0, out_dim, tol=1e-11, max_iter=80, jac=None):
+    if jac is None:
+        def jac(z, h):
+            return _fd.jacobian(fn, z, out_dim, h)
+
+    x = np.asarray(x0, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = np.atleast_1d(fn(x))
+        res = scalar_norm(val)
+        for _ in range(max_iter):
+            if res <= tol:
+                break
+            size = 1.0 + scalar_norm(x)
+            step = scalar_min_norm_step(jac(x, 1e-7 * size), val)
+            if step is None:
+                break
+            cap = 10.0 * size
+            sn = scalar_norm(step)
+            if sn > cap:
+                step *= cap / sn
+            t = 1.0
+            for _ in range(12):
+                cand = x - t * step
+                cand_val = np.atleast_1d(fn(cand))
+                cand_res = scalar_norm(cand_val)
+                if cand_res < res:
+                    x, val, res = cand, cand_val, cand_res
+                    break
+                t *= 0.5
+            else:
+                break
+    return x, res
+
+
+def scalar_seeded_zeros(fn, jac, chart, count, rng, tol):
+    d = chart.domain.center.size
+    radius = perturbation._chart_radius(chart)
+    found = []
+    for _ in range(count):
+        x0 = chart.domain.center + radius * rng.uniform(-1, 1, d)
+        x_sol, res = scalar_gauss_newton(fn, x0, chart.fiber_dim(), tol, jac=jac)
+        if res > CORRECTOR_ACCEPT_TOL or not chart.domain.contains(x_sol, 0):
+            continue
+        if any(np.linalg.norm(x_sol - y) < 1e-5 for y in found):
+            continue
+        found.append(x_sol)
+    return found
 
 
 def reference_gauss_newton(fn, x0, out_dim, tol=1e-11, max_iter=80):
@@ -517,7 +636,7 @@ def reference_gauss_newton(fn, x0, out_dim, tol=1e-11, max_iter=80):
             if res <= tol:
                 return x
             jac = _fd.jacobian(fn, x, out_dim, 1e-7 * (1.0 + np.linalg.norm(x)))
-            step = _min_norm_step(jac, val)
+            step = scalar_min_norm_step(jac, val)
             cap = 10.0 * (1.0 + np.linalg.norm(x))
             sn = np.linalg.norm(step)
             if sn > cap:
@@ -535,37 +654,42 @@ def reference_gauss_newton(fn, x0, out_dim, tol=1e-11, max_iter=80):
 
 
 def _trough(x):
-    ramp = max(0.0, abs(x[0] - 0.8) - 0.25)
-    return np.array([x[1] ** 2 + ramp ** 2])
+    ramp = np.maximum(0.0, np.abs(x[..., 0] - 0.8) - 0.25)
+    return (x[..., 1] ** 2 + ramp ** 2)[..., None]
 
 
-# name -> (map, out_dim, center, radius of the seeded starts)
+# name -> (row map, out_dim, center, radius of the seeded starts)
 GN_FIXTURES = {
-    "fold": (lambda x: np.array([x[0] ** 2]), 1, [0.0], 1.5),
-    "circle": (lambda x: np.array([x[0] ** 2 + x[1] ** 2 - 1.0]), 1,
+    "fold": (lambda x: x ** 2, 1, [0.0], 1.5),
+    "circle": (lambda x: (x[..., 0] ** 2 + x[..., 1] ** 2 - 1.0)[..., None], 1,
                [0.0, 0.0], 1.5),
-    "square": (lambda x: np.array([x[0] ** 2 + x[1] ** 2 - 2.0, x[0] - x[1]]),
+    "square": (lambda x: np.stack([x[..., 0] ** 2 + x[..., 1] ** 2 - 2.0,
+                                   x[..., 0] - x[..., 1]], axis=-1),
                2, [0.0, 0.0], 2.0),
     "trough": (_trough, 1, [0.8, 0.0], 0.55),
-    "no_zero": (lambda x: np.array([x[0] ** 2 + 1.0]), 1, [0.0], 1.0),
+    "no_zero": (lambda x: x ** 2 + 1.0, 1, [0.0], 1.0),
 }
+
+
+def _fixture_starts(name, count=6, seed=11):
+    _, _, center, radius = GN_FIXTURES[name]
+    rng = np.random.default_rng(seed)
+    return np.asarray(center) + radius * rng.uniform(-1, 1, (count, len(center)))
 
 
 @pytest.mark.parametrize("max_iter", [80, 3])
 @pytest.mark.parametrize("name", sorted(GN_FIXTURES))
 def test_gauss_newton_matches_reference_with_fewer_evaluations(name, max_iter):
-    fn, out_dim, center, radius = GN_FIXTURES[name]
-    rng = np.random.default_rng(11)
-    for _ in range(6):
-        x0 = np.asarray(center) + radius * rng.uniform(-1, 1, len(center))
+    fn, out_dim, _, _ = GN_FIXTURES[name]
+    for x0 in _fixture_starts(name):
         calls = [0, 0]
 
         def counted(x, k):
             calls[k] += 1
             return fn(x)
 
-        x, res = _gauss_newton(lambda z: counted(z, 0), x0, out_dim,
-                               max_iter=max_iter)
+        (x,), (res,) = _gauss_newton(lambda z: counted(z, 0), x0[None],
+                                     out_dim, max_iter=max_iter)
         x_ref = reference_gauss_newton(lambda z: counted(z, 1), x0, out_dim,
                                        max_iter=max_iter)
         res_ref = np.linalg.norm(counted(x_ref, 1))  # the corrector's test
@@ -576,17 +700,19 @@ def test_gauss_newton_matches_reference_with_fewer_evaluations(name, max_iter):
 
 
 def _trough_jac(x, h):
-    ramp = max(0.0, abs(x[0] - 0.8) - 0.25)
-    return np.array([[2.0 * ramp * np.sign(x[0] - 0.8), 2.0 * x[1]]])
+    ramp = np.maximum(0.0, np.abs(x[..., 0] - 0.8) - 0.25)
+    return np.stack([2.0 * ramp * np.sign(x[..., 0] - 0.8), 2.0 * x[..., 1]],
+                    axis=-1)[..., None, :]
 
 
 # name -> analytic jac(x, h) of the GN_FIXTURES map
 GN_JACOBIANS = {
-    "fold": lambda x, h: np.array([[2.0 * x[0]]]),
-    "circle": lambda x, h: np.array([[2.0 * x[0], 2.0 * x[1]]]),
-    "square": lambda x, h: np.array([[2.0 * x[0], 2.0 * x[1]], [1.0, -1.0]]),
+    "fold": lambda x, h: 2.0 * x[..., None],
+    "circle": lambda x, h: 2.0 * x[..., None, :],
+    "square": lambda x, h: np.stack(
+        [2.0 * x, np.broadcast_to([1.0, -1.0], x.shape)], axis=-2),
     "trough": _trough_jac,
-    "no_zero": lambda x, h: np.array([[2.0 * x[0]]]),
+    "no_zero": lambda x, h: 2.0 * x[..., None],
 }
 
 
@@ -594,25 +720,32 @@ GN_JACOBIANS = {
 @pytest.mark.parametrize("name", sorted(GN_FIXTURES))
 def test_gauss_newton_with_analytic_jacobian_reaches_the_same_roots(name,
                                                                     max_iter):
-    fn, out_dim, center, radius = GN_FIXTURES[name]
-    rng = np.random.default_rng(11)
-    for _ in range(6):
-        x0 = np.asarray(center) + radius * rng.uniform(-1, 1, len(center))
+    fn, out_dim, _, _ = GN_FIXTURES[name]
+    for x0 in _fixture_starts(name):
         calls = [0, 0]
 
         def counted(x, k):
             calls[k] += 1
             return fn(x)
 
-        x, res = _gauss_newton(lambda z: counted(z, 0), x0, out_dim,
-                               max_iter=max_iter, jac=GN_JACOBIANS[name])
-        x_fd, res_fd = _gauss_newton(lambda z: counted(z, 1), x0, out_dim,
-                                     max_iter=max_iter)
+        (x,), (res,) = _gauss_newton(lambda z: counted(z, 0), x0[None],
+                                     out_dim, max_iter=max_iter,
+                                     jac=GN_JACOBIANS[name])
+        (x_fd,), (res_fd,) = _gauss_newton(lambda z: counted(z, 1), x0[None],
+                                           out_dim, max_iter=max_iter)
         if name != "no_zero":  # which has no root, only a stall point
             assert np.abs(x - x_fd).max() <= 1e-9
         assert res == np.linalg.norm(fn(x))
         assert (res <= CORRECTOR_ACCEPT_TOL) == (res_fd <= CORRECTOR_ACCEPT_TOL)
         assert calls[0] < calls[1]
+
+
+def _overflow_one_row(x):
+    return np.exp(800 * x) - 1
+
+
+def _overflow_two_rows(x):
+    return np.stack([np.exp(800 * x[..., 0]) - 1, 1e300 * x[..., 1]], axis=-1)
 
 
 @pytest.mark.parametrize("x0", [0.88, 0.87])
@@ -621,43 +754,202 @@ def test_gauss_newton_residual_finite_where_its_square_overflows(x0, two_rows):
     # |fn| is 1e302 to 1e306 near x0: finite, but its square is not. From 0.88
     # the Jacobian overflows and the solve stops at x0; from 0.87 the line
     # search has to see finite residuals to make progress.
-    if two_rows:
-        def fn(x):
-            return np.array([np.exp(800 * x[0]) - 1, 1e300 * x[1]])
-        start = np.array([x0, 1.0])
-    else:
-        def fn(x):
-            return np.exp(800 * x) - 1
-        start = np.array([x0])
+    fn = _overflow_two_rows if two_rows else _overflow_one_row
+    start = np.array([[x0, 1.0]] if two_rows else [[x0]])
     for max_iter in (80, 3):
-        x, res = _gauss_newton(fn, start, start.size, max_iter=max_iter)
+        (x,), (res,) = _gauss_newton(fn, start, start.shape[1],
+                                     max_iter=max_iter)
         exact = math.hypot(*fn(x))
         assert math.isfinite(res)
         assert abs(res - exact) <= 1e-15 * exact
         if x0 == 0.87:
-            assert exact < math.hypot(*fn(start))
+            assert exact < math.hypot(*fn(start[0]))
+
+
+def _tagged(maps):
+    """One row map of (x0, x1, tag) that applies maps[k] to (x0, x1) on the
+    rows with tag k / 100. Its Jacobian has a zero tag column, so every row
+    keeps its tag and its map, and rows of different maps share one batch."""
+    def fn(x):
+        k = np.rint(100 * x[..., 2])
+        out = maps[0](x[..., :2])
+        for i, m in enumerate(maps[1:], 1):
+            out = np.where((k == i)[..., None], m(x[..., :2]), out)
+        return out
+    return fn
+
+
+def _tagged_jac(jacs):
+    def jac(x, h):
+        k = np.rint(100 * x[..., 2])
+        out = jacs[0](x[..., :2], h)
+        for i, j in enumerate(jacs[1:], 1):
+            out = np.where((k == i)[..., None, None], j(x[..., :2], h), out)
+        return np.concatenate([out, np.zeros(out.shape[:-1] + (1,))], axis=-1)
+    return jac
+
+
+def _in_plane(one_dim):
+    """A map of x0 alone, with the Jacobian column of x1 zero."""
+    return lambda x: one_dim(x[..., :1])
+
+
+def _in_plane_jac(one_dim):
+    return lambda x, h: np.concatenate(
+        [one_dim(x[..., :1], h), np.zeros(x.shape[:-1] + (1, 1))], axis=-1)
+
+
+def _sqrt_jac(x, h):
+    return (0.5 / np.sqrt(x[..., :1]))[..., None]
+
+
+def _exp_jac(x, h):
+    return (800 * np.exp(800 * x[..., :1]))[..., None]
+
+
+# each out_dim -> the maps of one batch, their analytic Jacobians and starts;
+# every GN_FIXTURES map of that out_dim with its seeded starts, maps whose
+# squared residual overflows (from 0.88 the Jacobian overflows too), and a
+# start where the Jacobian is not a number
+def _mixed_batches():
+    one = [(_in_plane(GN_FIXTURES["fold"][0]), _in_plane_jac(GN_JACOBIANS["fold"]),
+            _fixture_starts("fold")),
+           (GN_FIXTURES["circle"][0], GN_JACOBIANS["circle"],
+            _fixture_starts("circle")),
+           (_trough, _trough_jac, _fixture_starts("trough")),
+           (_in_plane(GN_FIXTURES["no_zero"][0]),
+            _in_plane_jac(GN_JACOBIANS["no_zero"]), _fixture_starts("no_zero")),
+           (_in_plane(_overflow_one_row), _in_plane_jac(_exp_jac),
+            [[0.88], [0.87]]),
+           (_in_plane(lambda x: np.sqrt(x) - 0.5), _in_plane_jac(_sqrt_jac),
+            [[-1.0]])]
+    two = [(GN_FIXTURES["square"][0], GN_JACOBIANS["square"],
+            _fixture_starts("square")),
+           (_overflow_two_rows,
+            lambda x, h: np.stack([np.concatenate(
+                [_exp_jac(x, h)[..., 0, :], np.zeros(x.shape[:-1] + (1,))],
+                axis=-1), np.broadcast_to([0.0, 1e300], x.shape)], axis=-2),
+            [[0.88, 1.0], [0.87, 1.0]]),
+           (lambda x: np.stack([np.sqrt(x[..., 0]) - 0.5, x[..., 1]], axis=-1),
+            lambda x, h: np.stack([np.concatenate(
+                [_sqrt_jac(x, h)[..., 0, :], np.zeros(x.shape[:-1] + (1,))],
+                axis=-1), np.broadcast_to([0.0, 1.0], x.shape)], axis=-2),
+            [[-1.0, 0.3]])]
+    batches = {}
+    for out_dim, parts in ((1, one), (2, two)):
+        starts = [np.r_[np.pad(x0, (0, 2 - len(x0))), k / 100]
+                  for k, (_, _, xs) in enumerate(parts) for x0 in xs]
+        batches[out_dim] = (_tagged([p[0] for p in parts]),
+                            _tagged_jac([p[1] for p in parts]), np.array(starts))
+    return batches
+
+
+MIXED_BATCHES = _mixed_batches()
+
+
+@pytest.mark.parametrize("analytic", [False, True], ids=["differences", "jac"])
+@pytest.mark.parametrize("max_iter", [80, 3])
+@pytest.mark.parametrize("out_dim", [1, 2])
+def test_batched_gauss_newton_matches_scalar_reference(out_dim, max_iter,
+                                                       analytic):
+    fn, jac, starts = MIXED_BATCHES[out_dim]
+    jac = jac if analytic else None
+    rows = [0, 0]
+
+    def counted(x, k):
+        rows[k] += _rows(x)
+        return fn(x)
+
+    xs, res = _gauss_newton(lambda z: counted(z, 0), starts, out_dim,
+                            max_iter=max_iter, jac=jac)
+    for x, r, x0 in zip(xs, res, starts, strict=True):
+        x_ref, res_ref = scalar_gauss_newton(lambda z: counted(z, 1), x0,
+                                             out_dim, max_iter=max_iter, jac=jac)
+        assert np.array_equal(x, x_ref)
+        assert np.array_equal(r, res_ref, equal_nan=True)
+    # only rows still searching are evaluated: as many as one at a time
+    assert rows[0] == rows[1]
+    # the batch holds rows that stall, overflow, end on a Jacobian that is not
+    # a number and, given the iterations, converge
+    nan_rows = np.isnan(res)
+    assert nan_rows.any() and np.array_equal(xs[nan_rows], starts[nan_rows])
+    assert (np.isfinite(res) & (res > 1e300)).any()
+    if max_iter == 80:
+        assert (res <= CORRECTOR_ACCEPT_TOL).any()
+
+
+def _reference_charts():
+    """(name, chart, fn, jac) of row sections on their first chart: the
+    GN_FIXTURES maps as sections, with their jac or by differences."""
+    def section(model, name, with_jac=True):
+        fn, _, _, _ = GN_FIXTURES[name]
+        jac = GN_JACOBIANS[name] if with_jac else None
+        return model, BundleSection(
+            model, lambda cid, x: fn(x),
+            jac=jac and (lambda cid, x: jac(x, None)), name=name)
+
+    out = []
+    for name, (model, f) in [
+            ("fold", section(finite_model(), "fold")),
+            ("circle", section(finite_model(2, 1, 1.5), "circle")),
+            ("square", section(finite_model(2, 2, 2.0), "square", False)),
+            ("trough", _porkbarrel_bundle()),
+            ("no_zero", section(finite_model(radius=1.0), "no_zero", False))]:
+        cid = next(iter(model.charts))
+        out.append((name, model.charts[cid],
+                    lambda z, f=f, cid=cid: f(cid, z),
+                    lambda z, h, f=f, cid=cid: f.derivative_matrix(cid, z, h)))
+    return out
+
+
+@pytest.mark.parametrize("name,chart,fn,jac", _reference_charts(),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_seeded_zeros_match_scalar_reference(name, chart, fn, jac):
+    rng, rng_ref = np.random.default_rng(4), np.random.default_rng(4)
+    found = perturbation._seeded_zeros(fn, jac, chart, 24, rng, 1e-11)
+    found_ref = scalar_seeded_zeros(fn, jac, chart, 24, rng_ref, 1e-11)
+    assert len(found) == len(found_ref)
+    for x, x_ref in zip(found, found_ref):
+        assert np.array_equal(x, x_ref)
+    assert rng.uniform() == rng_ref.uniform()
+    if name != "no_zero":
+        assert found
 
 
 def test_solution_set_work_guard():
     # index-one porkbarrel chart at the zero multisection: all 33 curve
-    # samples of the degenerate segment fail in Picard. The budget sits
-    # above 3,988 evaluations (failed solves stop at their first non-finite
-    # residual, one evaluation per corrector point) and below 14,121 (failed
-    # solves run to max_iter, accepted corrector points evaluated twice).
-    # Since the corrector steps with the section's jac it takes 1,252.
+    # samples of the degenerate segment fail in Picard. The budget, in
+    # evaluated rows, sits above 3,988 (failed solves stop at their first
+    # non-finite residual, one evaluation per corrector point) and below
+    # 14,121 (failed solves run to max_iter, accepted corrector points
+    # evaluated twice). Stepping with the section's jac took 1,252 rows, one
+    # call each, when every start was solved alone; one array solve per chart
+    # and branch evaluates the same 1,252 rows in 547 calls.
     model, section = _porkbarrel_bundle()
     fn = section.fn
-    calls = [0]
+    rows = [0]
 
     def counted(cid, x):
-        calls[0] += 1
+        rows[0] += _rows(x)
         return fn(cid, x)
 
     section.fn = counted
     sols = solution_set(section, Multisection.zero(model), seed=0)
     assert [(b.chart_id, len(b.points)) for b in sols] == [
         ("spanned", 1), ("collapsed", 33)]
-    assert calls[0] <= 6000
+    assert rows[0] <= 6000
+
+
+def test_pointwise_section_is_refused_on_rows():
+    # the fold as written for one point: on a batch, x[0] is the first row,
+    # so its one value would broadcast against the zero section's rows
+    model = finite_model()
+    f = BundleSection(model, lambda cid, x: np.array([x[0] ** 2]),
+                      jac=lambda cid, x: np.array([[2 * x[0]]]), name="fold")
+    with pytest.raises(ValueError, match=re.escape(
+            "section 'fold' returned shape (1, 1) for rows x of shape (40, 1); "
+            "rows need shape (40, 1)")):
+        solution_set(f, Multisection.zero(model), seed=0)
 
 
 def _counting(*sections):
@@ -676,8 +968,8 @@ def _counting(*sections):
 
 
 def line_section(model):
-    return BundleSection(model, lambda cid, x: np.array([x[0] + x[1]]),
-                         jac=lambda cid, x: np.array([[1.0, 1.0]]),
+    return BundleSection(model, lambda cid, x: x[..., :1] + x[..., 1:],
+                         jac=lambda cid, x: rows_of([[1.0, 1.0]], x),
                          name="line")
 
 
@@ -766,7 +1058,7 @@ def test_control_pair_build_makes_no_germ_solve(monkeypatch):
 def test_index_zero_solution_set_makes_no_germ_solve(monkeypatch):
     calls = _record_germ_solves(monkeypatch)
     model = finite_model()
-    f = BundleSection(model, lambda cid, x: np.array([x[0] ** 2 - 0.25]))
+    f = BundleSection(model, lambda cid, x: x ** 2 - 0.25)
     sols = solution_set(f, Multisection.zero(model), seed=5)
     pts = sorted(p[0] for b in sols for p in b.points)
     assert pts == pytest.approx([-0.5, 0.5], abs=1e-9)
@@ -777,8 +1069,8 @@ def test_index_zero_solution_set_makes_no_germ_solve(monkeypatch):
 
 def test_linearization_single_zero_branch():
     model = finite_model()
-    f = BundleSection(model, lambda cid, x: np.array([x[0] ** 2 - 0.25]),
-                      jac=lambda cid, x: np.array([[2 * x[0]]]))
+    f = BundleSection(model, lambda cid, x: x ** 2 - 0.25,
+                      jac=lambda cid, x: 2 * x[..., None])
     lam = Multisection.zero(model)
     lset = linearization_set(f, lam, "main", np.array([0.5]))
     assert len(lset.operators) == 1
@@ -839,8 +1131,8 @@ def test_linearization_differentiates_f_once_for_all_branches():
 
 def test_transversal_surjective_linear():
     model = finite_model(base_dim=2, fiber_dim=1)
-    f = BundleSection(model, lambda cid, x: np.array([x[0] + 2 * x[1]]),
-                      jac=lambda cid, x: np.array([[1.0, 2.0]]))
+    f = BundleSection(model, lambda cid, x: x[..., :1] + 2 * x[..., 1:],
+                      jac=lambda cid, x: rows_of([[1.0, 2.0]], x))
     lam = Multisection.zero(model)
     sols = solution_set(f, lam, seed=8)
     rep = transversal_check(f, lam, sols)
@@ -863,8 +1155,8 @@ def test_transversal_fold_fails_at_origin():
 def test_transversal_boundary_good_position():
     # kernel along the diagonal is in good position; along a face it is not
     model_ok = finite_model(base_dim=2, fiber_dim=1, quadrant=(0, 1))
-    f_ok = BundleSection(model_ok, lambda cid, x: np.array([x[0] - x[1]]),
-                         jac=lambda cid, x: np.array([[1.0, -1.0]]))
+    f_ok = BundleSection(model_ok, lambda cid, x: x[..., :1] - x[..., 1:],
+                         jac=lambda cid, x: rows_of([[1.0, -1.0]], x))
     lam = Multisection.zero(model_ok)
     sols = [b for b in solution_set(f_ok, lam, seed=10)]
     corner = [b for b in sols if any(np.linalg.norm(p) < 1e-6 for p in b.points)]
@@ -872,8 +1164,8 @@ def test_transversal_boundary_good_position():
     assert rep.passed
 
     model_bad = finite_model(base_dim=2, fiber_dim=1, quadrant=(0, 1))
-    f_bad = BundleSection(model_bad, lambda cid, x: np.array([x[1]]),
-                          jac=lambda cid, x: np.array([[0.0, 1.0]]))
+    f_bad = BundleSection(model_bad, lambda cid, x: x[..., 1:],
+                          jac=lambda cid, x: rows_of([[0.0, 1.0]], x))
     lam_bad = Multisection.zero(model_bad)
     sols_bad = solution_set(f_bad, lam_bad, seed=11)
     rep_bad = transversal_check(f_bad, lam_bad, sols_bad, boundary=True)
@@ -885,8 +1177,8 @@ def ambiguous_section(model, diagonal=(1.0, 1e-9)):
     """f(x) = diag(1, 1e-9) x by default: its linearization's second relative
     singular value lies inside the guard band, so its rank is undecidable."""
     d = np.diag(diagonal)
-    return BundleSection(model, lambda cid, x: d @ x,
-                         jac=lambda cid, x: d.copy(), name="ambiguous")
+    return BundleSection(model, lambda cid, x: x @ d.T,
+                         jac=lambda cid, x: rows_of(d, x), name="ambiguous")
 
 
 # diag(1e9, 1) is surjective with smallest singular value 1, far above the
@@ -908,8 +1200,8 @@ def test_transversal_ambiguous_rank_is_a_failure(diagonal):
 
 def test_perturb_already_transversal_returns_zero():
     model = finite_model()
-    f = BundleSection(model, lambda cid, x: np.array([x[0] - 0.2]),
-                      jac=lambda cid, x: np.array([[1.0]]))
+    f = BundleSection(model, lambda cid, x: x - 0.2,
+                      jac=lambda cid, x: rows_of([[1.0]], x))
     aux = scaled_aux(model)
     cp = control_pair_build(f, aux, margin=0.5, seed=12)
     tau = perturb_to_transversal(f, cp, 0.1, seed=12)
@@ -984,15 +1276,15 @@ def test_cobordism_support_violation_refused():
 
 def test_weighted_count_signs():
     model = finite_model()
-    f = BundleSection(model, lambda cid, x: np.array([x[0] ** 2 - 0.25]),
-                      jac=lambda cid, x: np.array([[2 * x[0]]]))
+    f = BundleSection(model, lambda cid, x: x ** 2 - 0.25,
+                      jac=lambda cid, x: 2 * x[..., None])
     lam = Multisection.zero(model)
     sols = solution_set(f, lam, seed=18)
     count = weighted_count(f, sols, lam)
     assert count == Fraction(0)  # +1 at x=1/2, -1 at x=-1/2
 
-    g = BundleSection(model, lambda cid, x: np.array([x[0] - 0.3]),
-                      jac=lambda cid, x: np.array([[1.0]]))
+    g = BundleSection(model, lambda cid, x: x - 0.3,
+                      jac=lambda cid, x: rows_of([[1.0]], x))
     sols_g = solution_set(g, lam, seed=19)
     assert weighted_count(g, sols_g, lam) == Fraction(1)
 
@@ -1170,3 +1462,46 @@ def test_failed_curve_samples_are_counted():
     spanned = [b for b in sols if b.chart_id == "spanned"]
     assert [(b.dimension, b.failed_samples) for b in spanned] == [(1, 33)]
     assert spanned[0].parametrize is None
+
+
+def _library_sections():
+    """(name, section, chart_id) of every section the library builds, and of
+    the fold and trough sections of the scenarios."""
+    model = finite_model(base_dim=2, fiber_dim=3)
+    zero = zero_section(model)
+    const = perturbation.constant_branch_section(model, [0.1, -2.0, 3.0])
+    opaque = BundleSection(model, lambda cid, x: np.sin(x[..., :1]) * [1.0, 2.0, 3.0],
+                           tag="sc_plus")
+    out = [("zero", zero, "main"), ("constant", const, "main"),
+           ("combination", perturbation._combination(model, zero, const, 0.3,
+                                                     0.7, "mix"), "main"),
+           ("combination without jac", perturbation._combination(
+               model, const, opaque, 0.5, 0.5, "mix"), "main")]
+    for name, (model, f), aux_scale, cid in [
+            ("fold", scenarios._fold_model()[:2], 0.04, "main"),
+            ("porkbarrel", _porkbarrel_bundle(), 0.02, "spanned")]:
+        cp = control_pair_build(f, scaled_aux(model, aux_scale), margin=0.5,
+                                seed=0)
+        shift = perturb_to_transversal(f, cp, 0.1, seed=0).branches[0][0]
+        out += [(f"{name} section", f, cid), (f"{name} cokernel shift", shift, cid)]
+    out.append(("porkbarrel collapsed", _porkbarrel_bundle()[1], "collapsed"))
+    return out
+
+
+@pytest.mark.parametrize("name,section,cid", _library_sections(),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_sections_evaluate_rows_as_points(name, section, cid):
+    chart = section.model.chart(cid)
+    rng = np.random.default_rng(21)
+    xs = chart.domain.center + _chart_radius(chart) * rng.uniform(
+        -1, 1, (5, chart.domain.center.size))
+    steps = 1e-7 * (1.0 + np.linalg.norm(xs, axis=1))
+    values = section(cid, xs)
+    jacs = section.derivative_matrix(cid, xs, steps)
+    assert values.shape == (5, chart.fiber_dim())
+    assert jacs.shape == (5, chart.fiber_dim(), xs.shape[1])
+    for x, h, value, jac in zip(xs, steps, values, jacs):
+        assert np.array_equal(value, section(cid, x))
+        assert np.array_equal(jac, section.derivative_matrix(cid, x, h))
+    if name.endswith("cokernel shift"):  # the bump is on at some rows
+        assert np.abs(values).max() > 0.0
