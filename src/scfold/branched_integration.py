@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,6 +35,11 @@ MEMBERSHIP_TOL = 1e-9
 # differential forms
 
 
+# x ** e as a float64 scalar computes it, libm's pow element by element:
+# numpy's array power squares or runs SIMD code that can differ in the last bit
+_pow = np.vectorize(math.pow, otypes=[float])
+
+
 def _sorted_key(idx):
     """Sort a multi-index, tracking the permutation sign; repeated indices kill
     the term."""
@@ -48,7 +54,8 @@ def _sorted_key(idx):
 
 
 class Polynomial:
-    """Multivariate polynomial as a dict from exponent tuples to coefficients."""
+    """Multivariate polynomial as a dict from exponent tuples to coefficients,
+    evaluated at the rows of x: shape (..., n_vars) to (...,)."""
 
     def __init__(self, n_vars, terms=None):
         self.n_vars = n_vars
@@ -56,10 +63,14 @@ class Polynomial:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        total = 0.0
+        total = np.zeros(x.shape[:-1])
         for expo, c in self.terms.items():
-            total += c * np.prod([x[i] ** e for i, e in enumerate(expo)])
-        return total
+            mono = np.ones(x.shape[:-1])
+            for i, e in enumerate(expo):
+                if e:
+                    mono = mono * _pow(x[..., i], e)
+            total += c * mono
+        return total[()]
 
     def partial(self, i):
         out = {}
@@ -85,7 +96,9 @@ class Polynomial:
 
 class PolynomialForm:
     """Skew form with polynomial coefficients: sum over increasing index
-    tuples I of c_I(x) dx_I. The exterior derivative differentiates the
+    tuples I of c_I(x) dx_I, evaluated at rows: x and each vector of shape
+    (..., n_vars) give values of shape (...,), each term's minors in one
+    stacked determinant. The exterior derivative differentiates the
     coefficients exactly."""
 
     def __init__(self, n_vars, degree, terms):
@@ -112,14 +125,13 @@ class PolynomialForm:
         if len(vectors) != self.degree:
             raise ValueError(f"need {self.degree} tangent vectors")
         x = np.asarray(x, dtype=float)
-        if self.degree == 0:
-            return sum(poly(x) for poly in self.terms.values())
-        total = 0.0
-        vmat = np.column_stack([np.asarray(v, dtype=float) for v in vectors])
+        total = np.zeros(x.shape[:-1])
+        if vectors:
+            vmat = np.stack([np.asarray(v, dtype=float) for v in vectors], axis=-1)
         for idx, poly in self.terms.items():
-            minor = vmat[list(idx), :]
-            total += poly(x) * np.linalg.det(minor)
-        return float(total)
+            minor = np.linalg.det(vmat[..., list(idx), :]) if vectors else 1.0
+            total += poly(x) * minor
+        return total[()]
 
     def exterior_derivative(self):
         out = {}
@@ -142,8 +154,9 @@ class PolynomialForm:
 
 
 class CallbackForm:
-    """Form given by an evaluator; its exterior derivative must be requested
-    through the finite-difference fallback."""
+    """Form given by an evaluator of rows, fn(x, *vectors) with x and each
+    vector of shape (..., n_vars) giving (...,); its exterior derivative must
+    be requested through the finite-difference fallback."""
 
     def __init__(self, n_vars, degree, fn):
         self.n_vars = n_vars
@@ -153,7 +166,12 @@ class CallbackForm:
     def __call__(self, x, *vectors):
         if len(vectors) != self.degree:
             raise ValueError(f"need {self.degree} tangent vectors")
-        return float(self.fn(np.asarray(x, dtype=float), *vectors))
+        x = np.asarray(x, dtype=float)
+        out = np.asarray(self.fn(x, *vectors), dtype=float)
+        if x.ndim > 1 and out.shape != x.shape[:-1]:
+            raise ValueError(f"form returned shape {out.shape} for rows x of "
+                             f"shape {x.shape}; rows need shape {x.shape[:-1]}")
+        return out[()]
 
     def exterior_derivative(self, fd_fallback=False):
         if not fd_fallback:
@@ -218,7 +236,8 @@ def morphism_invariance_residual(form, morphism_pairs):
 class Cell:
     """Reference cube mapped into an object chart.
 
-    chart_map takes reference coordinates in the given bounds; jac may be
+    chart_map takes rows of reference coordinates in the given bounds, shape
+    (..., dim), to points of shape (..., n); jac, shape (..., n, dim), may be
     omitted, in which case finite differences are used. sign flips the cell's
     orientation contribution.
     """
@@ -235,13 +254,27 @@ class Cell:
         self.bounds = tuple((float(a), float(b)) for a, b in self.bounds)
 
     def point(self, q):
-        return np.asarray(self.chart_map(np.asarray(q, dtype=float)), dtype=float)
+        q = np.asarray(q, dtype=float)
+        return self._rows(q, np.asarray(self.chart_map(q), dtype=float))
 
     def jacobian(self, q):
         q = np.asarray(q, dtype=float)
-        if self.jac is not None:
-            return np.asarray(self.jac(q), dtype=float)
-        return _fd.jacobian(self.point, q, None, _fd.JACOBIAN_STEP)
+        if self.jac is None:
+            return _fd.jacobian(self.point, q, None, _fd.JACOBIAN_STEP)
+        return self._rows(q, np.asarray(self.jac(q), dtype=float), self.dim)
+
+    def _rows(self, q, out, *tail):
+        """out, once a batch q of rows has given one result of shape
+        (n, *tail) per row; ValueError otherwise, since a chart written for
+        one point broadcasts silently into a wrong integral."""
+        if q.ndim > 1 and (out.ndim != q.ndim + len(tail)
+                           or out.shape[:q.ndim - 1] != q.shape[:-1]
+                           or out.shape[q.ndim:] != tail):
+            want = ", ".join(map(str, q.shape[:-1] + ("n",) + tail))
+            raise ValueError(
+                f"cell of dimension {self.dim} returned shape {out.shape} for "
+                f"rows q of shape {q.shape}; rows need shape ({want})")
+        return out
 
     def boundary_cells(self):
         """Faces with the induced orientation of the standard cube."""
@@ -257,17 +290,13 @@ class Cell:
     def _face(self, axis, value, sign):
         rest = [self.bounds[k] for k in range(self.dim) if k != axis]
 
-        def face_map(q, axis=axis, value=value):
-            q = np.atleast_1d(np.asarray(q, dtype=float))
-            full = np.insert(q, axis, value)
-            return self.point(full)
+        keep = [k for k in range(self.dim) if k != axis]
 
-        def face_jac(q, axis=axis, value=value):
-            q = np.atleast_1d(np.asarray(q, dtype=float))
-            full = np.insert(q, axis, value)
-            jac = self.jacobian(full)
-            keep = [k for k in range(self.dim) if k != axis]
-            return jac[:, keep]
+        def face_map(q):
+            return self.point(np.insert(q, axis, value, axis=-1))
+
+        def face_jac(q):
+            return self.jacobian(np.insert(q, axis, value, axis=-1))[..., keep]
 
         return Cell(self.dim - 1, face_map, face_jac, tuple(rest), sign)
 
@@ -392,24 +421,20 @@ class WeightedMeasureResult:
 
 
 def _cell_integral(cell, form, order, region=None):
-    pts, wts = _fd.gauss01(order)
-    grids = []
-    scale = 1.0
-    bounds = region if region is not None else cell.bounds
-    for a, b in bounds:
-        grids.append(a + (b - a) * pts)
-        scale *= (b - a)
-    total = 0.0
+    """Tensor Gauss rule on one cell: one chart, Jacobian and form call over
+    all nodes, in itertools.product order (the last axis fastest)."""
     if cell.dim == 0:
-        p = cell.point(np.zeros(0))
-        return cell.sign * form(p)
-    for combo in itertools.product(*(range(len(pts)) for _ in range(cell.dim))):
-        q = np.array([grids[d][combo[d]] for d in range(cell.dim)])
-        wq = np.prod([wts[c] for c in combo])
-        jac = cell.jacobian(q)
-        vecs = [jac[:, j] for j in range(cell.dim)]
-        total += wq * form(cell.point(q), *vecs)
-    return cell.sign * scale * total
+        return cell.sign * form(cell.point(np.zeros(0)))
+    pts, wts = _fd.gauss01(order)
+    bounds = region if region is not None else cell.bounds
+    idx = np.indices((len(pts),) * cell.dim).reshape(cell.dim, -1).T
+    q = np.stack([(a + (b - a) * pts)[i] for (a, b), i in zip(bounds, idx.T)], axis=-1)
+    jac = cell.jacobian(q)
+    values = np.prod(wts[idx], axis=-1) * form(cell.point(q), *np.moveaxis(jac, -1, 0))
+    # summed left to right from 0.0, as one node at a time: pairwise np.sum
+    # would move the round-off of Stokes residuals
+    scale = math.prod(b - a for a, b in bounds)
+    return cell.sign * scale * (0.0 + np.cumsum(values)[-1])
 
 
 def integrate(family, form, region=None, order=12):
@@ -484,6 +509,11 @@ def stokes_residual(family, form, order=12):
 # standard branch constructions
 
 
+def _matrix_rows(entries):
+    """(..., n, m) array from an n x m nested list of (...,) arrays."""
+    return np.stack([np.stack(row, axis=-1) for row in entries], axis=-2)
+
+
 def disk_branch(radius=1.0, weight=Fraction(1), quadrants=4, name="disk"):
     """Unit disk as polar quadrant cells; internal radial faces cancel in
     boundary integrals."""
@@ -492,15 +522,15 @@ def disk_branch(radius=1.0, weight=Fraction(1), quadrants=4, name="disk"):
         a0, a1 = k / quadrants, (k + 1) / quadrants
 
         def chart(q, a0=a0, a1=a1):
-            r = radius * q[0]
-            th = 2 * np.pi * (a0 + (a1 - a0) * q[1])
-            return np.array([r * np.cos(th), r * np.sin(th)])
+            r = radius * q[..., 0]
+            th = 2 * np.pi * (a0 + (a1 - a0) * q[..., 1])
+            return np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
 
         def jac(q, a0=a0, a1=a1):
-            r = radius * q[0]
-            th = 2 * np.pi * (a0 + (a1 - a0) * q[1])
+            r = radius * q[..., 0]
+            th = 2 * np.pi * (a0 + (a1 - a0) * q[..., 1])
             dth = 2 * np.pi * (a1 - a0)
-            return np.array([
+            return _matrix_rows([
                 [radius * np.cos(th), -r * dth * np.sin(th)],
                 [radius * np.sin(th), r * dth * np.cos(th)],
             ])
@@ -514,14 +544,14 @@ def half_disk_branch(sign, radius=1.0, weight=Fraction(1, 2), name=None):
     """Upper (+1) or lower (-1) half disk; the diameter face participates in
     boundary sums and cancels against the matching half."""
     def chart(q):
-        r = radius * q[0]
-        th = np.pi * q[1] if sign > 0 else np.pi + np.pi * q[1]
-        return np.array([r * np.cos(th), r * np.sin(th)])
+        r = radius * q[..., 0]
+        th = np.pi * q[..., 1] if sign > 0 else np.pi + np.pi * q[..., 1]
+        return np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
 
     def jac(q):
-        r = radius * q[0]
-        th = np.pi * q[1] if sign > 0 else np.pi + np.pi * q[1]
-        return np.array([
+        r = radius * q[..., 0]
+        th = np.pi * q[..., 1] if sign > 0 else np.pi + np.pi * q[..., 1]
+        return _matrix_rows([
             [radius * np.cos(th), -r * np.pi * np.sin(th)],
             [radius * np.sin(th), r * np.pi * np.cos(th)],
         ])
@@ -535,18 +565,21 @@ def segment_branch(start, end, weight=Fraction(1), name="segment"):
     end = np.asarray(end, dtype=float)
 
     def chart(q):
-        return start + q[0] * (end - start)
+        return start + q[..., :1] * (end - start)
 
     def jac(q):
-        return (end - start)[:, None]
+        return np.broadcast_to((end - start)[:, None],
+                               q.shape[:-1] + (len(start), 1))
 
     return Branch([Cell(1, chart, jac)], weight, name=name)
 
 
 def curve_branch(parametrize, lo, hi, weight=Fraction(1), name="curve"):
-    """One-dimensional branch from a parametrization callable on [lo, hi]."""
+    """One-dimensional branch from a pointwise parametrization callable on
+    [lo, hi]; its chart calls it once per row."""
     def chart(q):
-        return np.asarray(parametrize(lo + q[0] * (hi - lo)), dtype=float)
+        points = [parametrize(lo + t * (hi - lo)) for t in q.ravel()]
+        return np.asarray(points, dtype=float).reshape(q.shape[:-1] + (-1,))
 
     return Branch([Cell(1, chart, None)], weight, name=name)
 
@@ -643,10 +676,10 @@ def family_from_config(text_or_dict):
             partials = [[p.partial(j) for j in range(dim)] for p in polys]
 
             def chart(q, polys=polys):
-                return np.array([p(q) for p in polys])
+                return np.stack([p(q) for p in polys], axis=-1)
 
             def jac(q, partials=partials):
-                return np.array([[pj(q) for pj in row] for row in partials])
+                return _matrix_rows([[pj(q) for pj in row] for row in partials])
 
             cells.append(Cell(dim, chart, jac,
                               tuple(tuple(b) for b in cspec.get("bounds", [])) or None,

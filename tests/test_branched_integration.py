@@ -1,8 +1,12 @@
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from scfold import _fd
+from scfold import branched_integration as bi
 from scfold.branched_integration import (
     Branch,
     BranchedFamily,
@@ -107,7 +111,7 @@ def test_d_squared_zero_random_polynomials():
 def test_callback_form_requires_supplier():
     from scfold.errors import MissingDerivativeError
 
-    cb = CallbackForm(2, 1, lambda x, v: x[0] * v[1])
+    cb = CallbackForm(2, 1, lambda x, v: x[..., 0] * v[..., 1])
     with pytest.raises(MissingDerivativeError):
         exterior_derivative(cb)
     d = exterior_derivative(cb, fd_fallback=True)
@@ -371,8 +375,8 @@ def test_pairing_index_one_circle():
     assert cp.certified
 
     def dtheta(x, v):
-        r2 = x[0] ** 2 + x[1] ** 2
-        return (x[0] * v[1] - x[1] * v[0]) / (2 * np.pi * r2)
+        r2 = x[..., 0] ** 2 + x[..., 1] ** 2
+        return (x[..., 0] * v[..., 1] - x[..., 1] * v[..., 0]) / (2 * np.pi * r2)
 
     omega = CallbackForm(2, 1, dtheta)
     rep = de_rham_pairing(f, cp, omega, trials=3, seed=51)
@@ -390,3 +394,233 @@ def test_pairing_point_branch_building_blocks():
     one = PolynomialForm(1, 0, {(): Polynomial.constant(1, 1.0)})
     res = integrate(fam, one, order=2)
     assert res.value == pytest.approx(0.0, abs=1e-14)
+
+
+# ---------------------------------------------------------- rows of nodes
+
+def per_node_cell_integral(cell, form, order, region=None):
+    """The cell integral one Gauss node at a time: a pointwise chart,
+    Jacobian and form call per node, summed from 0.0 in itertools.product
+    order. The row quadrature must return the same float."""
+    pts, wts = _fd.gauss01(order)
+    grids = []
+    scale = 1.0
+    bounds = region if region is not None else cell.bounds
+    for a, b in bounds:
+        grids.append(a + (b - a) * pts)
+        scale *= (b - a)
+    total = 0.0
+    if cell.dim == 0:
+        p = cell.point(np.zeros(0))
+        return cell.sign * form(p)
+    for combo in itertools.product(*(range(len(pts)) for _ in range(cell.dim))):
+        q = np.array([grids[d][combo[d]] for d in range(cell.dim)])
+        wq = np.prod([wts[c] for c in combo])
+        jac = cell.jacobian(q)
+        vecs = [jac[:, j] for j in range(cell.dim)]
+        total += wq * form(cell.point(q), *vecs)
+    return cell.sign * scale * total
+
+
+def rich_form():
+    return PolynomialForm(2, 1, {
+        (1,): Polynomial(2, {(3, 0): 1.0, (1, 1): 0.5}),
+        (0,): Polynomial(2, {(0, 2): -0.25}),
+    })
+
+
+def unit_circle(t):
+    return np.array([math.cos(t), math.sin(t)])
+
+
+def config_family():
+    return family_from_config({
+        "schema": "family/1",
+        "effective_order": 2,
+        "branches": [{
+            "name": "bent", "weight": "1/3",
+            "cells": [{"dim": 2, "sign": -1, "bounds": [[0, 1], [-1, 0.5]],
+                       "map": [{"1,0": 1.0, "2,1": 0.3, "0,0": 0.1},
+                               {"0,1": 1.0, "3,0": -0.2}]}],
+        }],
+    })
+
+
+def dtheta_form():
+    def dtheta(x, v):
+        r2 = x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1]
+        return (x[..., 0] * v[..., 1] - x[..., 1] * v[..., 0]) / (2 * np.pi * r2)
+
+    return CallbackForm(2, 1, dtheta)
+
+
+def smooth_callback_form():
+    return CallbackForm(2, 1, lambda x, v: np.sin(x[..., 0]) * v[..., 1]
+                        + x[..., 1] ** 3 * v[..., 0])
+
+
+def wavy_zero_form():
+    return CallbackForm(2, 0, lambda x: np.sin(x[..., 0]) * x[..., 1] ** 3)
+
+
+QUADRATURE_CASES = {
+    # name: (family, form integrated over it, form integrated over its boundary)
+    "disk": (lambda: family(disk_branch()), area_form, x_dy),
+    "half-disks": (lambda: family(half_disk_branch(+1), half_disk_branch(-1), g=2),
+                   lambda: exterior_derivative(rich_form()), rich_form),
+    "segment": (lambda: family(segment_branch([0.0, -1.0], [2.0, 0.5])),
+                rich_form, lambda: PolynomialForm(2, 0, {(): Polynomial(
+                    2, {(2, 1): 1.5, (0, 0): -2.0})})),
+    "curve-fd": (lambda: family(curve_branch(unit_circle, 0.0, 2.0,
+                                             weight=Fraction(3, 2))),
+                 dtheta_form, wavy_zero_form),
+    "config": (config_family, area_form, rich_form),
+    "callback-fd": (lambda: family(disk_branch(weight=Fraction(2, 3))),
+                    lambda: exterior_derivative(smooth_callback_form(),
+                                                fd_fallback=True),
+                    smooth_callback_form),
+}
+
+
+def _results(fn):
+    res = fn()
+    return res.value, res.per_branch, res.est_error, \
+        [type(v) for _, v in res.per_branch]
+
+
+@pytest.mark.parametrize("name", sorted(QUADRATURE_CASES))
+@pytest.mark.parametrize("order", [1, 2, 5, 12])
+def test_row_quadrature_matches_per_node_loop(monkeypatch, name, order):
+    make_family, inner, outer = QUADRATURE_CASES[name]
+    fam = make_family()
+    calls = [lambda: integrate(fam, inner(), order=order),
+             lambda: integrate_boundary(fam, outer(), order=order)]
+    if fam.branches[0].dim == 2:
+        calls.append(lambda: integrate(
+            fam, inner(), order=order,
+            region={b.name: [[(0.25, 0.5), (0.0, 0.75)]] for b in fam.branches}))
+    rows = [_results(c) for c in calls]
+    monkeypatch.setattr(bi, "_cell_integral", per_node_cell_integral)
+    assert [_results(c) for c in calls] == rows
+    assert all(t is np.float64 for r in rows for t in r[3])
+
+
+def test_row_quadrature_matches_per_node_loop_on_point_branches(monkeypatch):
+    fam = family(point_branch([0.5, -0.25], weight=Fraction(1, 3)),
+                 point_branch([-0.5, 2.0], sign=-1))
+    forms = [PolynomialForm(2, 0, {(): Polynomial(2, {(3, 1): 0.7, (0, 0): 1.0})}),
+             wavy_zero_form()]
+    rows = [_results(lambda f=f: integrate(fam, f, order=3)) for f in forms]
+    monkeypatch.setattr(bi, "_cell_integral", per_node_cell_integral)
+    assert [_results(lambda f=f: integrate(fam, f, order=3)) for f in forms] == rows
+
+
+def test_stokes_residuals_match_per_node_loop(monkeypatch):
+    # the residuals sit at round-off and the stokes scenario's monotone check
+    # reads them, so a changed summation order must show here
+    two = family(half_disk_branch(+1), half_disk_branch(-1), g=2)
+    disk = family(disk_branch())
+    orders = range(2, 13)
+    rows = [stokes_residual(two, rich_form(), order=o) for o in orders]
+    disk_rows = stokes_residual(disk, x_dy(), order=12)
+    monkeypatch.setattr(bi, "_cell_integral", per_node_cell_integral)
+    assert [stokes_residual(two, rich_form(), order=o) for o in orders] == rows
+    assert stokes_residual(disk, x_dy(), order=12) == disk_rows == 0.0
+    assert 0.0 < rows[-1] <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(QUADRATURE_CASES))
+def test_cells_evaluate_rows_as_points(name):
+    fam = QUADRATURE_CASES[name][0]()
+    rng = np.random.default_rng(3)
+    cells = [c for b in fam.branches for c in b.cells]
+    for cell in cells + [f for c in cells for f in c.boundary_cells() if f.dim]:
+        q = rng.uniform(0.0, 1.0, (7, cell.dim))
+        points, jacs = cell.point(q), cell.jacobian(q)
+        assert points.shape[:-1] == (7,) and jacs.shape[::2] == (7, cell.dim)
+        for i in range(7):
+            np.testing.assert_array_equal(points[i], cell.point(q[i]))
+            np.testing.assert_array_equal(jacs[i], cell.jacobian(q[i]))
+
+
+def _random_form(rng, n, degree, terms=3):
+    out = {}
+    for _ in range(terms):
+        idx = tuple(sorted(rng.choice(n, size=degree, replace=False).tolist()))
+        out[idx] = Polynomial(n, {tuple(rng.integers(0, 4, size=n).tolist()):
+                                  float(rng.standard_normal()) for _ in range(3)})
+    return PolynomialForm(n, degree, out)
+
+
+def _row_forms():
+    rng = np.random.default_rng(5)
+    forms = {f"degree-{k}": _random_form(rng, 3, k) for k in range(3)}
+    forms["constant"] = PolynomialForm(3, 0, {(): Polynomial.constant(3, 2.5)})
+    forms["empty"] = PolynomialForm(3, 2, {})
+    forms["d-of-random"] = exterior_derivative(_random_form(rng, 3, 1))
+    forms["callback"] = CallbackForm(
+        3, 1, lambda x, v: np.exp(x[..., 2]) * v[..., 0] - x[..., 1] ** 3 * v[..., 2])
+    forms["d-of-callback"] = exterior_derivative(forms["callback"], fd_fallback=True)
+    return forms
+
+
+@pytest.mark.parametrize("name", sorted(_row_forms()))
+def test_forms_evaluate_rows_as_points(name):
+    form = _row_forms()[name]
+    rng = np.random.default_rng(6)
+    x = rng.uniform(-2.0, 2.0, (9, 3))
+    vecs = [rng.standard_normal((9, 3)) for _ in range(form.degree)]
+    rows = form(x, *vecs)
+    assert rows.shape == (9,)
+    for i in range(9):
+        point = form(x[i], *(v[i] for v in vecs))
+        assert isinstance(point, np.float64)
+        assert rows[i] == point
+
+
+def test_polynomial_powers_are_the_scalar_powers():
+    # x ** e on a float64 scalar is libm's pow; numpy's array power squares or
+    # runs SIMD code that differs from it in the last bit on some inputs
+    x = np.random.default_rng(7).uniform(-3.0, 3.0, (4000, 2))
+    poly = Polynomial(2, {(3, 0): 1.0, (0, 2): 1.0, (1, 0): 1.0})
+    want = [1.0 * np.float64(a) ** 3 + 1.0 * np.float64(b) ** 2 + 1.0 * np.float64(a)
+            for a, b in x]
+    np.testing.assert_array_equal(poly(x), want)
+
+
+def test_polynomial_constant_terms_broadcast_over_rows():
+    poly = Polynomial.constant(2, 1.5)
+    assert poly(np.zeros((4, 2))).tolist() == [1.5] * 4
+    assert Polynomial(2)(np.zeros((3, 5, 2))).shape == (3, 5)
+
+
+def test_pointwise_chart_is_refused_on_rows():
+    def chart(q):
+        return np.array([q[0] * q[1], q[1]])
+
+    cell = Cell(2, chart)
+    fam = family(Branch([cell], Fraction(1), name="pointwise"))
+    with pytest.raises(ValueError, match=r"cell of dimension 2 returned shape "
+                                         r"\(2, 2\) for rows q of shape \(144, 2\); "
+                                         r"rows need shape \(144, n\)"):
+        integrate(fam, area_form(), order=12)
+    assert cell.point(np.array([0.5, 0.25])).tolist() == [0.125, 0.25]
+
+
+def test_pointwise_jacobian_is_refused_on_rows():
+    def jac(q):
+        return np.array([[1.0, 0.0], [0.0, 1.0]])
+
+    cell = Cell(2, lambda q: q.copy(), jac)
+    with pytest.raises(ValueError, match=r"cell of dimension 2 returned shape "
+                                         r"\(2, 2\) for rows q of shape \(16, 2\); "
+                                         r"rows need shape \(16, n, 2\)"):
+        integrate(family(Branch([cell], Fraction(1))), area_form(), order=4)
+
+
+def test_pointwise_callback_form_is_refused_on_rows():
+    form = CallbackForm(2, 1, lambda x, v: x[0] * v[1])
+    fam = family(segment_branch([0.0, 0.0], [1.0, 1.0]))
+    with pytest.raises(ValueError, match=r"form returned shape \(2,\) for rows x "
+                                         r"of shape \(5, 2\); rows need shape \(5,\)"):
+        integrate(fam, form, order=5)
