@@ -33,7 +33,7 @@ measure = bi.integrate(halves, area, order=12)
 print("\ntwo-branch weighted measure:", round(measure.value, 10),
       "= pi/4 =", round(np.pi / 4, 10))
 print("per-branch raw integrals:",
-      [(n, round(v, 6)) for n, v in measure.per_branch])
+      [(n, round(float(v), 6)) for n, v in measure.per_branch])
 
 residuals = [bi.stokes_residual(halves, x_dy, order=o) for o in (2, 4, 8, 12)]
 print("Stokes residuals by quadrature order:",

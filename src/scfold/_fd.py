@@ -16,7 +16,7 @@ from .errors import AmbiguousRankError
 
 STENCIL_ACCURACY = 4
 
-# fallback step for directional finite differences: h = FD_STEP * (1 + |x|_1)
+# fallback step for directional finite differences: h = FD_STEP * (1 + |x|_2)
 FD_STEP = 1e-5
 
 # fixed coordinate step of the central-difference Jacobians
@@ -126,11 +126,15 @@ def gauss01(order):
 
 
 def directional_derivative(fn, x, v):
-    """Centered difference of fn at x in direction v."""
+    """Centered differences of fn at x along the rows of v, one result row
+    per direction; a 1-D v is the one-row case. fn maps one point, so this
+    is the one loop over directions."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     h = FD_STEP * (1.0 + np.linalg.norm(x))
-    return (np.asarray(fn(x + h * v)) - np.asarray(fn(x - h * v))) / (2.0 * h)
+    out = np.array([(np.asarray(fn(x + h * r)) - np.asarray(fn(x - h * r))) / (2.0 * h)
+                    for r in v.reshape(-1, v.shape[-1])])
+    return out.reshape(v.shape[:-1] + out.shape[1:])
 
 
 def jacobian(fn, x, out_dim, step):

@@ -243,7 +243,8 @@ class FillingData:
 
     ambient_fn(y) evaluates the extension on ambient points; retraction is the
     bundle's base retraction r; phi(y, h) applies the fiber projection part of
-    the strong retraction at y. section_fn defaults to the restriction of the
+    the strong retraction at one point y to the rows of h, (..., fiber_dim)
+    to (..., fiber_dim). section_fn defaults to the restriction of the
     extension to the retract.
     """
 
@@ -314,17 +315,10 @@ def filling_verify(fd, x, seed=0):
             y = y - 0.5 * _embed_fiber(g, d, fiber_dim)
         member = max(member, scale.norm(r(y) - y, 0))
 
-    p_cols = [r.derivative(x, e) for e in np.eye(d)]
-    p = np.array(p_cols).T
-    ker_r = fredholm_split(p).kernel
-    phi_cols = [np.asarray(fd.phi(x, e), dtype=float) for e in np.eye(fiber_dim)]
-    phi_mat = np.array(phi_cols).T
+    ker_r = fredholm_split(r.derivative(x, np.eye(d)).T).kernel
+    phi_mat = np.asarray(fd.phi(x, np.eye(fiber_dim)), dtype=float).T
     ker_phi = fredholm_split(phi_mat).kernel
-    lin_cols = [
-        _fd.directional_derivative(fd.gap, x, ker_r[:, j])
-        for j in range(ker_r.shape[1])
-    ]
-    lin = np.array(lin_cols).T
+    lin = _fd.directional_derivative(fd.gap, x, ker_r.T).T
     restricted = ker_phi.T @ lin if ker_phi.size else np.zeros((0, ker_r.shape[1]))
     if restricted.size and restricted.shape[0] == restricted.shape[1]:
         sv = np.linalg.svd(restricted, compute_uv=False)

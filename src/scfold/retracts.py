@@ -9,7 +9,7 @@ instead of tie-breaking silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,15 +39,15 @@ class Splicing:
     """Parametrized family of linear projections on a fiber scale.
 
     project(v, e) must be linear and idempotent in e for every admissible
-    parameter v; dproject is the derivative of the joint map (v, e) -> pi_v(e)
-    applied to a tangent direction (dv, de).
+    parameter v; dproject(v, e, dv, de) is the derivative of the joint map
+    (v, e) -> pi_v(e) at one point, applied to rows of tangent directions:
+    dv of shape (..., pdim) and de of shape (..., fdim) give (..., fdim).
     """
 
     domain: ScDomain
     fiber: object
     project: object
     dproject: object = None
-    meta: dict = field(default_factory=dict)
 
     def check_idempotent(self, parameter_samples, fiber_samples):
         worst = 0.0
@@ -64,7 +64,11 @@ class Splicing:
 
 
 class Retraction:
-    """Idempotent map r on a domain in a partial quadrant, with derivative access."""
+    """Idempotent map r on a domain in a partial quadrant, with derivative access.
+
+    dfn(x, h), when given, is Dr(x) at one point x of shape (d,) applied to
+    the rows of h: (..., d) gives (..., d), and a 1-D h is the one-row case.
+    """
 
     def __init__(self, domain, fn, dfn=None, name="retraction"):
         self.domain = domain
@@ -83,13 +87,22 @@ class Retraction:
     def __call__(self, coeffs):
         return np.asarray(self.fn(np.asarray(coeffs, dtype=float)), dtype=float)
 
-    def derivative(self, coeffs, direction):
-        if self.dfn is not None:
-            return np.asarray(
-                self.dfn(np.asarray(coeffs, dtype=float), np.asarray(direction, dtype=float)),
-                dtype=float,
-            )
-        return _fd.directional_derivative(self.fn, coeffs, direction)
+    def derivative(self, coeffs, directions):
+        """Dr(x) applied to the rows of directions, from one dfn call, else by
+        centered differences of fn. The rows are made contiguous, so a dfn's
+        sums along the last axis equal its one-row sums bit for bit; a dfn
+        result shaped for one row on a batch raises ValueError."""
+        x = np.asarray(coeffs, dtype=float)
+        h = np.ascontiguousarray(directions, dtype=float)
+        if self.dfn is None:
+            return _fd.directional_derivative(self.fn, x, h)
+        out = np.asarray(self.dfn(x, h), dtype=float)
+        if h.ndim > 1 and out.shape != h.shape[:-1] + x.shape:
+            raise ValueError(
+                f"retraction {self.name!r} derivative returned shape {out.shape} "
+                f"for rows h of shape {h.shape}; rows need shape "
+                f"{h.shape[:-1] + x.shape}")
+        return out
 
     def in_image(self, coeffs, tol=MEMBERSHIP_TOL):
         return self.scale.norm(self(coeffs) - coeffs, 0) <= tol
@@ -170,8 +183,8 @@ def splicing_to_retraction(sp, parameter_samples=None, fiber_samples=None, name=
     if sp.dproject is not None:
         def dfn(x, h):
             v, e = x[:pdim], x[pdim:]
-            dv, de = h[:pdim], h[pdim:]
-            return np.concatenate([dv, sp.dproject(v, e, dv, de)])
+            dv, de = h[..., :pdim], h[..., pdim:]
+            return np.concatenate([dv, sp.dproject(v, e, dv, de)], axis=-1)
 
     return Retraction(dom, fn, dfn, name=name)
 
@@ -192,74 +205,49 @@ def _poly_bump_deriv(t):
     return out
 
 
-def bump_splicing(scale, beta=None, dbeta=None, support_radius=1.0):
+def bump_splicing(scale):
     """Rank-jumping projection family from a translated bump profile.
 
     For s > 0 the family projects orthogonally (level-0 inner product) onto the
-    span of the profile translated to sit around -exp(1/s); for s <= 0 it is
-    zero. The profile is normalized to unit level-0 norm on the grid; a
-    supplied profile must already integrate to one within 1e-8. Evaluations
-    whose translated support exits the window raise WindowExitError.
+    span of the profile (1 - t^2)^4 on |t| < 1, normalized to unit level-0
+    norm on the grid and translated to sit around -exp(1/s); for s <= 0 it is
+    zero. project and dproject take rows of fiber vectors. Evaluations whose
+    translated support exits the window raise WindowExitError.
     """
     if not isinstance(scale, WeightedGridScale):
         raise ValueError("bump splicing needs a weighted_grid fiber scale")
-    if beta is None:
-        base, dbase = _poly_bump, _poly_bump_deriv
-        norm_const = np.sqrt(scale.inner0(base(scale.grid), base(scale.grid)))
-    else:
-        base = beta
-        dbase = dbeta
-        norm_const = np.sqrt(scale.inner0(base(scale.grid), base(scale.grid)))
-        if abs(norm_const - 1.0) > 1e-8:
-            raise ValueError(
-                f"profile must have unit norm on the grid, got {norm_const:.3e}"
-            )
-        norm_const = 1.0
-
-    def profile(t):
-        return base(t) / norm_const
-
-    def dprofile(t):
-        if dbase is None:
-            raise ValueError("no derivative supplied for the profile")
-        return dbase(t) / norm_const
+    norm_const = np.sqrt(scale.inner0(_poly_bump(scale.grid), _poly_bump(scale.grid)))
 
     def gauge(s):
-        return np.exp(1.0 / s)
-
-    def dgauge(s):
-        return -np.exp(1.0 / s) / (s * s)
-
-    def f_s(s):
-        a = gauge(s)
-        if a + support_radius > scale.R:
+        a = np.exp(1.0 / s)
+        if a + 1.0 > scale.R:
             raise WindowExitError(
-                f"translated support [{-a - support_radius:.2f}, {-a + support_radius:.2f}] "
+                f"translated support [{-a - 1.0:.2f}, {-a + 1.0:.2f}] "
                 f"exits the window [-{scale.R}, {scale.R}]"
             )
-        return profile(scale.grid + a)
+        return a
+
+    def f_s(s):
+        return _poly_bump(scale.grid + gauge(s)) / norm_const
 
     def df_ds(s):
         a = gauge(s)
-        if a + support_radius > scale.R:
-            raise WindowExitError("translated support exits the window")
-        return dprofile(scale.grid + a) * dgauge(s)
+        return _poly_bump_deriv(scale.grid + a) / norm_const * (-a / (s * s))
 
     def project(v, e):
         s = float(np.atleast_1d(v)[0])
         if s <= 0.0:
             return np.zeros_like(np.asarray(e, dtype=float))
         f = f_s(s)
-        den = scale.inner0(f, f)
-        return f * (scale.inner0(f, e) / den)
+        return np.multiply.outer(scale.inner0(f, e) / scale.inner0(f, f), f)
 
     def dproject(v, e, dv, de):
+        # linear in (dv, de): f_s, df_ds and the products with e once per block
         s = float(np.atleast_1d(v)[0])
-        ds = float(np.atleast_1d(dv)[0])
-        e = np.asarray(e, dtype=float)
         de = np.asarray(de, dtype=float)
         if s <= 0.0:
-            return np.zeros_like(e)
+            return np.zeros_like(de)
+        ds = np.asarray(dv, dtype=float)[..., 0]
         f = f_s(s)
         fp = df_ds(s)
         den = scale.inner0(f, f)
@@ -268,7 +256,7 @@ def bump_splicing(scale, beta=None, dbeta=None, support_radius=1.0):
             scale.inner0(fp, e) / den
             - c * 2.0 * scale.inner0(fp, f) / den
         ) * ds + scale.inner0(f, de) / den
-        return fp * (c * ds) + f * dc
+        return np.multiply.outer(c * ds, fp) + np.multiply.outer(dc, f)
 
     param = FiniteDimScale(1, max_level=scale.max_level)
     sp = Splicing(
@@ -276,10 +264,9 @@ def bump_splicing(scale, beta=None, dbeta=None, support_radius=1.0):
         fiber=scale,
         project=project,
         dproject=dproject,
-        meta={"kind": "bump", "support_radius": support_radius},
     )
     sp.f_s = f_s
-    sp.min_parameter = 1.0 / np.log(scale.R - support_radius)
+    sp.min_parameter = 1.0 / np.log(scale.R - 1.0)
     return sp
 
 
@@ -294,22 +281,24 @@ def retract_tangent_basis(r, x, seed=0):
     """Orthonormal basis of the image of Dr(x); its dimension is the local
     retract dimension.
 
-    Dr(x) is applied to the full coordinate basis in ambient dimension up to
-    64 and to 24 seeded random directions otherwise, through
-    r.derivative (the supplied dfn, else a centered difference); the rank
+    In ambient dimension up to 64, Dr(x) is applied to the full coordinate
+    basis. Otherwise it is sketched on 24 seeded random directions, and a
+    sketch whose rank fills all 24 has not seen the whole image, so Dr(x) is
+    then applied to the full coordinate basis after all. Each matrix is one
+    r.derivative call (the supplied dfn, else centered differences); the rank
     decision applies the guard band and raises AmbiguousRankError when
     undecidable.
     """
     x = np.asarray(x, dtype=float)
     d = x.size
-    if d <= 64:
-        probes = np.eye(d)
-    else:
+    if d > 64:
         rng = np.random.default_rng(seed)
         probes = rng.standard_normal((d, 24))
         probes /= np.linalg.norm(probes, axis=0)
-    m = np.array([r.derivative(x, v) for v in probes.T]).T
-    basis, sing = _fd.orthonormal_columns(m)
+        basis, sing = _fd.orthonormal_columns(r.derivative(x, probes.T).T)
+        if basis.shape[1] < probes.shape[1]:
+            return TangentBasis(basis, basis.shape[1], sing)
+    basis, sing = _fd.orthonormal_columns(r.derivative(x, np.eye(d)).T)
     return TangentBasis(basis, basis.shape[1], sing)
 
 
@@ -354,23 +343,21 @@ class NeatnessReport:
 def neatness_check(model, x, seed=0):
     """Two-part boundary compatibility check at a point of the retract.
 
-    Part one constructs a complement of the fixed space of Dr(x) whose basis
-    vectors have vanishing quadrant coordinates (hence lie inside the
-    quadrant). Part two looks for approximating points of the image with equal
-    degeneracy; for x in the image the constant sequence suffices. Otherwise
-    it samples a ladder: at each radius 1e-1, 1e-2, 1e-3, up to 12 retracted
-    perturbations of x, one of which must lie in the image with the
-    degeneracy of x; when sampling finds no ladder the verdict is
-    inconclusive rather than fail. Both rank decisions use the guard band, so
-    AmbiguousRankError propagates.
+    Part one constructs a complement of the fixed space of Dr(x), the image
+    that retract_tangent_basis finds, whose basis vectors have vanishing
+    quadrant coordinates (hence lie inside the quadrant). Part two looks for
+    approximating points of the image with equal degeneracy; for x in the
+    image the constant sequence suffices. Otherwise it samples a ladder: at
+    each radius 1e-1, 1e-2, 1e-3, up to 12 retracted perturbations of x, one
+    of which must lie in the image with the degeneracy of x; when sampling
+    finds no ladder the verdict is inconclusive rather than fail. Both rank
+    decisions use the guard band, so AmbiguousRankError propagates.
     """
     r = model.retraction
     x = np.asarray(x, dtype=float)
     d = x.size
 
-    cols = [r.derivative(x, e) for e in np.eye(d)]
-    p = np.array(cols).T
-    n_basis, _ = _fd.orthonormal_columns(p)
+    n_basis = retract_tangent_basis(r, x, seed).basis
     n_dim = n_basis.shape[1]
 
     qidx = list(model.quadrant.quadrant_indices)

@@ -210,8 +210,10 @@ class WeightedGridScale(ScScale):
         return float(np.sqrt(total))
 
     def inner0(self, a, b):
-        """Level-0 (unweighted) discrete inner product."""
-        return float(np.sum(self.quad_weights * np.asarray(a) * np.asarray(b)))
+        """Level-0 (unweighted) discrete inner product along the last axis:
+        one float for vectors, one product per row for blocks of rows."""
+        out = np.sum(self.quad_weights * np.asarray(a) * np.asarray(b), axis=-1)
+        return out if out.ndim else float(out)
 
     def gram(self, level):
         """Sparse banded SPD matrix (CSC) with |u|_level^2 = u' G u."""

@@ -139,6 +139,18 @@ def test_criterion_03_retraction_suite():
 
 
 def _conjugate_gap(sp, base_r, alpha=0.1):
+    conj = _conjugate_retraction(sp, base_r, alpha)
+    scale = sp.fiber
+
+    def pt(s, t):
+        fiber = t * sp.f_s(s) if s > 0 else np.zeros(scale.n)
+        return np.concatenate([[s], fiber])
+
+    samples = [pt(1.0, 0.7), pt(0.25, 0.4)]
+    return tangent_independence_check(base_r, conj, samples)
+
+
+def _conjugate_retraction(sp, base_r, alpha):
     scale = sp.fiber
     from scfold.retracts import Retraction
 
@@ -148,11 +160,12 @@ def _conjugate_gap(sp, base_r, alpha=0.1):
         return np.concatenate([[s], u * (1.0 + alpha * n2)])
 
     def drescale(x, h):
-        u, w = x[1:], h[1:]
+        u, w = x[1:], h[..., 1:]
         n2 = scale.inner0(u, u)
         return np.concatenate([
-            [h[0]], w * (1.0 + alpha * n2) + u * (2.0 * alpha * scale.inner0(u, w))
-        ])
+            h[..., :1],
+            w * (1.0 + alpha * n2) + np.multiply.outer(2.0 * alpha * scale.inner0(u, w), u)
+        ], axis=-1)
 
     def rescale_inv(x):
         s, y = x[0], x[1:]
@@ -170,25 +183,18 @@ def _conjugate_gap(sp, base_r, alpha=0.1):
     def drescale_inv(x, h):
         pre = rescale_inv(x)
         u = pre[1:]
-        z = h[1:]
+        z = h[..., 1:]
         n2 = scale.inner0(u, u)
         uw = scale.inner0(u, z) / (1.0 + 3.0 * alpha * n2)
-        w = (z - 2.0 * alpha * uw * u) / (1.0 + alpha * n2)
-        return np.concatenate([[h[0]], w])
+        w = (z - np.multiply.outer(2.0 * alpha * uw, u)) / (1.0 + alpha * n2)
+        return np.concatenate([h[..., :1], w], axis=-1)
 
-    conj = Retraction(
+    return Retraction(
         base_r.domain,
         lambda x: rescale(base_r(rescale_inv(x))),
         lambda x, h: drescale(base_r(rescale_inv(x)),
                               base_r.derivative(rescale_inv(x), drescale_inv(x, h))),
         name="conjugate")
-
-    def pt(s, t):
-        fiber = t * sp.f_s(s) if s > 0 else np.zeros(scale.n)
-        return np.concatenate([[s], fiber])
-
-    samples = [pt(1.0, 0.7), pt(0.25, 0.4)]
-    return tangent_independence_check(base_r, conj, samples)
 
 
 # -------------------------------------------------------------- criterion 4

@@ -160,3 +160,17 @@ def test_jacobian_of_rows_is_the_jacobian_of_each_row():
     for x, jac in zip(xs, same):
         assert np.array_equal(jac, loop_jacobian(fn, x, 3, 1e-6))
     assert _fd.jacobian(fn, np.zeros(0), 3, 1e-6).shape == (3, 0)
+
+
+def test_directional_derivative_rows_equal_one_row_calls():
+    def fn(z):  # pointwise: one point in, one value out
+        return np.array([np.sin(z[0]) * z[1], np.exp(z[1]), z[0] ** 3])
+
+    x = np.array([0.3, -1.2])
+    rows = np.random.default_rng(2).standard_normal((2, 4, 2))
+    got = _fd.directional_derivative(fn, x, rows)
+    assert got.shape == (2, 4, 3)
+    h = _fd.FD_STEP * (1.0 + np.linalg.norm(x))
+    for v, row in zip(rows.reshape(-1, 2), got.reshape(-1, 3)):
+        assert np.array_equal(row, _fd.directional_derivative(fn, x, v))
+        assert np.array_equal(row, (fn(x + h * v) - fn(x - h * v)) / (2.0 * h))

@@ -59,25 +59,27 @@ def on_retract_point(bump, s, t):
 
 # ------------------------------------------------------ splicing_to_retraction
 
+def identity_family():
+    return Splicing(whole_scale_domain(FiniteDimScale(1)), FiniteDimScale(3),
+                    project=lambda v, e: np.asarray(e, dtype=float),
+                    dproject=lambda v, e, dv, de: np.asarray(de, dtype=float))
+
+
+def zero_family():
+    return Splicing(whole_scale_domain(FiniteDimScale(1)), FiniteDimScale(3),
+                    project=lambda v, e: np.zeros_like(np.asarray(e, dtype=float)),
+                    dproject=lambda v, e, dv, de: np.zeros_like(np.asarray(de, dtype=float)))
+
+
 def test_identity_family_gives_identity_retraction():
-    fiber = FiniteDimScale(3)
-    param = FiniteDimScale(1)
-    sp = Splicing(whole_scale_domain(param), fiber,
-                  project=lambda v, e: np.asarray(e, dtype=float),
-                  dproject=lambda v, e, dv, de: np.asarray(de, dtype=float))
-    r = splicing_to_retraction(sp, [np.zeros(1)], [np.ones(3)])
+    r = splicing_to_retraction(identity_family(), [np.zeros(1)], [np.ones(3)])
     x = np.array([0.5, 1.0, -2.0, 3.0])
     assert np.allclose(r(x), x)
     assert r.in_image(x)
 
 
 def test_zero_family_kills_fiber():
-    fiber = FiniteDimScale(3)
-    param = FiniteDimScale(1)
-    sp = Splicing(whole_scale_domain(param), fiber,
-                  project=lambda v, e: np.zeros_like(np.asarray(e, dtype=float)),
-                  dproject=lambda v, e, dv, de: np.zeros_like(np.asarray(e, dtype=float)))
-    r = splicing_to_retraction(sp, [np.zeros(1)], [np.ones(3)])
+    r = splicing_to_retraction(zero_family(), [np.zeros(1)], [np.ones(3)])
     x = np.array([0.5, 1.0, -2.0, 3.0])
     out = r(x)
     assert np.allclose(out, [0.5, 0.0, 0.0, 0.0])
@@ -129,9 +131,9 @@ def test_bump_window_exit(bump):
         bump.f_s(0.2)  # exp(5) + 1 > 64
 
 
-def test_bump_rejects_unnormalized_profile(bump_scale):
-    with pytest.raises(ValueError, match="unit norm"):
-        bump_splicing(bump_scale, beta=lambda t: np.exp(-np.asarray(t) ** 2))
+def test_bump_needs_a_grid_scale():
+    with pytest.raises(ValueError, match="weighted_grid"):
+        bump_splicing(FiniteDimScale(3))
 
 
 # ----------------------------------------------------------------- idempotence
@@ -168,6 +170,77 @@ def test_restriction_is_retraction(bump, bump_retraction):
     assert retraction_check(sub, [x], levels=range(2)) < 1e-9
 
 
+# --------------------------------------------------------- derivatives on rows
+
+def one_row_loop(r, x, rows):
+    """Dr(x) one direction per call, as every derivative matrix was built
+    before derivatives took rows: the reference for the row calls."""
+    return np.array([r.derivative(x, h) for h in rows])
+
+
+def _identity(bump, bump_retraction):
+    ident = Retraction(whole_scale_domain(FiniteDimScale(5)), lambda x: x,
+                       lambda x, h: h)
+    return ident, np.linspace(-1.0, 1.0, 5)
+
+
+def _spliced(family):
+    return lambda bump, bump_retraction: (splicing_to_retraction(family()),
+                                          np.array([0.5, 1.0, -2.0, 3.0]))
+
+
+def _acceptance_conjugate(bump, bump_retraction):
+    # the criterion 3 conjugate; tests/ is on the import path under pytest
+    from test_acceptance import _conjugate_retraction
+    return (_conjugate_retraction(bump, bump_retraction, 0.1),
+            on_retract_point(bump, 1.0, 0.7))
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda bump, r: (r, on_retract_point(bump, -0.5, 0.0)), id="bump s<=0"),
+    pytest.param(lambda bump, r: (r, on_retract_point(bump, 1.0, 0.7)), id="bump s>0"),
+    pytest.param(lambda bump, r: (radial_conjugate_retraction(bump, r, alpha=0.1),
+                                  on_retract_point(bump, 1.0, 0.7)), id="radial conjugate"),
+    pytest.param(_acceptance_conjugate, id="acceptance conjugate"),
+    pytest.param(_spliced(identity_family), id="identity splicing"),
+    pytest.param(_spliced(zero_family), id="zero splicing"),
+    pytest.param(_identity, id="identity"),
+    pytest.param(lambda bump, r: (squeezed_retraction(), np.array([0.3, -0.2, 1.5])),
+                 id="squeezed"),
+    pytest.param(lambda bump, r: (Retraction(r.domain, r.fn),
+                                  on_retract_point(bump, 1.0, 0.7)),
+                 id="centered differences"),
+])
+def test_derivative_rows_equal_one_row_calls(bump, bump_retraction, build):
+    r, x = build(bump, bump_retraction)
+    rows = np.random.default_rng(4).standard_normal((2, 3, x.size))
+    got = r.derivative(x, rows)
+    assert got.shape == rows.shape
+    ref = one_row_loop(r, x, rows.reshape(-1, x.size)).reshape(rows.shape)
+    assert np.array_equal(got, ref)
+    # the transpose of a column block, as retract_tangent_basis passes probes
+    cols = rows.reshape(-1, x.size).T.copy()
+    assert np.array_equal(r.derivative(x, cols.T), one_row_loop(r, x, cols.T))
+
+
+def test_pointwise_derivative_on_rows_raises():
+    # n (n . h) is written for one direction: on a batch it returns one vector
+    n = np.array([0.6, 0.8])
+    proj = Retraction(whole_scale_domain(FiniteDimScale(2)), lambda x: n * (n @ x),
+                      lambda x, h: n * (n @ h), name="pointwise")
+    assert np.array_equal(proj.derivative(n, np.array([1.0, 0.0])), 0.6 * n)
+    with pytest.raises(ValueError, match=r"'pointwise' derivative returned shape "
+                                         r"\(2,\) for rows h of shape \(2, 2\)"):
+        proj.derivative(n, np.eye(2))
+
+
+def test_bump_project_rows_equal_one_row_calls(bump):
+    rows = np.random.default_rng(6).standard_normal((3, bump.fiber.n))
+    for s in (-0.5, 1.0):
+        v = np.array([s])
+        assert np.array_equal(bump.project(v, rows), [bump.project(v, e) for e in rows])
+
+
 # -------------------------------------------------------- retract_tangent_basis
 
 def test_identity_retraction_full_dimension():
@@ -178,6 +251,15 @@ def test_identity_retraction_full_dimension():
     assert tb.dimension == 3
 
 
+def test_saturated_sketch_falls_back_to_the_full_basis():
+    # 24 probes of the identity on R^100 have rank 24: a sketch whose rank
+    # fills its width has not seen the whole image
+    ident = Retraction(whole_scale_domain(FiniteDimScale(100)), lambda x: x,
+                       lambda x, h: h)
+    tb = retract_tangent_basis(ident, np.linspace(0.0, 1.0, 100))
+    assert tb.dimension == 100
+
+
 def squeezed_retraction():
     # r(x) = (x0, x1 exp(-x2), 0) retracts R^3 onto the plane x2 = 0; off the
     # image, at (0, 0, t), Dr = diag(1, exp(-t), 0), whose second singular
@@ -185,8 +267,9 @@ def squeezed_retraction():
     dom = whole_scale_domain(FiniteDimScale(3))
     return Retraction(
         dom, lambda x: np.array([x[0], x[1] * np.exp(-x[2]), 0.0]),
-        lambda x, h: np.array([h[0], h[1] * np.exp(-x[2])
-                               - h[2] * x[1] * np.exp(-x[2]), 0.0]))
+        lambda x, h: np.stack([h[..., 0], h[..., 1] * np.exp(-x[2])
+                               - h[..., 2] * x[1] * np.exp(-x[2]),
+                               np.zeros(h.shape[:-1])], axis=-1))
 
 
 @pytest.mark.parametrize("rel,expected", [(1e-11, 1), (1e-7, 2)])
@@ -248,8 +331,8 @@ def test_independence_two_projections_same_range():
     p = basis @ basis.T
     mixed = basis @ rng.standard_normal((2, 2))  # same range, different basis
     q = mixed @ np.linalg.pinv(mixed)
-    r1 = Retraction(dom, lambda x: p @ x, lambda x, h: p @ h)
-    r2 = Retraction(dom, lambda x: q @ x, lambda x, h: q @ h)
+    r1 = Retraction(dom, lambda x: p @ x, lambda x, h: h @ p.T)
+    r2 = Retraction(dom, lambda x: q @ x, lambda x, h: h @ q.T)
     samples = [p @ rng.standard_normal(4) for _ in range(3)]
     assert tangent_independence_check(r1, r2, samples) <= 1e-12
 
@@ -276,11 +359,12 @@ def radial_conjugate_retraction(bump, base_r, alpha):
         return np.concatenate([[s], u * (1.0 + alpha * n2)])
 
     def drescale(x, h):
-        u, w = x[1:], h[1:]
+        u, w = x[1:], h[..., 1:]
         n2 = scale.inner0(u, u)
         return np.concatenate([
-            [h[0]], w * (1.0 + alpha * n2) + u * (2.0 * alpha * scale.inner0(u, w))
-        ])
+            h[..., :1],
+            w * (1.0 + alpha * n2) + np.multiply.outer(2.0 * alpha * scale.inner0(u, w), u)
+        ], axis=-1)
 
     def rescale_inv(x):
         s, y = x[0], x[1:]
@@ -299,12 +383,12 @@ def radial_conjugate_retraction(bump, base_r, alpha):
         # invert the derivative of the rescaling at the preimage point
         pre = rescale_inv(x)
         u = pre[1:]
-        z = h[1:]
+        z = h[..., 1:]
         n2 = scale.inner0(u, u)
         uz = scale.inner0(u, z)
         uw = uz / (1.0 + 3.0 * alpha * n2)
-        w = (z - 2.0 * alpha * uw * u) / (1.0 + alpha * n2)
-        return np.concatenate([[h[0]], w])
+        w = (z - np.multiply.outer(2.0 * alpha * uw, u)) / (1.0 + alpha * n2)
+        return np.concatenate([h[..., :1], w], axis=-1)
 
     def fn(x):
         return rescale(base_r(rescale_inv(x)))
@@ -324,7 +408,8 @@ def test_independence_image_mismatch(bump, bump_retraction):
     def other(x):
         return np.concatenate([[x[0]], np.zeros(scale.n)])
 
-    r2 = Retraction(dom, other, lambda x, h: np.concatenate([[h[0]], np.zeros(scale.n)]))
+    r2 = Retraction(dom, other, lambda x, h: np.concatenate(
+        [h[..., :1], np.zeros(h.shape[:-1] + (scale.n,))], axis=-1))
     with pytest.raises(ImageMismatchError):
         tangent_independence_check(bump_retraction, r2,
                                    [on_retract_point(bump, 1.0, 0.7)])
@@ -369,11 +454,48 @@ def test_neatness_nearly_parallel_complement_is_rejected():
     quadrant = PartialQuadrant(scale, (0,))
     n = np.array([3e-12, 1.0]) / np.hypot(3e-12, 1.0)
     proj = Retraction(ScDomain(quadrant), lambda x: n * (n @ x),
-                      lambda x, h: n * (n @ h))
+                      lambda x, h: np.multiply.outer(h @ n, n))
     rep = neatness_check(LocalScModel(proj), n)
     assert rep.details["fixed_space_dim"] == 1
     assert rep.details["complement_dim"] == 1
     assert not rep.complement_ok
+
+
+def test_neatness_ladder_off_the_image_passes():
+    # projection onto the x0 axis of a quadrant-free plane: (0, 1) is off the
+    # image, and every retracted perturbation has its degeneracy 0
+    proj = Retraction(whole_scale_domain(FiniteDimScale(2)),
+                      lambda x: np.array([x[0], 0.0]),
+                      lambda x, h: h * np.array([1.0, 0.0]))
+    rep = neatness_check(LocalScModel(proj), np.array([0.0, 1.0]))
+    assert rep.details["sequence"].startswith("sampled ladder")
+    assert rep.complement_ok
+    assert rep.passed
+
+
+def test_neatness_ladder_without_equal_degeneracy_is_inconclusive():
+    # r(x) = (1, x1) on the half plane x0 >= 0: the corner point (0, 0) has
+    # degeneracy 1, every retracted point has x0 = 1 and degeneracy 0
+    quadrant = PartialQuadrant(FiniteDimScale(2), (0,))
+    r = Retraction(ScDomain(quadrant), lambda x: np.array([1.0, x[1]]),
+                   lambda x, h: h * np.array([0.0, 1.0]))
+    rep = neatness_check(LocalScModel(r), np.zeros(2))
+    assert rep.details["sequence"].startswith("sampled ladder")
+    assert rep.sequence_status == "inconclusive"
+    assert not rep.passed
+
+
+def test_neatness_complement_wider_than_the_free_coordinates_fails():
+    # the zero retraction of the half plane x0 >= 0 fixes only 0, so a
+    # complement must span the plane, but only x1 is free of the quadrant
+    quadrant = PartialQuadrant(FiniteDimScale(2), (0,))
+    zero = Retraction(ScDomain(quadrant), lambda x: np.zeros(2),
+                      lambda x, h: np.zeros_like(h))
+    rep = neatness_check(LocalScModel(zero), np.zeros(2))
+    assert rep.details["fixed_space_dim"] == 0
+    assert rep.details["complement_dim"] == 0
+    assert not rep.complement_ok
+    assert rep.sequence_status == "pass"
 
 
 # ---------------------------------------------------- corner_invariance_check

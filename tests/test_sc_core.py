@@ -121,6 +121,18 @@ def test_embedding_report_finite_dim_ratios_exactly_one():
     assert np.all(rep.ratios == 1.0)
 
 
+def test_inner0_rows_equal_one_row_products():
+    # a C-contiguous block sums each row as the 1-D product does
+    scale = WeightedGridScale(64.0, 1 / 16, (0.0, 0.01))
+    rng = np.random.default_rng(8)
+    f = rng.standard_normal(scale.n)
+    block = rng.standard_normal((24, scale.n))
+    got = scale.inner0(f, block)
+    assert got.shape == (24,)
+    assert np.array_equal(got, [scale.inner0(f, row) for row in block])
+    assert type(scale.inner0(f, block[0])) is float
+
+
 def test_embedding_report_grid_ratios_below_recorded_constant():
     scale = WeightedGridScale(4.0, 1 / 16, (0.0, 0.1, 0.2))
     rep = embedding_report(scale, 0, sample_count=64, seed=3)
@@ -441,7 +453,7 @@ def _linearization_of_two_branches():
 def _neatness_of_tilted_projection():
     n = np.array([3e-12, 1.0]) / np.hypot(3e-12, 1.0)
     proj = Retraction(ScDomain(PartialQuadrant(FiniteDimScale(2), (0,))),
-                      lambda x: n * (n @ x), lambda x, h: n * (n @ h))
+                      lambda x: n * (n @ x), lambda x, h: np.multiply.outer(h @ n, n))
     neatness_check(LocalScModel(proj), n)
 
 
