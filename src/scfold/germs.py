@@ -318,16 +318,15 @@ def filling_verify(fd, x, seed=0):
     ker_r = fredholm_split(r.derivative(x, np.eye(d)).T).kernel
     phi_mat = np.asarray(fd.phi(x, np.eye(fiber_dim)), dtype=float).T
     ker_phi = fredholm_split(phi_mat).kernel
-    lin = _fd.directional_derivative(fd.gap, x, ker_r.T).T
-    restricted = ker_phi.T @ lin if ker_phi.size else np.zeros((0, ker_r.shape[1]))
-    if restricted.size and restricted.shape[0] == restricted.shape[1]:
-        sv = np.linalg.svd(restricted, compute_uv=False)
-        iso_min = float(sv.min()) if sv.size else 0.0
-        iso_cond = float(sv.max() / sv.min()) if sv.size and sv.min() > 0 else np.inf
-    elif restricted.size == 0 and ker_r.shape[1] == 0:
+    if ker_r.shape[1] != ker_phi.shape[1]:
+        iso_min, iso_cond = 0.0, np.inf
+    elif ker_r.shape[1] == 0:
         iso_min, iso_cond = 1.0, 1.0  # trivial kernels on both sides
     else:
-        iso_min, iso_cond = 0.0, np.inf
+        lin = _fd.directional_derivative(fd.gap, x, ker_r.T).T
+        sv = np.linalg.svd(ker_phi.T @ lin, compute_uv=False)
+        iso_min = float(sv.min())
+        iso_cond = float(sv.max() / sv.min()) if sv.min() > 0 else np.inf
     checks = {
         "agreement": agree <= 1e-9,
         "solutions_in_retract": member <= 1e-9,

@@ -11,7 +11,7 @@ isotropy and of the morphism table.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, is_dataclass
 
 import numpy as np
 
@@ -678,20 +678,18 @@ def compose_generalized(d1, d2):
 
 def report_json(report):
     """Serialize any of the module's report dataclasses to JSON text."""
-    import dataclasses
-
     def default(o):
         if isinstance(o, np.ndarray):
             return o.tolist()
         if isinstance(o, (np.integer, np.floating)):
             return o.item()
-        if dataclasses.is_dataclass(o):
-            return dataclasses.asdict(o)
+        if is_dataclass(o):
+            return asdict(o)
         if isinstance(o, tuple):
             return list(o)
         return str(o)
 
-    payload = dataclasses.asdict(report)
+    payload = asdict(report)
     payload["passed"] = bool(report.passed)
     return json.dumps(payload, sort_keys=True, indent=2, default=default) + "\n"
 

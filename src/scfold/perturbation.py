@@ -154,11 +154,14 @@ class BundleSection:
 
 
 def zero_section(model, tag="sc_plus", name="zero"):
+    """The zero section; its serial kind, not its name, marks it as zero."""
     dims = {cid: chart.fiber_dim() for cid, chart in model.charts.items()}
-    return BundleSection(
+    sec = BundleSection(
         model, lambda cid, x: np.zeros(x.shape[:-1] + (dims[cid],)), tag=tag,
         jac=lambda cid, x: np.zeros(x.shape[:-1] + (dims[cid], x.shape[-1])),
         name=name)
+    sec.serial_kind = "zero"
+    return sec
 
 
 @dataclass
@@ -286,7 +289,7 @@ class Multisection:
         return cls(model, [(zero_section(model), Fraction(1))], name="zero")
 
     def is_zero(self):
-        return all(s.name == "zero" for s, _ in self.branches)
+        return all(getattr(s, "serial_kind", None) == "zero" for s, _ in self.branches)
 
     def eval(self, element):
         """Total weight of branches through the element; empty sum is zero."""

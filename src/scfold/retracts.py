@@ -16,6 +16,7 @@ import numpy as np
 from . import _fd
 from .errors import (
     DegenerateBasisError,
+    DomainExitError,
     ImageMismatchError,
     NonIdempotentError,
     WindowExitError,
@@ -27,7 +28,6 @@ from .sc_core import (
     WeightedGridScale,
     degeneracy_index,
     direct_sum,
-    fredholm_split,
 )
 
 MEMBERSHIP_TOL = 1e-9
@@ -331,7 +331,6 @@ def tangent_independence_check(r1, r2, samples, seed=0):
 @dataclass
 class NeatnessReport:
     complement_ok: bool
-    complement_basis: np.ndarray
     sequence_status: str  # "pass" or "inconclusive"
     details: dict
 
@@ -343,45 +342,41 @@ class NeatnessReport:
 def neatness_check(model, x, seed=0):
     """Two-part boundary compatibility check at a point of the retract.
 
-    Part one constructs a complement of the fixed space of Dr(x), the image
-    that retract_tangent_basis finds, whose basis vectors have vanishing
-    quadrant coordinates (hence lie inside the quadrant). Part two looks for
-    approximating points of the image with equal degeneracy; for x in the
-    image the constant sequence suffices. Otherwise it samples a ladder: at
-    each radius 1e-1, 1e-2, 1e-3, up to 12 retracted perturbations of x, one
-    of which must lie in the image with the degeneracy of x; when sampling
-    finds no ladder the verdict is inconclusive rather than fail. Both rank
-    decisions use the guard band, so AmbiguousRankError propagates.
+    Part one asks whether the free axes E_W, the coordinates outside the
+    quadrant indices Q, complement the fixed space of Dr(x), the image that
+    retract_tangent_basis finds as an orthonormal d x k frame n: whether
+    [n, E_W] has rank d. That needs |Q| <= k. Its spectrum is read from the
+    quadrant rows n[Q, :] (CS decomposition; Golub & Van Loan, Matrix
+    Computations, 2.5.4): with mu the singular values of n[Q, :] and
+    c = sqrt(max(1 - mu^2, 0)), the relative singular values that can fall
+    short are mu / sqrt((1 + c)(1 + c_top)), where c_top = max c when
+    |Q| = k and 1 when |Q| < k; all others are at least 1/sqrt(2). The
+    complement exists when _fd.numerical_rank counts all |Q| of them, and
+    its dimension is d - k. Part two looks for approximating points of the
+    image with equal degeneracy; for x in the image the constant sequence
+    suffices. Otherwise it samples a ladder: at each radius 1e-1, 1e-2,
+    1e-3, up to 12 retracted perturbations of x, one of which must lie in
+    the image with the degeneracy of x; when sampling finds no ladder the
+    verdict is inconclusive rather than fail. Both rank decisions use the
+    guard band, so AmbiguousRankError propagates.
     """
     r = model.retraction
     x = np.asarray(x, dtype=float)
     d = x.size
 
     n_basis = retract_tangent_basis(r, x, seed).basis
-    n_dim = n_basis.shape[1]
-
+    k = n_basis.shape[1]
     qidx = list(model.quadrant.quadrant_indices)
-    details = {"fixed_space_dim": n_dim}
-    if not qidx:
-        w_basis = np.eye(d)
-    else:
-        keep = [i for i in range(d) if i not in qidx]
-        w_basis = np.eye(d)[:, keep]
-    # pick complement columns inside the zero-quadrant subspace via pivoted QR
-    z = w_basis - n_basis @ (n_basis.T @ w_basis)
-    need = d - n_dim
-    if need == 0:
-        complement = np.zeros((d, 0))
-        complement_ok = True
-    elif need > z.shape[1]:
-        complement = np.zeros((d, 0))
+    q = len(qidx)
+    details = {"fixed_space_dim": k, "complement_dim": d - k if q <= k else 0}
+    if q > k:
         complement_ok = False
     else:
-        _, _, piv = _fd_qr_pivots(z)
-        complement = w_basis[:, piv[:need]]
-        stacked = np.concatenate([n_basis, complement], axis=1)
-        complement_ok = fredholm_split(stacked).image.shape[1] == d
-    details["complement_dim"] = complement.shape[1]
+        mu = np.linalg.svd(n_basis[qidx], compute_uv=False)
+        c = np.sqrt(np.maximum(1.0 - mu ** 2, 0.0))
+        c_top = c.max(initial=0.0) if q == k else 1.0
+        short = mu / np.sqrt((1.0 + c) * (1.0 + c_top))
+        complement_ok = _fd.numerical_rank(np.r_[1.0, short]) - 1 == q
 
     d_x = model.degeneracy(x)
     if model.contains(x):
@@ -405,14 +400,7 @@ def neatness_check(model, x, seed=0):
                 break
             status = "pass"
         details["sequence"] = "sampled ladder over radii (0.1, 0.01, 0.001)"
-    return NeatnessReport(complement_ok, complement, status, details)
-
-
-def _fd_qr_pivots(a):
-    import scipy.linalg
-
-    q, rr, piv = scipy.linalg.qr(a, pivoting=True, mode="economic")
-    return q, rr, piv
+    return NeatnessReport(complement_ok, status, details)
 
 
 def corner_invariance_check(fwd, inv, src_quadrant, dst_quadrant, samples):
@@ -612,8 +600,6 @@ def chart_transition(chart_a, chart_b):
         y = chart_a.parametrize(q)
         q2, residual = chart_b.coordinates(y)
         if residual > 1e-6:
-            from .errors import DomainExitError
-
             raise DomainExitError(
                 f"point leaves the second chart (graph residual {residual:g})"
             )

@@ -302,6 +302,24 @@ def test_filling_disagreeing_section_fails_agreement():
     assert rep.checks["solutions_in_retract"] and rep.checks["isomorphism"]
 
 
+def test_filling_phi_kernel_against_injective_retraction_fails_isomorphism():
+    # Dr(x) = id has a trivial kernel, phi = 0 has the whole fiber as its
+    # kernel: no map from the one onto the other is an isomorphism, and the
+    # report says so instead of multiplying mismatched frames
+    scale = FiniteDimScale(3)
+    from scfold.retracts import Retraction
+    from scfold.sc_calculus import whole_scale_domain
+
+    ident = Retraction(whole_scale_domain(scale), lambda x: x, lambda x, h: h)
+    shift = np.array([0.1, 0.2, 0.3])
+    fdata = FillingData(lambda y: y - shift, ident,
+                        lambda y, h: np.zeros_like(h), scale)
+    rep = filling_verify(fdata, shift)
+    assert rep.iso_min_singular == 0.0 and rep.iso_condition == np.inf
+    assert not rep.checks["isomorphism"]
+    assert rep.checks["agreement"]
+
+
 def test_bump_filling_passes(small_bump):
     fdata = make_filling(small_bump)
     x = np.concatenate([[1.0], 0.4 * small_bump.f_s(1.0)])

@@ -1,8 +1,9 @@
 """Static checks on the library source: no catch-all exception handler, one
 module that knows how a config fails to parse, no sparse matrix turned dense,
 no pseudo-inverse formed to solve one system, no scipy loaded on import, no
-parameter that its function never reads, no attribute stored for no reader
-and no local stored for no reader."""
+import inside a function but scipy's, no parameter that its function never
+reads, no attribute stored for no reader and no local stored for no
+reader."""
 
 import ast
 from pathlib import Path
@@ -93,6 +94,23 @@ def test_no_module_level_scipy_import():
         or (isinstance(node, ast.ImportFrom)
             and (node.module or "").split(".")[0] == "scipy")
     )
+    assert found == []
+
+
+def test_function_local_imports_are_scipy_only():
+    # a module says what it needs at its top; only scipy, which importing
+    # scfold must not load, is imported inside the functions that call it
+    found = sorted({
+        f"{name}:{node.lineno}"
+        for name, tree in _modules()
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if (isinstance(node, ast.Import)
+            and any(a.name.split(".")[0] != "scipy" for a in node.names))
+        or (isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0] != "scipy"))
+    })
     assert found == []
 
 

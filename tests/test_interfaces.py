@@ -247,3 +247,17 @@ def test_multisection_config_zero_branch_matches_zero():
         for (s, _), (t, _) in zip(loaded.branches, zero.branches):
             assert np.array_equal(s("main", x), t("main", x))
             assert np.array_equal(s.jac("main", x), t.jac("main", x))
+
+
+def test_multisection_zero_round_trips_through_its_description():
+    model = small_model()
+    zero = pert.Multisection.zero(model)
+    loaded = pert.multisection_from_config(model, zero.describe())
+    assert loaded.is_zero()
+    assert loaded.describe() == zero.describe()
+
+
+def test_constant_branch_named_zero_is_not_zero():
+    model = small_model()
+    branch = pert.constant_branch_section(model, [1.0], name="zero")
+    assert not pert.Multisection(model, [(branch, 1)]).is_zero()

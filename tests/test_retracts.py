@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from scfold.errors import (
     AmbiguousRankError,
@@ -31,6 +32,7 @@ from scfold.sc_core import (
     PartialQuadrant,
     WeightedGridScale,
     direct_sum,
+    fredholm_split,
 )
 
 BUMP_DELTAS = (0.0, 0.01, 0.02, 0.03)
@@ -496,6 +498,110 @@ def test_neatness_complement_wider_than_the_free_coordinates_fails():
     assert rep.details["complement_dim"] == 0
     assert not rep.complement_ok
     assert rep.sequence_status == "pass"
+
+
+def _stacked_frame_verdict(n_basis, qidx):
+    """Reference: the construction neatness_check used before it read the
+    quadrant block. Free columns picked by pivoted QR of their residual
+    against the fixed space, then the rank of the stacked d x d frame.
+    Returns (complement_ok, complement_dim), or "ambiguous"."""
+    d, k = n_basis.shape
+    w = np.eye(d)[:, [i for i in range(d) if i not in qidx]]
+    need = d - k
+    if need == 0:
+        return True, 0
+    if need > w.shape[1]:
+        return False, 0
+    z = w - n_basis @ (n_basis.T @ w)
+    piv = scipy.linalg.qr(z, pivoting=True, mode="economic")[2]
+    stacked = np.concatenate([n_basis, w[:, piv[:need]]], axis=1)
+    try:
+        return fredholm_split(stacked).image.shape[1] == d, need
+    except AmbiguousRankError:
+        return "ambiguous"
+
+
+def _projection_model(n, qidx):
+    # orthogonal projection onto the columns of n, in the quadrant with
+    # indices qidx
+    d = n.shape[0]
+    proj = Retraction(ScDomain(PartialQuadrant(FiniteDimScale(d), tuple(qidx))),
+                      lambda x: n @ (n.T @ x), lambda x, h: (h @ n) @ n.T)
+    return LocalScModel(proj)
+
+
+def _tilted_frame(d, k, qidx, tilt, rng):
+    # orthonormal d x k frame whose quadrant rows have singular values of
+    # order 1, except the smallest, of order tilt
+    a = rng.standard_normal((d, k))
+    m = min(len(qidx), k)
+    if m:
+        u = np.linalg.qr(rng.standard_normal((len(qidx),) * 2))[0][:, :m]
+        v = np.linalg.qr(rng.standard_normal((k, k)))[0][:, :m]
+        a[qidx] = (u * np.r_[np.ones(m - 1), tilt]) @ v.T
+    return np.linalg.qr(a)[0]
+
+
+def _both_verdicts(n, qidx, x):
+    model = _projection_model(n, qidx)
+    basis = retract_tangent_basis(model.retraction, x).basis
+    try:
+        rep = neatness_check(model, x)
+        got = rep.complement_ok, rep.details["complement_dim"]
+    except AmbiguousRankError:
+        got = "ambiguous"
+    return got, _stacked_frame_verdict(basis, qidx)
+
+
+def _fixtures(tilts_of):
+    # every ambient dimension 2..6, fixed-space dimension k and number of
+    # quadrant indices, with seeded frames and quadrant indices
+    for d in range(2, 7):
+        for k in range(d + 1):
+            for q in range(d + 1):
+                for i, tilt in enumerate(tilts_of(d, k, q)):
+                    rng = np.random.default_rng([d, k, q, i])
+                    qidx = sorted(rng.choice(d, q, replace=False).tolist())
+                    yield d, k, qidx, _tilted_frame(d, k, qidx, tilt, rng)
+
+
+def test_neatness_verdicts_equal_the_stacked_frame_construction():
+    seen = set()
+    count = 0
+    for d, k, qidx, n in _fixtures(lambda d, k, q: (1.0, 1e-7, 1e-9, 3e-12)):
+        got, want = _both_verdicts(n, qidx, np.zeros(d))
+        assert got == want, (d, k, qidx)
+        seen.add(got if got == "ambiguous" else got[0])
+        count += 1
+    assert count == 540 and seen == {True, False, "ambiguous"}
+    # the tilted line of the half plane, across the guard band
+    ladder = set()
+    for tilt in np.geomspace(3e-12, 1e-7, 41):
+        n = np.array([[tilt], [1.0]]) / np.hypot(tilt, 1.0)
+        got, want = _both_verdicts(n, [0], n[:, 0])
+        assert got == want, tilt
+        ladder.add(got if got == "ambiguous" else got[0])
+    assert ladder == {True, False, "ambiguous"}
+
+
+def test_neatness_verdicts_near_the_guard_band():
+    # log-uniform tilts in [1e-12, 1e-6]. With as many quadrant indices as
+    # fixed-space dimensions the two frames are the same matrix; with fewer,
+    # [n, E_W] has all the free axes and the reference only d - k of them,
+    # and dropping columns never raises a singular value, so the verdict
+    # (False < ambiguous < True) is never below the reference's
+    def tilts(d, k, q):
+        return 10.0 ** np.random.default_rng([d, k, q]).uniform(-12, -6, 12)
+
+    def level(verdict):
+        return 1 if verdict == "ambiguous" else 2 * verdict[0]
+
+    for d, k, qidx, n in _fixtures(tilts):
+        got, want = _both_verdicts(n, qidx, np.zeros(d))
+        if len(qidx) >= k:
+            assert got == want, (d, k, qidx)
+        else:
+            assert level(got) >= level(want), (d, k, qidx)
 
 
 # ---------------------------------------------------- corner_invariance_check

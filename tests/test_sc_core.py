@@ -27,7 +27,6 @@ from scfold.perturbation import (
     StrongBundleModel,
     linearization_set,
 )
-from scfold.retracts import LocalScModel, Retraction, neatness_check
 from scfold.sc_calculus import ScDomain
 from scfold.sc_core import (
     CircleGridScale,
@@ -450,13 +449,6 @@ def _linearization_of_two_branches():
     linearization_set(f, lam, "main", np.array([0.5]))
 
 
-def _neatness_of_tilted_projection():
-    n = np.array([3e-12, 1.0]) / np.hypot(3e-12, 1.0)
-    proj = Retraction(ScDomain(PartialQuadrant(FiniteDimScale(2), (0,))),
-                      lambda x: n * (n @ x), lambda x, h: np.multiply.outer(h @ n, n))
-    neatness_check(LocalScModel(proj), n)
-
-
 def _affine_index_one_manifold():
     g = BasicGerm(2, 0, 1, FiniteDimScale(1),
                   b_fn=lambda a, w, m: 0.5 * w + 0.5 * (a[0] - a[1]),
@@ -470,7 +462,6 @@ def _affine_index_one_manifold():
     pytest.param(lambda: germ_from_map(lambda x: np.array([x[0] ** 2 + x[1] - 1.0]),
                                        np.array([0.3, 0.8]), out_dim=1),
                  [(1, 2)], id="germ_from_map"),
-    pytest.param(_neatness_of_tilted_projection, [(2, 2)], id="neatness_check"),
     # the base-point Jacobian once, then the complement of its kernel
     pytest.param(_affine_index_one_manifold, [(1, 2), (1, 2)], id="local_solution_manifold"),
 ])
