@@ -157,6 +157,24 @@ def jacobian(fn, x, out_dim, step):
     return np.stack(cols, axis=-1)
 
 
+def check_rows(x, out, row_shape, what, *what_args, arg):
+    """out, when x is one row (1-D) or out holds one row_shape result per row
+    of x, a None in the tuple row_shape matching any length; ValueError naming
+    the callback, what.format(*what_args), its rows argument arg and both
+    shapes otherwise, since a result shaped for one point broadcasts silently
+    against a batch. A call that passes formats no string."""
+    if x.ndim < 2:
+        return out
+    want = x.shape[:-1] + row_shape
+    shape = np.shape(out)
+    if shape == want or (len(shape) == len(want) and
+                         all(w is None or w == s for w, s in zip(want, shape))):
+        return out
+    raise ValueError(f"{what.format(*what_args)} returned shape {shape} for rows "
+                     f"{arg} of shape {x.shape}; rows need shape "
+                     f"{str(want).replace('None', 'n')}")
+
+
 def numerical_rank(singular_values):
     """Rank from singular values with a guard band on the relative spectrum.
 

@@ -168,10 +168,7 @@ class CallbackForm:
             raise ValueError(f"need {self.degree} tangent vectors")
         x = np.asarray(x, dtype=float)
         out = np.asarray(self.fn(x, *vectors), dtype=float)
-        if x.ndim > 1 and out.shape != x.shape[:-1]:
-            raise ValueError(f"form returned shape {out.shape} for rows x of "
-                             f"shape {x.shape}; rows need shape {x.shape[:-1]}")
-        return out[()]
+        return _fd.check_rows(x, out, (), "form", arg="x")[()]
 
     def exterior_derivative(self, fd_fallback=False):
         if not fd_fallback:
@@ -255,26 +252,16 @@ class Cell:
 
     def point(self, q):
         q = np.asarray(q, dtype=float)
-        return self._rows(q, np.asarray(self.chart_map(q), dtype=float))
+        return _fd.check_rows(q, np.asarray(self.chart_map(q), dtype=float),
+                              (None,), "cell of dimension {}", self.dim, arg="q")
 
     def jacobian(self, q):
         q = np.asarray(q, dtype=float)
         if self.jac is None:
             return _fd.jacobian(self.point, q, None, _fd.JACOBIAN_STEP)
-        return self._rows(q, np.asarray(self.jac(q), dtype=float), self.dim)
-
-    def _rows(self, q, out, *tail):
-        """out, once a batch q of rows has given one result of shape
-        (n, *tail) per row; ValueError otherwise, since a chart written for
-        one point broadcasts silently into a wrong integral."""
-        if q.ndim > 1 and (out.ndim != q.ndim + len(tail)
-                           or out.shape[:q.ndim - 1] != q.shape[:-1]
-                           or out.shape[q.ndim:] != tail):
-            want = ", ".join(map(str, q.shape[:-1] + ("n",) + tail))
-            raise ValueError(
-                f"cell of dimension {self.dim} returned shape {out.shape} for "
-                f"rows q of shape {q.shape}; rows need shape ({want})")
-        return out
+        return _fd.check_rows(q, np.asarray(self.jac(q), dtype=float),
+                              (None, self.dim), "cell of dimension {}", self.dim,
+                              arg="q")
 
     def boundary_cells(self):
         """Faces with the induced orientation of the standard cube."""

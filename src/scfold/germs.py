@@ -107,10 +107,6 @@ class SolveInfo:
     rates: list
     bound: int | None
 
-    @property
-    def rate(self):
-        return max(self.rates) if self.rates else 0.0
-
 
 def solve_germ(germ, a, m, tol=1e-12, max_iter=500):
     """Fixed point of w -> B(a, w) at level m from the zero initial guess.
@@ -202,12 +198,15 @@ class SolutionSheet:
 
 
 def solution_sheet(germ, a_grid, m_max=None, tol=1e-12):
-    """Solve at every grid node and every level, recording iteration counts,
+    """Solve at every node of the (n, base_dim) rows a_grid, a 1-D grid being
+    one coordinate per node, and every level, recording iteration counts,
     contraction rates, level coherence, and grid derivative estimates."""
     m_max = germ.fiber.max_level if m_max is None else m_max
-    a_grid = np.atleast_2d(np.asarray(a_grid, dtype=float))
+    a_grid = np.asarray(a_grid, dtype=float)
+    a_grid = a_grid.reshape(len(a_grid), -1)
     if a_grid.shape[1] != germ.base_dim:
-        a_grid = a_grid.T
+        raise ValueError(f"grid of shape {a_grid.shape} needs rows of the base "
+                         f"dimension {germ.base_dim}")
     nodes = []
     for a in a_grid:
         deltas, iters, rates, coher = [], [], [], []

@@ -41,6 +41,11 @@ SURJECTIVITY_FLOOR = 1e-8
 SUSPECT_FLOOR = 1e-4
 # residual at which a corrector point counts as a zero
 CORRECTOR_ACCEPT_TOL = 1e-8
+# residual at which a corrector row, or a solution curve's Picard solve, stops
+CORRECTOR_TOL = 1e-11
+# kernel-grid points per positive-index solution patch, and sample points of
+# a chart with zero-dimensional fiber
+CURVE_SAMPLES = 33
 # relative singular-value cutoff of the minimum-norm Gauss-Newton step:
 # singular values at most GAUSS_NEWTON_RCOND * sigma_0 count as zero
 GAUSS_NEWTON_RCOND = 1e-12
@@ -67,6 +72,7 @@ class StrongBundleModel:
 
     def __init__(self, charts, name="bundle"):
         self.charts = {c.name: c for c in charts}
+        self.fiber_dims = {c.name: c.fiber_dim() for c in charts}
         self.name = name
 
     def chart(self, chart_id):
@@ -121,31 +127,19 @@ class BundleSection:
     def __call__(self, chart_id, base):
         base = np.asarray(base, dtype=float)
         value = np.asarray(self.fn(chart_id, base), dtype=float)
-        return self._rows(chart_id, base, value)
+        return _fd.check_rows(base, value, (self.model.fiber_dims[chart_id],),
+                              "section {!r}", self.name, arg="x")
 
     def derivative_matrix(self, chart_id, base, step=_fd.JACOBIAN_STEP):
         """The fiber_dim x d Jacobian at each row of base: jac's array from
         one call, or central differences of fn at the given step (one per
         row, or one for all) for a section without a jac."""
-        if self.jac is not None:
-            base = np.asarray(base, dtype=float)
-            return self._rows(chart_id, base, self.jac(chart_id, base),
-                              base.shape[-1])
-        out_dim = self.model.chart(chart_id).fiber_dim()
-        return _fd.jacobian(lambda z: self(chart_id, z), base, out_dim, step)
-
-    def _rows(self, chart_id, x, out, *tail):
-        """out, once a batch x of rows has given one result of shape
-        (fiber_dim, *tail) per row; ValueError naming the section otherwise,
-        since a result shaped for one point broadcasts silently against the
-        rows of another section."""
-        if x.ndim > 1:
-            want = x.shape[:-1] + (self.model.chart(chart_id).fiber_dim(), *tail)
-            if np.shape(out) != want:
-                raise ValueError(
-                    f"section {self.name!r} returned shape {np.shape(out)} for "
-                    f"rows x of shape {x.shape}; rows need shape {want}")
-        return out
+        out_dim = self.model.fiber_dims[chart_id]
+        if self.jac is None:
+            return _fd.jacobian(lambda z: self(chart_id, z), base, out_dim, step)
+        base = np.asarray(base, dtype=float)
+        return _fd.check_rows(base, self.jac(chart_id, base), (out_dim, base.shape[-1]),
+                              "section {!r}", self.name, arg="x")
 
     def element(self, chart_id, base, base_level):
         k = base_level + (1 if self.tag == "sc_plus" else 0)
@@ -155,7 +149,7 @@ class BundleSection:
 
 def zero_section(model, tag="sc_plus", name="zero"):
     """The zero section; its serial kind, not its name, marks it as zero."""
-    dims = {cid: chart.fiber_dim() for cid, chart in model.charts.items()}
+    dims = model.fiber_dims
     sec = BundleSection(
         model, lambda cid, x: np.zeros(x.shape[:-1] + (dims[cid],)), tag=tag,
         jac=lambda cid, x: np.zeros(x.shape[:-1] + (dims[cid], x.shape[-1])),
@@ -171,9 +165,6 @@ class BiLevelReport:
     @property
     def passed(self):
         return all(r[-1] for r in self.rows)
-
-    def violations(self):
-        return [r for r in self.rows if not r[-1]]
 
 
 def bilevel_check(section, samples):
@@ -356,7 +347,7 @@ def multisection_from_config(model, text_or_dict):
             sec = constant_branch_section(model, row["params"]["value"],
                                           name=row.get("name"))
         elif kind == "zero":
-            sec = zero_section(model)
+            sec = zero_section(model, name=row.get("name", "zero"))
         else:
             raise ConfigError(f"unknown branch kind {kind!r}")
         branches.append((sec, Fraction(row["weight"])))
@@ -384,11 +375,8 @@ def multisection_sum(l1, l2):
         for _ in range(5):
             merge_samples.append((cid, center + 0.3 * rng.standard_normal(d)))
 
-    new = []
-    for s1, w1 in l1.branches:
-        for s2, w2 in l2.branches:
-            sec = _combination(model, s1, s2, 1.0, 1.0, f"{s1.name}+{s2.name}")
-            new.append((sec, w1 * w2))
+    new = [(_branch_sum(model, s1, s2), w1 * w2)
+           for s1, w1 in l1.branches for s2, w2 in l2.branches]
 
     merged = []
     for sec, w in new:
@@ -407,6 +395,20 @@ def multisection_sum(l1, l2):
         else:
             merged[hit] = (merged[hit][0], merged[hit][1] + w)
     return Multisection(model, merged, name=f"{l1.name}⊕{l2.name}")
+
+
+def _branch_sum(model, a, b):
+    """a + b named "a+b", built as a zero or constant branch when both are
+    zero or constant, so that the sum serializes; else their _combination."""
+    name = f"{a.name}+{b.name}"
+    kinds = {getattr(a, "serial_kind", None), getattr(b, "serial_kind", None)}
+    if kinds == {"zero"}:
+        return zero_section(model, name=name)
+    if kinds <= {"zero", "constant"}:
+        value = sum(np.asarray(s.serial_params["value"]) for s in (a, b)
+                    if s.serial_kind == "constant")
+        return constant_branch_section(model, value, name=name)
+    return _combination(model, a, b, 1.0, 1.0, name)
 
 
 def _combination(model, a, b, wa, wb, name):
@@ -483,7 +485,7 @@ def control_pair_build(f, aux_norm, margin=0.5, seed=0):
         else:
             found = _seeded_zeros(lambda z: f(cid, z),
                                   lambda z, h: f.derivative_matrix(cid, z, h),
-                                  chart, 24, rng, 1e-11)
+                                  chart, 24, rng)
         for x_sol in found:
             if np.linalg.norm(x_sol - chart.domain.center) > 0.9 * _chart_radius(chart):
                 escaped.append((cid, x_sol))
@@ -555,7 +557,7 @@ def _min_norm_step(jac, val):
     return step
 
 
-def _gauss_newton(fn, x0, out_dim, tol=1e-11, max_iter=80, jac=None):
+def _gauss_newton(fn, x0, out_dim, max_iter=80, jac=None):
     """Damped Gauss-Newton presolve from every row of the (m, d) starts x0;
     refreshes the frame every step so even degenerate roots are approached
     geometrically.
@@ -564,10 +566,11 @@ def _gauss_newton(fn, x0, out_dim, tol=1e-11, max_iter=80, jac=None):
     jac(x, h) to their (n, out_dim, d) Jacobians for the per-row difference
     steps h = 1e-7 (1 + |x|), by default the central differences of fn. Each
     row keeps its own iteration count, step cap and 12-halving line search,
-    and stops when its residual is at most tol, its line search fails or its
-    Jacobian is not finite. Returns the last accepted point of every row and
-    the norm of fn there; fn is evaluated only at rows still searching, once
-    per accepted point, the line search's value being carried forward.
+    and stops when its residual is at most CORRECTOR_TOL, its line search
+    fails or its Jacobian is not finite. Returns the last accepted point of
+    every row and the norm of fn there; fn is evaluated only at rows still
+    searching, once per accepted point, the line search's value being
+    carried forward.
     """
     if jac is None:
         def jac(z, h):
@@ -579,7 +582,7 @@ def _gauss_newton(fn, x0, out_dim, tol=1e-11, max_iter=80, jac=None):
         res = _norm(val)
         live = np.arange(len(x))
         for _ in range(max_iter):
-            live = live[~(res[live] <= tol)]
+            live = live[~(res[live] <= CORRECTOR_TOL)]
             if not live.size:
                 break
             size = 1.0 + _norm(x[live])
@@ -619,7 +622,7 @@ def _chart_radius(chart):
     return chart.domain.radii[0] if chart.domain.radii else 1.0
 
 
-def _seeded_zeros(fn, jac, chart, count, rng, tol):
+def _seeded_zeros(fn, jac, chart, count, rng):
     """Distinct zeros of fn in the chart's domain, from count starts drawn
     from rng uniformly in the box of half-width _chart_radius around the
     center and solved together by _gauss_newton; a row counts as a zero when
@@ -628,7 +631,7 @@ def _seeded_zeros(fn, jac, chart, count, rng, tol):
     d = chart.domain.center.size
     starts = (chart.domain.center
               + _chart_radius(chart) * rng.uniform(-1, 1, (count, d)))
-    xs, res = _gauss_newton(fn, starts, chart.fiber_dim(), tol, jac=jac)
+    xs, res = _gauss_newton(fn, starts, chart.fiber_dim(), jac=jac)
     found = []
     for x_sol in xs[res <= CORRECTOR_ACCEPT_TOL]:
         if not chart.domain.contains(x_sol, 0):
@@ -655,23 +658,23 @@ class SolutionBranch:
     failed_samples: int = 0  # kernel-grid points whose Picard solve failed
 
 
-def solution_set(f, l, seeds_per_chart=40, seed=0, tol=1e-11,
-                 curve_samples=33, patch_radius=None):
+def solution_set(f, l, seed=0):
     """Weighted solution samples of the multisection equation per branch.
 
     Each active branch solves f(x) = s_i(x) through the Gauss-Newton corrector
-    from seeded starts, stepping with the derivative_matrix of f minus that of
-    s_i; zero-dimensional solutions are deduplicated, positive-index solutions
-    get a kernel parametrization by Picard iteration on the germ normal form,
+    from 40 seeded starts per chart, stepping with the derivative_matrix of f
+    minus that of s_i; zero-dimensional solutions are deduplicated,
+    positive-index solutions get a kernel parametrization by Picard iteration
+    on the germ normal form over a patch of radius 0.8 times the chart radius,
     whose AmbiguousRankError propagates (never at fiber dimension 1). Charts
     with zero-dimensional fiber contribute their whole sampled region at the
     branch weight.
 
-    The result is a pure function of the arguments, so l keeps it, keyed by
-    the identity of f and every other argument: a repeat call returns the
-    same list, which is shared and read-only.
+    The result is a pure function of f and seed, so l keeps it, keyed by the
+    identity of f and by seed: a repeat call returns the same list, which is
+    shared and read-only.
     """
-    key = (f, seeds_per_chart, seed, tol, curve_samples, patch_radius)
+    key = (f, seed)
     if key in l._solution_sets:
         return l._solution_sets[key]
     model = f.model
@@ -683,9 +686,9 @@ def solution_set(f, l, seeds_per_chart=40, seed=0, tol=1e-11,
         if chart.fiber_dim() == 0:
             # empty fiber: the whole sampled chart region solves the equation
             if d == 1:
-                offs = np.linspace(-0.9, 0.9, curve_samples)[:, None]
+                offs = np.linspace(-0.9, 0.9, CURVE_SAMPLES)[:, None]
             else:
-                offs = rng.uniform(-0.9, 0.9, size=(curve_samples, d))
+                offs = rng.uniform(-0.9, 0.9, size=(CURVE_SAMPLES, d))
             pts = [chart.domain.center + radius * o for o in offs]
             pts = [p for p in pts if chart.domain.contains(p, 0)]
             out.append(SolutionBranch(cid, -1, Fraction(1), pts, d,
@@ -698,25 +701,25 @@ def solution_set(f, l, seeds_per_chart=40, seed=0, tol=1e-11,
             def diff_jac(x, h, s=section):
                 return f.derivative_matrix(cid, x, h) - s.derivative_matrix(cid, x, h)
 
-            sols = _seeded_zeros(diff, diff_jac, chart, seeds_per_chart, rng, tol)
+            sols = _seeded_zeros(diff, diff_jac, chart, 40, rng)
             if not sols:
                 continue
             index = d - chart.fiber_dim()
             if index <= 0:
                 out.append(SolutionBranch(cid, bi, w, sorted(sols, key=tuple), 0))
             else:
-                pr = patch_radius if patch_radius is not None else 0.8 * radius
+                pr = 0.8 * radius
                 for x_sol in _cluster_representatives(sols, 2 * pr):
                     pg = germ_from_map(diff, x_sol, chart.fiber_dim(),
                                        radius=max(4.0 * pr, 4.0))
 
                     def parametrize(kappa, pg=pg):
                         kappa = np.atleast_1d(kappa)
-                        wfix, _ = solve_germ(pg.germ, kappa, 0, tol=tol,
-                                             max_iter=300)
+                        wfix, _ = solve_germ(pg.germ, kappa, 0,
+                                             tol=CORRECTOR_TOL, max_iter=300)
                         return pg.ambient(kappa, wfix)
 
-                    kgrid = np.linspace(-pr, pr, curve_samples)
+                    kgrid = np.linspace(-pr, pr, CURVE_SAMPLES)
                     pts = []
                     valid = []
                     failed = 0
@@ -889,8 +892,7 @@ def _kernels_in_good_position(chart, lset, point):
         kernel = data.kernel
         if kernel.shape[1] == 0:
             continue
-        comp = data.complement if data.complement.size else np.zeros((point.size, 0))
-        rep = good_position_check(kernel, tangent_quadrant, comp, 0.5,
+        rep = good_position_check(kernel, tangent_quadrant, data.complement, 0.5,
                                   sample_count=200, seed=1)
         if not rep.passed:
             return False
@@ -949,7 +951,7 @@ def perturb_to_transversal(f, cp, epsilon, seed=0):
         return zero
     rng = np.random.default_rng(seed)
     worst = report
-    dims = {cid: chart.fiber_dim() for cid, chart in model.charts.items()}
+    dims = model.fiber_dims
     for attempt in range(20):
         offsets = {}
         for cid, chart in model.charts.items():

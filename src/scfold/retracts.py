@@ -96,13 +96,8 @@ class Retraction:
         h = np.ascontiguousarray(directions, dtype=float)
         if self.dfn is None:
             return _fd.directional_derivative(self.fn, x, h)
-        out = np.asarray(self.dfn(x, h), dtype=float)
-        if h.ndim > 1 and out.shape != h.shape[:-1] + x.shape:
-            raise ValueError(
-                f"retraction {self.name!r} derivative returned shape {out.shape} "
-                f"for rows h of shape {h.shape}; rows need shape "
-                f"{h.shape[:-1] + x.shape}")
-        return out
+        return _fd.check_rows(h, np.asarray(self.dfn(x, h), dtype=float), x.shape,
+                              "retraction {!r} derivative", self.name, arg="h")
 
     def in_image(self, coeffs, tol=MEMBERSHIP_TOL):
         return self.scale.norm(self(coeffs) - coeffs, 0) <= tol
@@ -436,25 +431,28 @@ class GoodPositionReport:
         return self.equivalence_ok and self.interior_ok
 
 
+def _frame(columns, quadrant):
+    """columns as a (d, k) frame in the quadrant's dimension d, a 1-D array
+    being its one column; ValueError for any other row count."""
+    a = np.asarray(columns, dtype=float)
+    a, d = a.reshape(len(a), -1), quadrant.scale.dim(0)
+    if len(a) != d:
+        raise ValueError(f"frame of shape {a.shape} needs {d} rows, the "
+                         f"quadrant's dimension")
+    return a
+
+
 def good_position_check(n_basis, quadrant, nperp_basis, c, sample_count=400,
                         seed=0):
     """Sampled test that small complement moves do not change quadrant
     membership, plus an interior witness inside the subspace.
 
-    For pairs (n, m) with |m| <= c |n| the statements n + m in C and n in C
-    must agree; counterexamples are reported with both points. A combined
-    basis with condition number above 1e6 raises DegenerateBasisError.
+    The frames are (d, k) and (d, j) columns (see _frame). For pairs (n, m)
+    with |m| <= c |n| the statements n + m in C and n in C must agree;
+    counterexamples are reported with both points. A combined basis with
+    condition number above 1e6 raises DegenerateBasisError.
     """
-    n_basis = np.atleast_2d(np.asarray(n_basis, dtype=float))
-    if n_basis.shape[0] < n_basis.shape[1]:
-        n_basis = n_basis.T
-    nperp_basis = np.asarray(nperp_basis, dtype=float)
-    if nperp_basis.size:
-        nperp_basis = np.atleast_2d(nperp_basis)
-        if nperp_basis.shape[0] < nperp_basis.shape[1]:
-            nperp_basis = nperp_basis.T
-    else:
-        nperp_basis = np.zeros((n_basis.shape[0], 0))
+    n_basis, nperp_basis = _frame(n_basis, quadrant), _frame(nperp_basis, quadrant)
     full = np.concatenate([n_basis, nperp_basis], axis=1)
     if full.shape[1] and np.linalg.cond(full) > 1e6:
         raise DegenerateBasisError("combined basis condition number too large")
@@ -542,15 +540,11 @@ def graph_chart_build(n_basis, nperp_basis, a_fn, quadrant, q_radius=0.5,
                       base_point=None):
     """Build a graph chart and its sampled manifold patch of 41 points.
 
-    The graph map must satisfy |A(0)| <= 1e-10 and |DA(0)| <= 1e-6;
-    injectivity of the parametrization is asserted on the sample set.
+    The frames are (d, k) and (d, j) columns (see _frame). The graph map must
+    satisfy |A(0)| <= 1e-10 and |DA(0)| <= 1e-6; injectivity of the
+    parametrization is asserted on the sample set.
     """
-    n_basis = np.atleast_2d(np.asarray(n_basis, dtype=float))
-    if n_basis.shape[0] < n_basis.shape[1]:
-        n_basis = n_basis.T
-    nperp_basis = np.atleast_2d(np.asarray(nperp_basis, dtype=float))
-    if nperp_basis.shape[0] < nperp_basis.shape[1]:
-        nperp_basis = nperp_basis.T
+    n_basis, nperp_basis = _frame(n_basis, quadrant), _frame(nperp_basis, quadrant)
     d = n_basis.shape[0]
     base_point = np.zeros(d) if base_point is None else np.asarray(base_point, dtype=float)
     k = n_basis.shape[1]

@@ -97,10 +97,6 @@ class ScMap:
             raise MissingDerivativeError(f"{self.name} has no derivative evaluator")
         return _fd.directional_derivative(lambda z: self(z, level), coeffs, direction)
 
-    def vector(self, x):
-        """Evaluate on an ScVector, keeping the declared level."""
-        return ScVector(self.target, self(x.coeffs, x.level), x.level)
-
 
 def compose(f, g, dfn=None, name=None):
     """The composite x -> g(f(x)).

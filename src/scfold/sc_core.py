@@ -474,9 +474,6 @@ class PartialQuadrant:
             return True
         return bool(np.all(coeffs[list(self.quadrant_indices)] >= -tol))
 
-    def degeneracy(self, coeffs):
-        return degeneracy_index(self, coeffs)
-
 
 def degeneracy_index(quadrant, x, tol=None):
     """Number of quadrant coordinates of x that vanish within tol.

@@ -174,3 +174,41 @@ def test_directional_derivative_rows_equal_one_row_calls():
     for v, row in zip(rows.reshape(-1, 2), got.reshape(-1, 3)):
         assert np.array_equal(row, _fd.directional_derivative(fn, x, v))
         assert np.array_equal(row, (fn(x + h * v) - fn(x - h * v)) / (2.0 * h))
+
+
+# ---------------------------------------------------------------- check_rows
+
+class Unformattable(str):
+    """A callback description that fails the test once it is formatted."""
+
+    def format(self, *args):
+        raise AssertionError("check_rows formatted a message on a passing call")
+
+
+def test_check_rows_never_checks_one_row():
+    out = np.zeros((3, 7))
+    assert _fd.check_rows(np.zeros(2), out, (5,), Unformattable("f"), arg="x") is out
+
+
+@pytest.mark.parametrize("out_shape, row_shape", [
+    ((4, 3, 5, 2), (5, 2)), ((4, 3, 5, 2), (None, 2)), ((4, 3), ())])
+def test_check_rows_returns_a_passing_batch_itself(out_shape, row_shape):
+    out = np.zeros(out_shape)
+    assert _fd.check_rows(np.zeros((4, 3, 2)), out, row_shape,
+                          Unformattable("f"), arg="x") is out
+
+
+@pytest.mark.parametrize("x_shape, out_shape, row_shape, want", [
+    pytest.param((4, 2), (4,), (1,), "(4, 1)", id="ndim"),
+    pytest.param((4, 2), (4, 3, 2), (3, 3), "(4, 3, 3)", id="fixed-axis"),
+    pytest.param((4, 2), (3, 7, 2), (None, 2), "(4, n, 2)", id="none-axis"),
+    pytest.param((5, 2), (2,), (), "(5,)", id="one-axis"),
+    pytest.param((144, 2), (2, 2), (None,), "(144, n)", id="free-n"),
+])
+def test_check_rows_message(x_shape, out_shape, row_shape, want):
+    message = (f"section 'fold' returned shape {out_shape} for rows q of shape "
+               f"{x_shape}; rows need shape {want}")
+    with pytest.raises(ValueError) as err:
+        _fd.check_rows(np.zeros(x_shape), np.zeros(out_shape), row_shape,
+                       "section {!r}", "fold", arg="q")
+    assert str(err.value) == message

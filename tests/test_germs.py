@@ -222,6 +222,20 @@ def test_sheet_quadratic_derivative_estimates():
     assert second == pytest.approx(4.0, abs=1e-6)
 
 
+def test_sheet_one_dimensional_grid_is_one_coordinate_per_node():
+    g = affine_germ()
+    flat = solution_sheet(g, np.linspace(0, 1, 5), m_max=1)
+    rows = solution_sheet(g, np.linspace(0, 1, 5)[:, None], m_max=1)
+    assert flat.to_csv() == rows.to_csv()
+
+
+def test_sheet_grid_of_columns_raises():
+    # (base_dim, n): one column per node instead of one row
+    with pytest.raises(ValueError, match=r"grid of shape \(1, 5\) needs rows of "
+                                         r"the base dimension 1"):
+        solution_sheet(affine_germ(), np.linspace(0, 1, 5)[None, :], m_max=1)
+
+
 def test_sheet_csv_roundtrip():
     g = affine_germ()
     sheet = solution_sheet(g, np.linspace(0, 1, 5)[:, None], m_max=1)

@@ -261,3 +261,43 @@ def test_constant_branch_named_zero_is_not_zero():
     model = small_model()
     branch = pert.constant_branch_section(model, [1.0], name="zero")
     assert not pert.Multisection(model, [(branch, 1)]).is_zero()
+
+
+def test_sum_of_zero_multisections_is_zero_and_loads():
+    model = small_model()
+    total = pert.multisection_sum(pert.Multisection.zero(model),
+                                  pert.Multisection.zero(model))
+    assert total.is_zero()
+    loaded = pert.multisection_from_config(model, total.describe())
+    assert loaded.is_zero()
+    assert loaded.describe() == total.describe()
+
+
+def test_sums_of_zero_and_constant_branches_round_trip():
+    model = small_model()
+    l1 = pert.Multisection(model, [
+        (pert.constant_branch_section(model, [0.25]), Fraction(1, 3)),
+        (pert.zero_section(model), Fraction(2, 3))])
+    l2 = pert.Multisection(model, [
+        (pert.constant_branch_section(model, [-0.5]), Fraction(1, 2)),
+        (pert.zero_section(model, name="null"), Fraction(1, 2))])
+    total = pert.multisection_sum(l1, l2)
+    text = total.describe()
+    assert [row["kind"] for row in json.loads(text)["branches"]] == [
+        "constant", "constant", "constant", "zero"]
+    loaded = pert.multisection_from_config(model, text)
+    assert loaded.describe() == text
+    for v in (-0.25, 0.25, -0.5, 0.0, 0.1):
+        e = model.element("main", np.array([0.3]), 1, np.array([v]), 1)
+        assert loaded.eval(e) == total.eval(e)
+    x = np.array([[0.3], [-0.6]])
+    for (s, _), (t, _) in zip(loaded.branches, total.branches, strict=True):
+        assert np.array_equal(s("main", x), t("main", x))
+
+
+def test_zero_branch_keeps_its_name():
+    model = small_model()
+    lam = pert.Multisection(model, [(pert.zero_section(model, name="null"), 1)])
+    loaded = pert.multisection_from_config(model, lam.describe())
+    assert [s.name for s, _ in loaded.branches] == ["null"]
+    assert loaded.describe() == lam.describe()

@@ -906,7 +906,7 @@ def _reference_charts():
                          ids=lambda v: v if isinstance(v, str) else "")
 def test_seeded_zeros_match_scalar_reference(name, chart, fn, jac):
     rng, rng_ref = np.random.default_rng(4), np.random.default_rng(4)
-    found = perturbation._seeded_zeros(fn, jac, chart, 24, rng, 1e-11)
+    found = perturbation._seeded_zeros(fn, jac, chart, 24, rng)
     found_ref = scalar_seeded_zeros(fn, jac, chart, 24, rng_ref, 1e-11)
     assert len(found) == len(found_ref)
     for x, x_ref in zip(found, found_ref):
@@ -973,8 +973,7 @@ def line_section(model):
                          name="line")
 
 
-MEMO_ARGS = dict(seeds_per_chart=10, seed=3, tol=1e-11, curve_samples=5,
-                 patch_radius=None)
+MEMO_ARGS = dict(seed=3)
 
 
 def test_solution_set_repeat_call_is_remembered():
@@ -988,9 +987,7 @@ def test_solution_set_repeat_call_is_remembered():
     assert calls == []
 
 
-@pytest.mark.parametrize("change", [
-    {"seed": 4}, {"seeds_per_chart": 9}, {"tol": 1e-10}, {"curve_samples": 7},
-    {"patch_radius": 0.5}, "f"], ids=str)
+@pytest.mark.parametrize("change", [{"seed": 4}, "f"], ids=str)
 def test_solution_set_recomputes_when_an_argument_changes(change):
     model = finite_model(base_dim=2, fiber_dim=1)
     f = line_section(model)

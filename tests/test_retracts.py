@@ -682,6 +682,28 @@ def test_good_position_whole_space():
     assert rep.passed
 
 
+def test_good_position_one_dimensional_frame_is_its_column():
+    q = quadrant2()
+    flat = good_position_check(np.array([1.0, 0.0]), q, np.array([0.0, 1.0]),
+                               c=0.5, sample_count=2000)
+    cols = good_position_check(np.array([[1.0], [0.0]]), q, np.array([[0.0], [1.0]]),
+                               c=0.5, sample_count=2000)
+    assert (flat.equivalence_ok, flat.interior_ok) == (cols.equivalence_ok, cols.interior_ok)
+    assert np.array_equal(flat.interior_witness, cols.interior_witness)
+    assert np.array_equal(flat.counterexamples, cols.counterexamples)
+
+
+@pytest.mark.parametrize("build", [
+    lambda frame, q: good_position_check(frame, q, np.zeros((2, 0)), c=0.5),
+    lambda frame, q: graph_chart_build(frame, np.array([[0.0], [1.0]]),
+                                       lambda qq: np.zeros(1), q),
+], ids=["good_position_check", "graph_chart_build"])
+def test_frame_of_rows_raises(build):
+    # a (k, d) frame: one row per basis vector instead of one column
+    with pytest.raises(ValueError, match=r"frame of shape \(1, 2\) needs 2 rows"):
+        build(np.array([[1.0, 0.0]]), quadrant2())
+
+
 # ---------------------------------------------------------- graph chart build
 
 def test_flat_chart_is_inclusion():
@@ -690,6 +712,16 @@ def test_flat_chart_is_inclusion():
                               lambda qq: np.zeros(1), q)
     for qq, pt in zip(chart.q_samples, chart.points):
         assert np.allclose(pt, [qq[0], 0.0])
+
+
+def test_graph_chart_one_dimensional_frames_are_columns():
+    q = PartialQuadrant(FiniteDimScale(2))
+    flat = graph_chart_build(np.array([1.0, 0.0]), np.array([0.0, 1.0]),
+                             lambda qq: np.array([qq[0] ** 2]), q)
+    cols = graph_chart_build(np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]),
+                             lambda qq: np.array([qq[0] ** 2]), q)
+    assert np.array_equal(flat.points, cols.points)
+    assert np.array_equal(flat.q_samples, cols.q_samples)
 
 
 def test_parabola_chart_transition_smooth():
