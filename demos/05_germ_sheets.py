@@ -21,7 +21,7 @@ gvec = rng.standard_normal(3)
 fiber = FiniteDimScale(3, max_level=3)
 germ = BasicGerm(
     base_dim=1, quadrant_count=0, residue_dim=0, fiber=fiber,
-    b_fn=lambda a, w, m: q @ w + gvec * a[0],
+    b_fn=lambda a, w, m: (q @ w[..., None])[..., 0] + gvec * a[..., :1],
     eps=(0.4 + 1e-9,), radii=(5.0,),
 )
 

@@ -29,6 +29,8 @@ RANK_GUARD_UPPER = 1e-8
 # residuals at or below this are round-off zeros in log-log slope fits
 LOGLOG_FLOOR = 1e-15
 
+MEMBERSHIP_TOL = 1e-9  # a point this close to an image or a cell lies on it
+
 
 def fornberg_weights(z, x, m):
     """Finite-difference weights for the order-m derivative at z from nodes x."""
@@ -173,6 +175,12 @@ def check_rows(x, out, row_shape, what, *what_args, arg):
     raise ValueError(f"{what.format(*what_args)} returned shape {shape} for rows "
                      f"{arg} of shape {x.shape}; rows need shape "
                      f"{str(want).replace('None', 'n')}")
+
+
+def squares(v):
+    """v . v for each row of v, shape v.shape[:-1]: matmul takes one BLAS dot
+    per row, so a row sums exactly as the 1-D v.dot(v) does."""
+    return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
 def numerical_rank(singular_values):

@@ -20,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _fd
+from ._fd import MEMBERSHIP_TOL
 from .errors import (
     MissingDerivativeError,
     UnchartedPointError,
@@ -27,8 +28,6 @@ from .errors import (
     read_config,
 )
 from .perturbation import orientation_sign, perturb_to_transversal, solution_set
-
-MEMBERSHIP_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------

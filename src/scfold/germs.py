@@ -30,8 +30,10 @@ class BasicGerm:
 
     base_dim n with the first quadrant_count coordinates constrained to
     [0, inf); residue_dim N; fiber scale W; b_fn(a, w, level) evaluates the
-    contraction part, residue_fn(a, w) the finite residue block. Contraction
-    constants eps and validity radii rho are recorded per level.
+    contraction part, residue_fn(a, w) the finite residue block. Both map
+    rows: a of shape (..., n) and w of shape (..., dim W) to (..., dim W) and
+    (..., N), a 1-D argument being the one row. Contraction constants eps and
+    validity radii rho are recorded per level.
     """
 
     base_dim: int
@@ -61,14 +63,17 @@ class BasicGerm:
                     raise ValueError(f"residue must vanish at the origin: {q0:g}")
 
     def b(self, a, w, level=0):
-        return np.asarray(self.b_fn(np.asarray(a, dtype=float),
-                                    np.asarray(w, dtype=float), level), dtype=float)
+        a, w = np.asarray(a, dtype=float), np.asarray(w, dtype=float)
+        return _fd.check_rows(a, np.asarray(self.b_fn(a, w, level), dtype=float),
+                              w.shape[-1:], "germ b_fn", arg="a")
 
     def residue(self, a, w):
+        a = np.asarray(a, dtype=float)
         if self.residue_fn is None:
-            return np.zeros(0)
-        return np.atleast_1d(np.asarray(self.residue_fn(np.asarray(a, dtype=float),
-                                                        np.asarray(w, dtype=float)), dtype=float))
+            return np.zeros(a.shape[:-1] + (0,))
+        out = np.asarray(self.residue_fn(a, np.asarray(w, dtype=float)), dtype=float)
+        return _fd.check_rows(a, np.atleast_1d(out), (self.residue_dim,),
+                              "germ residue_fn", arg="a")
 
     def base_quadrant(self):
         return PartialQuadrant(FiniteDimScale(self.base_dim),
@@ -77,78 +82,108 @@ class BasicGerm:
 
 def contraction_verify(germ, m, sample_count=200, seed=0):
     """Max observed contraction ratio of B at level m over seeded sample pairs
-    within the validity radius; passes when it stays below the declared constant."""
+    within the validity radius; passes when it stays below the declared constant.
+    B is evaluated on all pairs in two row calls; pairs within 1e-14 are skipped."""
     rng = np.random.default_rng(seed)
     rho = germ.radii[m]
     dim_w = germ.fiber.dim(m)
-    worst = 0.0
-    for _ in range(sample_count):
-        a = rng.uniform(-1.0, 1.0, germ.base_dim)
-        a[:germ.quadrant_count] = np.abs(a[:germ.quadrant_count])
-        a *= rho * rng.uniform(0.0, 1.0) / max(np.linalg.norm(a), 1e-30)
-        w1 = rng.standard_normal(dim_w)
-        w2 = rng.standard_normal(dim_w)
-        for w in (w1, w2):
+    a, (w1, w2) = np.empty((sample_count, germ.base_dim)), np.empty((2, sample_count, dim_w))
+    for ai, w1i, w2i in zip(a, w1, w2):
+        ai[:] = rng.uniform(-1.0, 1.0, germ.base_dim)
+        ai[:germ.quadrant_count] = np.abs(ai[:germ.quadrant_count])
+        ai *= rho * rng.uniform(0.0, 1.0) / max(np.linalg.norm(ai), 1e-30)
+        w1i[:], w2i[:] = rng.standard_normal(dim_w), rng.standard_normal(dim_w)
+        for w in (w1i, w2i):
             nw = germ.fiber.norm(w, m)
             if nw > 0:
                 w *= rho * rng.uniform(0.0, 1.0) / nw
-        dw = germ.fiber.norm(w1 - w2, m)
-        if dw < 1e-14:
-            continue
-        db = germ.fiber.norm(germ.b(a, w1, m) - germ.b(a, w2, m), m)
-        worst = max(worst, db / dw)
-    return worst
+    dw = _norms(germ.fiber, w1 - w2, m)
+    db = _norms(germ.fiber, germ.b(a, w1, m) - germ.b(a, w2, m), m)
+    return max([0.0] + (db[dw >= 1e-14] / dw[dw >= 1e-14]).tolist())
+
+
+def _norms(fiber, v, m):
+    """fiber.norm(row, m) of each row of v, a FiniteDimScale's by one dot per row."""
+    if type(fiber).norm is FiniteDimScale.norm:
+        return np.sqrt(_fd.squares(v))
+    return np.array([fiber.norm(row, m) for row in v])
+
+
+def _apply(mat, v):
+    """mat @ row for each row of v, one gemv per row as for a 1-D v."""
+    return (mat @ v[..., None])[..., 0]
 
 
 @dataclass
 class SolveInfo:
-    iterations: int
-    residual: float
+    iterations: int  # sweeps of the call: the most Picard steps of any row
+    residual: float | list  # residual, rates and bound: per row for rows
     rates: list
-    bound: int | None
+    bound: int | None | list
+    row_iterations: list | None = None  # rows only, as errors (exception or None)
+    errors: list | None = None
 
 
 def solve_germ(germ, a, m, tol=1e-12, max_iter=500):
-    """Fixed point of w -> B(a, w) at level m from the zero initial guess.
+    """Fixed points of w -> B(a, w) at level m from the zero initial guess, at
+    each row of the (n, base_dim) parameters a; a 1-D a is the one row.
 
-    Picard iteration mirrors the contraction argument. Non-convergence within
-    max_iter signals a contraction-assumption breach, and so does a non-finite
-    |B(a, 0)| or residual: Picard iterates from zero stay within
-    |B(a, 0)|/(1 - eps), so the iteration stops at the first one.
+    Picard iteration mirrors the contraction argument. A row fails with
+    ValueError outside the validity radius, and with NonConvergenceError when
+    |B(a, 0)| or a residual is not finite (iterates from zero stay within
+    |B(a, 0)|/(1 - eps)) or after max_iter steps. Each row stops on its own;
+    only live rows are evaluated. A 1-D a returns its fixed point or raises
+    its error; rows return their (n, dim) last iterates and info.errors.
     """
-    a = np.asarray(a, dtype=float)
-    if np.linalg.norm(a) > germ.radii[m] * (1 + 1e-12):
-        raise ValueError(f"parameter outside validity radius {germ.radii[m]:g}")
-    w = np.zeros(germ.fiber.dim(m))
-    b0 = germ.fiber.norm(germ.b(a, w, m), m)
-    if not math.isfinite(b0):
-        raise NonConvergenceError(
-            f"|B(a, 0)| is {b0:g} at level {m}; contraction assumption violated")
-    epsm = germ.eps[m]
-    bound = None
-    if epsm < 1.0 and b0 > tol:
-        bound = int(np.ceil(np.log(tol * (1 - epsm) / b0) / np.log(epsm))) + 5
-    rates = []
-    prev_step = None
+    rows = np.atleast_2d(np.asarray(a, dtype=float))
+    n, epsm = len(rows), germ.eps[m]
+    w, errors = np.zeros((n, germ.fiber.dim(m))), [None] * n
+    steps, residual, b0 = np.zeros(n, dtype=int), np.full(n, np.nan), np.full(n, np.nan)
+    history = np.full((max_iter, n), np.nan)  # the residual of each step taken
+    inside = ~(np.sqrt(_fd.squares(rows)) > germ.radii[m] * (1 + 1e-12))
+    if inside.any():
+        b0[inside] = _norms(germ.fiber, germ.b(rows[inside], w[inside], m), m)
+    for i in np.flatnonzero(~np.isfinite(b0)):
+        errors[i] = NonConvergenceError(
+            f"|B(a, 0)| is {b0[i]:g} at level {m}; contraction assumption violated"
+        ) if inside[i] else ValueError(
+            f"parameter outside validity radius {germ.radii[m]:g}")
+    bound = [int(np.ceil(np.log(tol * (1 - epsm) / b) / np.log(epsm))) + 5
+             if epsm < 1.0 and tol < b < math.inf else None for b in b0.tolist()]
+    idx = np.flatnonzero(np.isfinite(b0))
+    a_live, w_live, res = rows[idx], w[idx], b0[idx]
     for it in range(1, max_iter + 1):
-        bw = germ.b(a, w, m)
-        residual = germ.fiber.norm(w - bw, m)
-        if residual <= tol:
-            return w, SolveInfo(it - 1, residual, rates, bound)
-        if not math.isfinite(residual):
-            raise NonConvergenceError(
-                f"residual {residual:g} at level {m}, iteration {it}; "
-                "contraction assumption violated")
-        # the residual is the length of the Picard step w -> B(a, w); rates
-        # from steps already at round-off would only measure noise
-        if prev_step is not None and residual > 100 * tol:
-            rates.append(residual / prev_step)
-        prev_step = residual
-        w = bw
-    raise NonConvergenceError(
-        f"no fixed point within {max_iter} iterations at level {m} "
-        f"(last residual {residual:g}); contraction assumption may be violated"
-    )
+        if not idx.size:
+            break
+        bw = germ.b(a_live, w_live, m)
+        res = _norms(germ.fiber, w_live - bw, m)
+        go = (tol < res) & (res < math.inf)
+        if not go.all():
+            stop = idx[~go]
+            for i, r in zip(stop, res[~go]):
+                if not r <= tol:
+                    errors[i] = NonConvergenceError(
+                        f"residual {r:g} at level {m}, iteration {it}; "
+                        "contraction assumption violated")
+            w[stop], residual[stop], steps[stop] = w_live[~go], res[~go], it - 1
+            idx, a_live, bw, res = idx[go], a_live[go], bw[go], res[go]
+        history[it - 1, idx] = res  # the length of the Picard step w -> B(a, w)
+        w_live = bw
+    w[idx], residual[idx], steps[idx] = w_live, res, max_iter
+    for i in idx:
+        errors[i] = NonConvergenceError(
+            f"no fixed point within {max_iter} iterations at level {m} (last "
+            f"residual {residual[i]:g}); contraction assumption may be violated")
+    # rates from steps already at round-off would only measure noise
+    taken = history[:steps.max(initial=0)]
+    rates = [r[k].tolist() for r, k in zip((taken[1:] / taken[:-1]).T,
+                                           (taken[1:] > 100 * tol).T)]
+    if np.ndim(a) < 2:
+        if errors[0] is not None:
+            raise errors[0]
+        return w[0], SolveInfo(int(steps[0]), float(residual[0]), rates[0], bound[0])
+    return w, SolveInfo(int(steps.max(initial=0)), residual.tolist(), rates, bound,
+                        steps.tolist(), errors)
 
 
 @dataclass
@@ -199,28 +234,29 @@ class SolutionSheet:
 
 def solution_sheet(germ, a_grid, m_max=None, tol=1e-12):
     """Solve at every node of the (n, base_dim) rows a_grid, a 1-D grid being
-    one coordinate per node, and every level, recording iteration counts,
-    contraction rates, level coherence, and grid derivative estimates."""
+    one coordinate per node, and every level, one solve_germ call per level,
+    recording iteration counts, contraction rates, level coherence, and grid
+    derivative estimates. A failure raises the error of the first failing node
+    at its lowest failing level, a NonConvergenceError prefixed with the node."""
     m_max = germ.fiber.max_level if m_max is None else m_max
-    a_grid = np.asarray(a_grid, dtype=float)
-    a_grid = a_grid.reshape(len(a_grid), -1)
+    a_grid = np.asarray(a_grid, dtype=float).reshape(len(a_grid), -1)
     if a_grid.shape[1] != germ.base_dim:
         raise ValueError(f"grid of shape {a_grid.shape} needs rows of the base "
                          f"dimension {germ.base_dim}")
-    nodes = []
-    for a in a_grid:
-        deltas, iters, rates, coher = [], [], [], []
-        for m in range(m_max + 1):
-            try:
-                w, info = solve_germ(germ, a, m, tol=tol)
-            except NonConvergenceError as exc:
-                raise NonConvergenceError(f"node {a.tolist()}: {exc}") from exc
-            deltas.append(w)
-            iters.append(info.iterations)
-            rates.append(info.rates)
-            if m > 0:
-                coher.append(germ.fiber.norm(deltas[m] - deltas[m - 1], m - 1))
-        nodes.append(SheetNode(a, deltas, iters, rates, coher))
+    solved = [solve_germ(germ, a_grid, m, tol=tol) for m in range(m_max + 1)]
+    for i, a in enumerate(a_grid):
+        exc = next((info.errors[i] for _, info in solved if info.errors[i]), None)
+        if isinstance(exc, NonConvergenceError):
+            raise NonConvergenceError(f"node {a.tolist()}: {exc}") from exc
+        if exc:
+            raise exc
+    coherence = [_norms(germ.fiber, solved[m][0] - solved[m - 1][0], m - 1).tolist()
+                 for m in range(1, m_max + 1)]
+    nodes = [SheetNode(a, [w[i] for w, _ in solved],
+                       [info.row_iterations[i] for _, info in solved],
+                       [info.rates[i] for _, info in solved],
+                       [c[i] for c in coherence])
+             for i, a in enumerate(a_grid)]
     sheet = SolutionSheet(germ, nodes, m_max, tol)
     if germ.base_dim == 1 and len(nodes) > 2:
         order = np.argsort(a_grid[:, 0])
@@ -454,7 +490,7 @@ class PointGerm:
     row_frame: np.ndarray
 
     def ambient(self, a, w):
-        return self.x0 + self.kernel_frame @ np.atleast_1d(a) + self.row_frame @ np.atleast_1d(w)
+        return self.x0 + _apply(self.kernel_frame, a) + _apply(self.row_frame, w)
 
 
 def germ_from_map(fn, x0, out_dim, radius=1.0):
@@ -465,7 +501,8 @@ def germ_from_map(fn, x0, out_dim, radius=1.0):
     block; the fixed-point part becomes a contraction near the point and the
     cokernel component becomes the finite residue block. Solving the
     fixed-point equation implements a quasi-Newton corrector whose fixed
-    points are the zeros of the image component. AmbiguousRankError
+    points are the zeros of the image component. fn maps rows (..., d) to
+    (..., out_dim), and so do the germ's callbacks. AmbiguousRankError
     propagates from the split.
     """
     x0 = np.asarray(x0, dtype=float)
@@ -475,23 +512,12 @@ def germ_from_map(fn, x0, out_dim, radius=1.0):
     sigma = split.singular_values[:r]
 
     def b_fn(a, w, level):
-        x = x0 + kernel @ np.atleast_1d(a) + row @ np.atleast_1d(w)
-        y = image.T @ np.atleast_1d(fn(x))
-        return np.atleast_1d(w) - y / sigma
+        return w - _apply(image.T, fn(x0 + _apply(kernel, a) + _apply(row, w))) / sigma
 
     def residue_fn(a, w):
-        x = x0 + kernel @ np.atleast_1d(a) + row @ np.atleast_1d(w)
-        return coker.T @ np.atleast_1d(fn(x))
+        return _apply(coker.T, fn(x0 + _apply(kernel, a) + _apply(row, w)))
 
-    germ = BasicGerm(
-        base_dim=kernel.shape[1],
-        quadrant_count=0,
-        residue_dim=coker.shape[1],
-        fiber=FiniteDimScale(r, max_level=0),
-        b_fn=b_fn,
-        residue_fn=residue_fn if coker.shape[1] else None,
-        eps=(0.5,),
-        radii=(radius,),
-        validate=False,
-    )
+    germ = BasicGerm(kernel.shape[1], 0, coker.shape[1], FiniteDimScale(r, max_level=0),
+                     b_fn, residue_fn if coker.shape[1] else None, eps=(0.5,),
+                     radii=(radius,), validate=False)
     return PointGerm(germ, x0, kernel, row)

@@ -24,7 +24,6 @@ from .errors import (
     BiLevelError,
     ConfigError,
     ExhaustedAttemptsError,
-    NonConvergenceError,
     NotASolutionError,
     UnchartedPointError,
     check_keys,
@@ -513,22 +512,16 @@ def control_pair_build(f, aux_norm, margin=0.5, seed=0):
     return ControlPair(region, aux_norm, report)
 
 
-def _squares(v):
-    """v . v for each row of v, shape v.shape[:-1]: matmul takes one BLAS dot
-    per row, so a row sums exactly as the 1-D v.dot(v) does."""
-    return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
-
-
 def _norm(v):
     """Euclidean norms of the rows of a real array, shape v.shape[:-1],
     without the dispatch of numpy's norm; a finite row whose square
     overflows is divided by its largest entry first."""
-    sq = _squares(v)
+    sq = _fd.squares(v)
     if np.isfinite(sq).all():
         return np.sqrt(sq)
     over = np.isinf(sq) & np.isfinite(v).all(axis=-1)
     big = np.where(over, np.abs(v).max(axis=-1), 1.0)
-    return big * np.sqrt(_squares(v / big[..., None]))
+    return big * np.sqrt(_fd.squares(v / big[..., None]))
 
 
 def _min_norm_step(jac, val):
@@ -544,7 +537,7 @@ def _min_norm_step(jac, val):
         return np.array([np.linalg.lstsq(j, v, rcond=GAUSS_NEWTON_RCOND)[0]
                          for j, v in zip(jac, val)])
     row, v = jac[:, 0], val[:, 0]
-    sq = _squares(row)
+    sq = _fd.squares(row)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         step = row * (v / sq)[:, None]
     # zero, or a square that under- or overflows: rescale by the largest entry
@@ -695,10 +688,10 @@ def solution_set(f, l, seed=0):
                                       parametrize=None))
             continue
         for bi, (section, w) in enumerate(l.branches):
-            def diff(x, s=section):
+            def diff(x, s=section, cid=cid):
                 return f(cid, x) - s(cid, x)
 
-            def diff_jac(x, h, s=section):
+            def diff_jac(x, h, s=section, cid=cid):
                 return f.derivative_matrix(cid, x, h) - s.derivative_matrix(cid, x, h)
 
             sols = _seeded_zeros(diff, diff_jac, chart, 40, rng)
@@ -720,29 +713,23 @@ def solution_set(f, l, seed=0):
                         return pg.ambient(kappa, wfix)
 
                     kgrid = np.linspace(-pr, pr, CURVE_SAMPLES)
-                    pts = []
-                    valid = []
-                    failed = 0
-                    for kap in kgrid:
-                        try:
-                            with np.errstate(over="ignore", invalid="ignore"):
-                                p = parametrize(np.full(index, kap))
-                        except NonConvergenceError:
-                            failed += 1
-                            continue
-                        if chart.domain.contains(p, 0):
-                            pts.append(p)
-                            valid.append(kap)
-                    krange = (min(valid), max(valid)) if valid else None
+                    kap_rows = np.repeat(kgrid[:, None], index, axis=1)
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        wfix, info = solve_germ(pg.germ, kap_rows, 0,
+                                                tol=CORRECTOR_TOL, max_iter=300)
+                        grid_pts = pg.ambient(kap_rows, wfix)
+                    keep = [e is None and chart.domain.contains(p, 0)
+                            for p, e in zip(grid_pts, info.errors)]
+                    pts, valid = list(grid_pts[keep]), kgrid[keep]
+                    krange = (valid[0], valid[-1]) if valid.size else None
                     if not pts:
                         # degenerate curve: keep the corrector's raw point so
                         # transversality still inspects it
                         pts = [x_sol]
                         parametrize = None
-                    out.append(SolutionBranch(cid, bi, w, pts, index,
-                                              parametrize=parametrize,
-                                              kernel_range=krange,
-                                              failed_samples=failed))
+                    out.append(SolutionBranch(
+                        cid, bi, w, pts, index, parametrize, krange,
+                        failed_samples=sum(e is not None for e in info.errors)))
     l._solution_sets[key] = out
     return out
 

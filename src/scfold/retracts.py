@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _fd
+from ._fd import MEMBERSHIP_TOL
 from .errors import (
     DegenerateBasisError,
     DomainExitError,
@@ -30,7 +31,6 @@ from .sc_core import (
     direct_sum,
 )
 
-MEMBERSHIP_TOL = 1e-9
 PROJECTION_TOL = 1e-10
 
 

@@ -265,7 +265,7 @@ def run_germ(params, seed):
     fiber = FiniteDimScale(dim, max_level=3)
     germ = germs_mod.BasicGerm(
         1, 0, 0, fiber,
-        lambda a, w, m: q @ w + gvec * a[0],
+        lambda a, w, m: (q @ w[..., None])[..., 0] + gvec * a[..., :1],
         eps=(params["operator_norm"] + 1e-9,), radii=(5.0,))
     grid = np.linspace(-1.0, 1.0, params["nodes"])[:, None]
     sheet = germs_mod.solution_sheet(germ, grid, m_max=3, tol=1e-12)

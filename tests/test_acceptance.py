@@ -235,7 +235,8 @@ def test_criterion_05_germ_solver():
     gvec = rng.standard_normal(dim)
     fiber = FiniteDimScale(dim, max_level=3)
     germ = germs_mod.BasicGerm(
-        1, 0, 0, fiber, lambda a, w, m: q @ w + gvec * a[0],
+        1, 0, 0, fiber,
+        lambda a, w, m: (q @ w[..., None])[..., 0] + gvec * a[..., :1],
         eps=(0.4 + 1e-9,), radii=(5.0,))
     grid = np.linspace(-1.0, 1.0, 100)[:, None]
     start = time.perf_counter()

@@ -21,7 +21,7 @@ def affine_germ(slope=0.5, base_dim=1, fiber_dim=1, levels=3):
     fiber = FiniteDimScale(fiber_dim, max_level=levels)
     return BasicGerm(
         base_dim=base_dim, quadrant_count=0, residue_dim=0, fiber=fiber,
-        b_fn=lambda a, w, m: slope * w + np.full(fiber_dim, a.sum()),
+        b_fn=lambda a, w, m: slope * w + a.sum(axis=-1, keepdims=True),
         eps=(slope + 1e-9,), radii=(10.0,),
     )
 
@@ -30,7 +30,7 @@ def affine_germ(slope=0.5, base_dim=1, fiber_dim=1, levels=3):
 
 def test_contraction_zero_map():
     fiber = FiniteDimScale(2)
-    g = BasicGerm(1, 0, 0, fiber, lambda a, w, m: np.zeros(2), eps=(0.1,))
+    g = BasicGerm(1, 0, 0, fiber, lambda a, w, m: np.zeros_like(w), eps=(0.1,))
     assert contraction_verify(g, 0) == 0.0
 
 
@@ -62,7 +62,7 @@ def test_solve_affine_closed_form():
 
 def test_solve_zero_map():
     fiber = FiniteDimScale(3)
-    g = BasicGerm(1, 0, 0, fiber, lambda a, w, m: np.zeros(3), eps=(0.1,))
+    g = BasicGerm(1, 0, 0, fiber, lambda a, w, m: np.zeros_like(w), eps=(0.1,))
     w, info = solve_germ(g, np.array([0.7]), 0)
     assert np.all(w == 0.0)
     assert info.iterations <= 1
@@ -76,7 +76,7 @@ def test_solve_linear_operator_against_direct_solve():
     gvec = rng.standard_normal(4)
 
     g = BasicGerm(1, 0, 0, fiber,
-                  lambda a, w, m: q @ w + gvec * a[0],
+                  lambda a, w, m: (q @ w[..., None])[..., 0] + gvec * a[..., :1],
                   eps=(0.4 + 1e-9,), radii=(5.0,))
     a = np.array([0.8])
     w, _ = solve_germ(g, a, 0, tol=1e-14)
@@ -158,7 +158,7 @@ def reference_picard(germ, a, m, tol=1e-12, max_iter=500):
 
 
 def _quadratic_root_germ():
-    pg = germ_from_map(lambda x: np.array([x[0] ** 2 + x[1] - 1.0]),
+    pg = germ_from_map(lambda x: x[..., :1] ** 2 + x[..., 1:] - 1.0,
                        np.array([0.3, 0.8]), out_dim=1)
     return pg.germ
 
@@ -200,7 +200,7 @@ def test_sheet_affine_matches_closed_form_at_every_node():
 
 def test_sheet_zero_map():
     fiber = FiniteDimScale(2)
-    g = BasicGerm(1, 0, 0, fiber, lambda a, w, m: np.zeros(2), eps=(0.1,))
+    g = BasicGerm(1, 0, 0, fiber, lambda a, w, m: np.zeros_like(w), eps=(0.1,))
     grid = np.linspace(-1, 1, 11)[:, None]
     sheet = solution_sheet(g, grid, m_max=2)
     assert np.all(sheet.delta_array(2) == 0.0)
@@ -353,7 +353,7 @@ def test_bump_filling_breach_detected(small_bump):
 
 def test_manifold_full_patch_when_no_residue():
     fiber = FiniteDimScale(2)
-    g = BasicGerm(2, 0, 0, fiber, lambda a, w, m: np.zeros(2), eps=(0.1,))
+    g = BasicGerm(2, 0, 0, fiber, lambda a, w, m: np.zeros_like(w), eps=(0.1,))
     rep = local_solution_manifold(g, samples_per_dim=5)
     assert rep.dimension == 2
     assert len(rep.samples) == 25
@@ -365,8 +365,8 @@ def test_manifold_affine_index_one_matches_closed_form():
     fiber = FiniteDimScale(1)
     g = BasicGerm(
         2, 0, 1, fiber,
-        b_fn=lambda a, w, m: 0.5 * w + 0.5 * (a[0] - a[1]),
-        residue_fn=lambda a, w: np.array([a[0] + a[1] + w[0]]),
+        b_fn=lambda a, w, m: 0.5 * w + 0.5 * (a[..., :1] - a[..., 1:]),
+        residue_fn=lambda a, w: a[..., :1] + a[..., 1:] + w,
         eps=(0.5,), radii=(5.0,),
     )
     rep = local_solution_manifold(g, kernel_dim=1, samples_per_dim=9)
@@ -383,8 +383,8 @@ def test_manifold_boundary_degeneracies():
     fiber = FiniteDimScale(1)
     g = BasicGerm(
         2, 1, 1, fiber,
-        b_fn=lambda a, w, m: 0.5 * w + 0.25 * (a[0] + a[1]),
-        residue_fn=lambda a, w: np.array([a[1] - a[0]]),  # kernel diag(1,1)
+        b_fn=lambda a, w, m: 0.5 * w + 0.25 * (a[..., :1] + a[..., 1:]),
+        residue_fn=lambda a, w: a[..., 1:] - a[..., :1],  # kernel diag(1,1)
         eps=(0.5,), radii=(5.0,),
     )
     rep = local_solution_manifold(g, kernel_dim=1, samples_per_dim=9)
@@ -400,7 +400,7 @@ def test_manifold_not_transversal_raises():
     g = BasicGerm(
         1, 0, 1, fiber,
         b_fn=lambda a, w, m: 0.5 * w,
-        residue_fn=lambda a, w: np.array([a[0] ** 2]),
+        residue_fn=lambda a, w: a ** 2,
         eps=(0.5,), radii=(2.0,),
     )
     with pytest.raises(NonConvergenceError, match="surjective"):
@@ -440,7 +440,7 @@ def test_uniqueness_two_initial_guesses():
 
 def test_germ_from_map_solves_quadratic_root():
     def fn(x):
-        return np.array([x[0] ** 2 + x[1] - 1.0])
+        return x[..., :1] ** 2 + x[..., 1:] - 1.0
 
     pg = germ_from_map(fn, np.array([0.3, 0.8]), out_dim=1)
     assert pg.germ.base_dim == 1  # index one kernel
@@ -458,3 +458,266 @@ def test_sheet_rate_bounded_by_declared_constant():
         for level_rates in node.rates:
             for r in level_rates:
                 assert r <= 0.5 + 0.05
+
+
+# ------------------------------------------- row solves against scalar loops
+
+def scalar_solve_germ(germ, a, m, tol=1e-12, max_iter=500):
+    """solve_germ as it was, one parameter at a time: the reference the row
+    solve must match bit for bit, errors included."""
+    a = np.asarray(a, dtype=float)
+    if np.linalg.norm(a) > germ.radii[m] * (1 + 1e-12):
+        raise ValueError(f"parameter outside validity radius {germ.radii[m]:g}")
+    w = np.zeros(germ.fiber.dim(m))
+    b0 = germ.fiber.norm(germ.b(a, w, m), m)
+    if not np.isfinite(b0):
+        raise NonConvergenceError(
+            f"|B(a, 0)| is {b0:g} at level {m}; contraction assumption violated")
+    epsm = germ.eps[m]
+    bound = None
+    if epsm < 1.0 and b0 > tol:
+        bound = int(np.ceil(np.log(tol * (1 - epsm) / b0) / np.log(epsm))) + 5
+    rates = []
+    prev_step = None
+    for it in range(1, max_iter + 1):
+        bw = germ.b(a, w, m)
+        residual = germ.fiber.norm(w - bw, m)
+        if residual <= tol:
+            return w, SolveInfo(it - 1, residual, rates, bound)
+        if not np.isfinite(residual):
+            raise NonConvergenceError(
+                f"residual {residual:g} at level {m}, iteration {it}; "
+                "contraction assumption violated")
+        if prev_step is not None and residual > 100 * tol:
+            rates.append(residual / prev_step)
+        prev_step = residual
+        w = bw
+    raise NonConvergenceError(
+        f"no fixed point within {max_iter} iterations at level {m} "
+        f"(last residual {residual:g}); contraction assumption may be violated"
+    )
+
+
+def node_major_sheet(germ, a_grid, m_max, tol):
+    """solution_sheet's node-major loop as it was, on scalar_solve_germ:
+    (deltas, iterations, rates, coherence) per node."""
+    nodes = []
+    for a in a_grid:
+        deltas, iters, rates, coher = [], [], [], []
+        for m in range(m_max + 1):
+            try:
+                w, info = scalar_solve_germ(germ, a, m, tol=tol)
+            except NonConvergenceError as exc:
+                raise NonConvergenceError(f"node {a.tolist()}: {exc}") from exc
+            deltas.append(w)
+            iters.append(info.iterations)
+            rates.append(info.rates)
+            if m > 0:
+                coher.append(germ.fiber.norm(deltas[m] - deltas[m - 1], m - 1))
+        nodes.append((deltas, iters, rates, coher))
+    return nodes
+
+
+def scalar_contraction_verify(germ, m, sample_count=200, seed=0):
+    """contraction_verify as it was, two pointwise B calls per sample."""
+    rng = np.random.default_rng(seed)
+    rho = germ.radii[m]
+    dim_w = germ.fiber.dim(m)
+    worst = 0.0
+    for _ in range(sample_count):
+        a = rng.uniform(-1.0, 1.0, germ.base_dim)
+        a[:germ.quadrant_count] = np.abs(a[:germ.quadrant_count])
+        a *= rho * rng.uniform(0.0, 1.0) / max(np.linalg.norm(a), 1e-30)
+        w1 = rng.standard_normal(dim_w)
+        w2 = rng.standard_normal(dim_w)
+        for w in (w1, w2):
+            nw = germ.fiber.norm(w, m)
+            if nw > 0:
+                w *= rho * rng.uniform(0.0, 1.0) / nw
+        dw = germ.fiber.norm(w1 - w2, m)
+        if dw < 1e-14:
+            continue
+        db = germ.fiber.norm(germ.b(a, w1, m) - germ.b(a, w2, m), m)
+        worst = max(worst, db / dw)
+    return worst
+
+
+def scalar_outcome(germ, a, m, **kw):
+    try:
+        return scalar_solve_germ(germ, a, m, **kw)
+    except (ValueError, NonConvergenceError) as exc:
+        return exc
+
+
+def orthogonal_germ(seed, dim=3, rate=0.4):
+    """The germ scenario's germ: B(a, w) = q w + g a with q a random
+    orthogonal matrix scaled to the contraction rate."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    q *= rate
+    gvec = rng.standard_normal(dim)
+    return BasicGerm(1, 0, 0, FiniteDimScale(dim, max_level=3),
+                     lambda a, w, m: (q @ w[..., None])[..., 0] + gvec * a[..., :1],
+                     eps=(rate + 1e-9,), radii=(5.0,))
+
+
+class DoubledNorm(FiniteDimScale):
+    """A fiber whose norm is not FiniteDimScale's: twice the Euclidean one."""
+
+    def norm(self, coeffs, level):
+        return 2.0 * super().norm(coeffs, level)
+
+
+ROW_CASES = {
+    "converging affine": (lambda: affine_germ(slope=0.9, fiber_dim=3),
+                          [[-0.7], [0.0], [0.3], [2.5]], {}),
+    "converging operator": (lambda: orthogonal_germ(0), [[-1.0], [0.25], [0.8]],
+                            {"tol": 1e-13}),
+    "converging sine": (lambda: BasicGerm(1, 0, 0, FiniteDimScale(1),
+                                          lambda a, w, m: 0.3 * np.sin(w) + a,
+                                          eps=(0.3,), radii=(2.0,), validate=False),
+                        [[1.2], [-0.4]], {}),
+    "converging germ_from_map": (_quadratic_root_germ, [[0.25], [0.0], [-0.1]], {}),
+    "non-finite B(a, 0)": (lambda: BasicGerm(
+        1, 0, 0, FiniteDimScale(1), lambda a, w, m: np.exp(1e3 * abs(a)) - 1 + 0.5 * w,
+        eps=(0.5,), radii=(2.0,)), [[0.001], [1.0], [0.002]], {}),
+    "non-finite mid-iteration": (lambda: BasicGerm(
+        1, 0, 0, FiniteDimScale(1), lambda a, w, m: 3.0 * w ** 2 + a,
+        eps=(0.9,), radii=(2.0,), validate=False), [[0.05], [1.0], [0.02]],
+        {"max_iter": 300}),
+    "max_iter": (lambda: BasicGerm(1, 0, 0, FiniteDimScale(1),
+                                   lambda a, w, m: 1.5 * w + a, eps=(0.9,), radii=(2.0,)),
+                 [[0.0], [0.1], [-0.2]], {"max_iter": 60}),
+    "outside radius": (lambda: BasicGerm(1, 0, 0, FiniteDimScale(1),
+                                         lambda a, w, m: 0.5 * w + a,
+                                         eps=(0.5,), radii=(0.2,)),
+                       [[0.1], [5.0], [-0.15]], {}),
+    "norm not FiniteDimScale's": (lambda: BasicGerm(
+        1, 0, 0, DoubledNorm(2), lambda a, w, m: 0.5 * w + a, eps=(0.5,), radii=(2.0,)),
+        [[0.1], [-0.3]], {}),
+}
+
+
+@pytest.mark.parametrize("case", list(ROW_CASES))
+def test_solve_rows_match_scalar_reference(case):
+    make, rows, kw = ROW_CASES[case]
+    g = make()
+    rows = np.array(rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, info = solve_germ(g, rows, 0, **kw)
+        outcomes = [scalar_outcome(g, a, 0, **kw) for a in rows]
+    assert w.shape == (len(rows), g.fiber.dim(0))
+    assert info.iterations == max(info.row_iterations)
+    for i, ref in enumerate(outcomes):
+        if isinstance(ref, Exception):
+            assert type(info.errors[i]) is type(ref)
+            assert str(info.errors[i]) == str(ref)
+            continue
+        w_ref, info_ref = ref
+        assert info.errors[i] is None
+        assert np.array_equal(w[i], w_ref)
+        assert info.row_iterations[i] == info_ref.iterations
+        assert info.residual[i] == info_ref.residual
+        assert info.rates[i] == info_ref.rates
+        assert all(type(r) is float for r in info.rates[i])
+        assert info.bound[i] == info_ref.bound
+    assert any(isinstance(ref, tuple) for ref in outcomes)
+
+
+@pytest.mark.parametrize("case", list(ROW_CASES))
+def test_solve_one_row_matches_scalar_reference(case):
+    # a 1-D parameter is the one-row case and raises the row's error
+    make, rows, kw = ROW_CASES[case]
+    g = make()
+    for a in np.array(rows):
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = scalar_outcome(g, a, 0, **kw)
+            if isinstance(ref, Exception):
+                with pytest.raises(type(ref)) as raised:
+                    solve_germ(g, a, 0, **kw)
+                assert str(raised.value) == str(ref)
+                continue
+            w, info = solve_germ(g, a, 0, **kw)
+        assert np.array_equal(w, ref[0])
+        assert info == ref[1]
+
+
+def test_pointwise_b_fn_on_rows_raises():
+    g = BasicGerm(1, 0, 0, FiniteDimScale(2), lambda a, w, m: np.zeros(2), eps=(0.1,))
+    with pytest.raises(ValueError, match=r"germ b_fn returned shape \(2,\) for rows "
+                                         r"a of shape \(3, 1\); rows need shape \(3, 2\)"):
+        solve_germ(g, np.zeros((3, 1)), 0)
+
+
+def test_pointwise_residue_fn_on_rows_raises():
+    g = BasicGerm(2, 0, 1, FiniteDimScale(1), lambda a, w, m: 0.5 * w,
+                  residue_fn=lambda a, w: np.array([a[0] - a[1]]), eps=(0.5,))
+    assert g.residue(np.array([0.3, 0.1]), np.zeros(1)).shape == (1,)
+    with pytest.raises(ValueError, match="germ residue_fn returned shape"):
+        g.residue(np.zeros((4, 2)), np.zeros((4, 1)))
+
+
+@pytest.mark.parametrize("make, grid, tol", [
+    (lambda: orthogonal_germ(0), np.linspace(-1.0, 1.0, 100), 1e-12),
+    (lambda: orthogonal_germ(7), np.linspace(-1.0, 1.0, 100), 1e-12),
+    (lambda: affine_germ(slope=0.5), np.linspace(-1.0, 1.0, 21), 1e-13),
+    (lambda: BasicGerm(1, 0, 0, FiniteDimScale(1), lambda a, w, m: 0.5 * w + a ** 2,
+                       eps=(0.5,), radii=(4.0,)), np.linspace(-0.5, 0.5, 41), 1e-13),
+])
+def test_sheet_matches_node_major_reference(make, grid, tol):
+    g = make()
+    sheet = solution_sheet(g, grid[:, None], m_max=3 if g.fiber.max_level >= 3 else 0,
+                           tol=tol)
+    ref = node_major_sheet(g, grid[:, None], sheet.m_max, tol)
+    for node, (deltas, iters, rates, coher) in zip(sheet.nodes, ref):
+        assert all(np.array_equal(d, r) for d, r in zip(node.deltas, deltas))
+        assert node.iterations == iters
+        assert node.rates == rates
+        assert node.coherence == coher
+        assert all(type(c) is float for c in node.coherence)
+
+
+def _level_failing_germ(radii=(5.0,)):
+    """B(a, 0) is infinite for a = 0.1 at level 2 and for a = 0.2 at level 0."""
+    def b_fn(a, w, m):
+        bad = ((m == 2) & (a == 0.1)) | ((m == 0) & (a == 0.2))
+        return 0.5 * w + a + np.where(bad, np.inf, 0.0)
+    return BasicGerm(1, 0, 0, FiniteDimScale(1, max_level=3), b_fn, eps=(0.5,),
+                     radii=radii)
+
+
+@pytest.mark.parametrize("radii, kind", [
+    ((5.0,), NonConvergenceError),
+    # node 0 leaves the radius at level 2, as a ValueError the loop never wrapped
+    ((5.0, 5.0, 0.05, 5.0), ValueError),
+])
+def test_sheet_raises_first_failing_node_at_its_lowest_level(radii, kind):
+    # node 0 fails at level 2 and node 1 at level 0: the node-major loop
+    # raises node 0's error, and so must the level-major solve
+    g = _level_failing_germ(radii)
+    grid = np.array([[0.1], [0.2], [0.3]])
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(kind) as ref:
+            node_major_sheet(g, grid, 3, 1e-12)
+        with pytest.raises(kind) as got:
+            solution_sheet(g, grid, m_max=3)
+    assert str(got.value) == str(ref.value)
+    assert "level 0" not in str(got.value)
+
+
+@pytest.mark.parametrize("make, m, samples, seed", [
+    (lambda: BasicGerm(1, 0, 0, FiniteDimScale(2), lambda a, w, m: np.zeros_like(w),
+                       eps=(0.1,)), 0, 200, 0),
+    (lambda: affine_germ(slope=0.5), 0, 300, 1),
+    (lambda: BasicGerm(1, 0, 0, FiniteDimScale(1), lambda a, w, m: 0.3 * np.sin(w),
+                       eps=(0.3,), radii=(2.0,)), 0, 400, 2),
+    (lambda: BasicGerm(1, 0, 0, FiniteDimScale(1),
+                       lambda a, w, m: 0.5 * w + a + 0.225 * np.sin(w),
+                       eps=(0.725,), radii=(2.0,)), 0, 300, 4),
+    (lambda: orthogonal_germ(7), 2, 300, 2),
+])
+def test_contraction_verify_matches_scalar_reference(make, m, samples, seed):
+    g = make()
+    got = contraction_verify(g, m, sample_count=samples, seed=seed)
+    assert got == scalar_contraction_verify(g, m, sample_count=samples, seed=seed)
+    assert type(got) is float

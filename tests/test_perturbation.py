@@ -1461,6 +1461,22 @@ def test_failed_curve_samples_are_counted():
     assert spanned[0].parametrize is None
 
 
+def test_branch_parametrize_evaluates_its_own_chart():
+    # the porkbarrel scenario's solve at seed 0: its spanned branch is a
+    # curve, and the model's last chart, "collapsed", has an empty fiber, so
+    # a parametrize that read the loop's last chart id after solution_set
+    # returned would evaluate f - s there
+    model, section = _porkbarrel_bundle()
+    aux = AuxiliaryNorm(model, norm_fn=lambda cid, v: float(np.linalg.norm(v)) / 0.02)
+    cp = control_pair_build(section, aux, margin=0.5, seed=0)
+    tau = perturb_to_transversal(section, cp, 0.1, seed=0)
+    curves = [b for b in solution_set(section, tau, seed=1) if b.parametrize]
+    assert [b.chart_id for b in curves] == ["spanned"]
+    for b in curves:
+        first = b.parametrize(np.full(b.dimension, b.kernel_range[0]))
+        assert np.array_equal(first, b.points[0])
+
+
 def _library_sections():
     """(name, section, chart_id) of every section the library builds, and of
     the fold and trough sections of the scenarios."""

@@ -451,15 +451,15 @@ def _linearization_of_two_branches():
 
 def _affine_index_one_manifold():
     g = BasicGerm(2, 0, 1, FiniteDimScale(1),
-                  b_fn=lambda a, w, m: 0.5 * w + 0.5 * (a[0] - a[1]),
-                  residue_fn=lambda a, w: np.array([a[0] + a[1] + w[0]]),
+                  b_fn=lambda a, w, m: 0.5 * w + 0.5 * (a[..., :1] - a[..., 1:]),
+                  residue_fn=lambda a, w: a[..., :1] + a[..., 1:] + w,
                   eps=(0.5,), radii=(5.0,))
     local_solution_manifold(g, kernel_dim=1, samples_per_dim=9)
 
 
 @pytest.mark.parametrize("run, expected", [
     pytest.param(_linearization_of_two_branches, [(1, 1), (1, 1)], id="linearization_set"),
-    pytest.param(lambda: germ_from_map(lambda x: np.array([x[0] ** 2 + x[1] - 1.0]),
+    pytest.param(lambda: germ_from_map(lambda x: x[..., :1] ** 2 + x[..., 1:] - 1.0,
                                        np.array([0.3, 0.8]), out_dim=1),
                  [(1, 2)], id="germ_from_map"),
     # the base-point Jacobian once, then the complement of its kernel
