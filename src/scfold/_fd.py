@@ -1,4 +1,5 @@
-"""Shared numerical kernels: difference stencils, quadrature weights, rank decisions.
+"""Shared numerical kernels: difference stencils, quadrature weights, rank
+decisions and the Gauss-Newton corrector.
 
 Grid derivatives use centered stencils of 4th-order accuracy (one-sided at the
 window edges); the accuracy order is deliberately fixed so that norms computed
@@ -8,6 +9,7 @@ at different resolutions agree to well below probe tolerances.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -30,6 +32,14 @@ RANK_GUARD_UPPER = 1e-8
 LOGLOG_FLOOR = 1e-15
 
 MEMBERSHIP_TOL = 1e-9  # a point this close to an image or a cell lies on it
+
+# a surjection's smallest singular value must exceed this
+SURJECTIVITY_FLOOR = 1e-8
+# residual at which a corrector row, or a solution curve's Picard solve, stops
+CORRECTOR_TOL = 1e-11
+# relative singular-value cutoff of the minimum-norm Gauss-Newton step:
+# singular values at most GAUSS_NEWTON_RCOND * sigma_0 count as zero
+GAUSS_NEWTON_RCOND = 1e-12
 
 
 def fornberg_weights(z, x, m):
@@ -181,6 +191,104 @@ def squares(v):
     """v . v for each row of v, shape v.shape[:-1]: matmul takes one BLAS dot
     per row, so a row sums exactly as the 1-D v.dot(v) does."""
     return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def norms(v):
+    """Euclidean norms of the rows of a real array, shape v.shape[:-1],
+    without the dispatch of numpy's norm; a finite row whose square
+    overflows is divided by its largest entry first."""
+    sq = squares(v)
+    if np.isfinite(sq).all():
+        return np.sqrt(sq)
+    over = np.isinf(sq) & np.isfinite(v).all(axis=-1)
+    big = np.where(over, np.abs(v).max(axis=-1), 1.0)
+    return big * np.sqrt(squares(v / big[..., None]))
+
+
+def min_norm_step(jac, val):
+    """Minimum-norm least-squares solutions of jac[i] @ step[i] = val[i] for
+    finite (n, k, d) Jacobians and (n, k) values, n >= 1, singular values at
+    most GAUSS_NEWTON_RCOND * sigma_0 counting as zero.
+
+    A single row has the one singular value |row|, which the relative cutoff
+    never drops, so its step is row * val / |row|^2 (zero for a zero row),
+    taken for all rows at once; taller Jacobians are solved one by one.
+    """
+    if jac.shape[1] != 1:
+        return np.array([np.linalg.lstsq(j, v, rcond=GAUSS_NEWTON_RCOND)[0]
+                         for j, v in zip(jac, val)])
+    row, v = jac[:, 0], val[:, 0]
+    sq = squares(row)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        step = row * (v / sq)[:, None]
+    # zero, or a square that under- or overflows: rescale by the largest entry
+    for i in np.flatnonzero(~((1e-300 < sq) & (sq < math.inf))):
+        big = np.abs(row[i]).max()
+        step[i] = 0.0
+        if big:
+            r = row[i] / big
+            step[i] = r * (v[i] / big / r.dot(r))
+    return step
+
+
+def gauss_newton(fn, x0, out_dim, max_iter=80, jac=None):
+    """Damped Gauss-Newton presolve from every row of the (m, d) starts x0;
+    refreshes the frame every step so even degenerate roots are approached
+    geometrically.
+
+    fn maps an (n, d) array of rows to their (n, out_dim) values, and
+    jac(x, h) to their (n, out_dim, d) Jacobians for the per-row difference
+    steps h = 1e-7 (1 + |x|), by default the central differences of fn. Each
+    row keeps its own iteration count, step cap and 12-halving line search,
+    and stops when its residual is at most CORRECTOR_TOL, its line search
+    fails or its Jacobian is not finite. Returns the last accepted point of
+    every row and the norm of fn there; fn is evaluated only at rows still
+    searching, once per accepted point, the line search's value being
+    carried forward.
+    """
+    if jac is None:
+        def jac(z, h):
+            return jacobian(fn, z, out_dim, h)
+
+    x = np.array(x0, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = fn(x)
+        res = norms(val)
+        live = np.arange(len(x))
+        for _ in range(max_iter):
+            live = live[~(res[live] <= CORRECTOR_TOL)]
+            if not live.size:
+                break
+            size = 1.0 + norms(x[live])
+            jl = jac(x[live], 1e-7 * size)
+            ok = np.isfinite(jl).all(axis=(-2, -1))
+            live, size = live[ok], size[ok]
+            if not live.size:
+                break
+            step = min_norm_step(jl[ok], val[live])
+            cap = 10.0 * size
+            sn = norms(step)
+            over = sn > cap
+            step[over] *= (cap[over] / sn[over])[:, None]
+            # rows of live whose line search is still running, as indices
+            # into live and step; every row of one search halves together
+            search = np.arange(live.size)
+            t = 1.0
+            for _ in range(12):
+                rows = live[search]
+                cand = x[rows] - t * step[search]
+                cand_val = fn(cand)
+                cand_res = norms(cand_val)
+                better = cand_res < res[rows]
+                won = rows[better]
+                x[won], val[won], res[won] = (cand[better], cand_val[better],
+                                              cand_res[better])
+                search = search[~better]
+                if not search.size:
+                    break
+                t *= 0.5
+            live = np.delete(live, search)
+    return x, res
 
 
 def numerical_rank(singular_values):

@@ -406,15 +406,25 @@ def local_solution_manifold(germ, kernel_dim=None, samples_per_dim=9):
     The fiber part is solved by the fixed-point iteration to tolerance 1e-10;
     the finite residue equation is reduced to the parameter block and sampled
     over its kernel, on a grid of half-width 0.3, whose dimension is the
-    expected manifold dimension. Surjectivity of the reduced derivative (a
-    smallest singular value above 1e-8) is required at the origin and
-    reported at every sample; AmbiguousRankError propagates from its split.
+    expected manifold dimension. The mesh rows are corrected together by
+    _fd.gauss_newton along the complement of the kernel, so each row keeps
+    its kernel coordinates, and a row is kept at residue below 1e-9.
+    Surjectivity of the reduced derivative (a smallest singular value above
+    _fd.SURJECTIVITY_FLOOR) is required at the origin and reported at every
+    sample; AmbiguousRankError propagates from its split, and a failed Picard
+    solve raises the error of its first failing row.
     """
     n, N = germ.base_dim, germ.residue_dim
 
+    def fixed_points(a):
+        w, info = solve_germ(germ, a, 0, tol=1e-10)
+        for e in info.errors or ():
+            if e is not None:
+                raise e
+        return w
+
     def reduced(a):
-        w, _ = solve_germ(germ, a, 0, tol=1e-10)
-        return germ.residue(a, w)
+        return germ.residue(a, fixed_points(a))
 
     if N == 0:
         kernel = np.eye(n)
@@ -423,7 +433,7 @@ def local_solution_manifold(germ, kernel_dim=None, samples_per_dim=9):
         split = fredholm_split(_fd.jacobian(reduced, np.zeros(n), N, _fd.JACOBIAN_STEP))
         sv = split.singular_values
         base_sv = float(sv[N - 1]) if sv.size >= N else 0.0
-        if base_sv <= 1e-8:
+        if base_sv <= _fd.SURJECTIVITY_FLOOR:
             raise NonConvergenceError(
                 f"linearization not surjective at the base point "
                 f"(smallest residue singular value {base_sv:g})"
@@ -434,44 +444,36 @@ def local_solution_manifold(germ, kernel_dim=None, samples_per_dim=9):
         raise ValueError(f"expected kernel dimension {kernel_dim}, got {k_dim}")
 
     quadrant = germ.base_quadrant()
-    complement = fredholm_split(kernel.T).kernel if N else np.zeros((n, 0))
     grids = [np.linspace(-0.3, 0.3, samples_per_dim)] * k_dim
     mesh = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, k_dim) \
         if k_dim else np.zeros((1, 0))
-    samples = []
-    for kappa in mesh:
-        a = kernel @ kappa
-        if N:
-            xi = np.zeros(N)
-            ok = False
-            for _ in range(50):
-                val = reduced(a + complement @ xi)
-                if np.linalg.norm(val) < 1e-9:
-                    ok = True
-                    break
-                jac = _fd.jacobian(lambda z: reduced(a + complement @ z), xi, N,
-                                   _fd.JACOBIAN_STEP)
-                try:
-                    xi = xi - np.linalg.solve(jac, val)
-                except np.linalg.LinAlgError:
-                    break
-            if not ok:
-                continue
-            a = a + complement @ xi
+    a, res = _apply(kernel, mesh), np.zeros(len(mesh))
+    if N:
+        complement = fredholm_split(kernel.T).kernel
+
+        def jac(x, h):
+            # the Jacobian along the complement only, so steps stay in it
+            xi = np.zeros((len(x), complement.shape[1]))
+            return _fd.jacobian(lambda z: reduced(x + _apply(complement, z)),
+                                xi, N, h) @ complement.T
+
+        a, res = _fd.gauss_newton(reduced, a, N, max_iter=50, jac=jac)
+    keep, degs = [], []
+    for i in np.flatnonzero(res < 1e-9):
         try:
-            if not quadrant.contains(a):
+            if not quadrant.contains(a[i]):
                 continue
-            deg = degeneracy_index(quadrant, a)
+            degs.append(degeneracy_index(quadrant, a[i]))
         except NotInQuadrantError:
             continue
-        w, _ = solve_germ(germ, a, 0, tol=1e-10)
-        if N:
-            jac = _fd.jacobian(reduced, a, N, _fd.JACOBIAN_STEP)
-            sv = np.linalg.svd(jac, compute_uv=False)
-            surj = float(sv[N - 1])
-        else:
-            surj = np.inf
-        samples.append(ManifoldSample(a, w, kappa, surj, deg))
+        keep.append(i)
+    a, w = a[keep], fixed_points(a[keep])
+    surj = np.full(len(keep), np.inf)
+    if N and keep:
+        jacs = _fd.jacobian(reduced, a, N, _fd.JACOBIAN_STEP)
+        surj = np.linalg.svd(jacs, compute_uv=False)[:, N - 1]
+    samples = [ManifoldSample(ai, wi, mesh[i], float(s), deg)
+               for ai, wi, i, s, deg in zip(a, w, keep, surj, degs)]
     return ManifoldReport(samples, kernel, k_dim, base_sv)
 
 

@@ -12,7 +12,6 @@ solutions rather than blind randomness.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,20 +33,14 @@ from .retracts import good_position_check
 from .sc_core import FiniteDimScale, PartialQuadrant, fredholm_split
 
 FIBER_MATCH_TOL = 1e-9
-SURJECTIVITY_FLOOR = 1e-8
 # the stricter surjectivity floor of the transversal search: solutions whose
 # smallest singular value is at most this count as failing
 SUSPECT_FLOOR = 1e-4
 # residual at which a corrector point counts as a zero
 CORRECTOR_ACCEPT_TOL = 1e-8
-# residual at which a corrector row, or a solution curve's Picard solve, stops
-CORRECTOR_TOL = 1e-11
 # kernel-grid points per positive-index solution patch, and sample points of
 # a chart with zero-dimensional fiber
 CURVE_SAMPLES = 33
-# relative singular-value cutoff of the minimum-norm Gauss-Newton step:
-# singular values at most GAUSS_NEWTON_RCOND * sigma_0 count as zero
-GAUSS_NEWTON_RCOND = 1e-12
 
 
 @dataclass
@@ -512,104 +505,6 @@ def control_pair_build(f, aux_norm, margin=0.5, seed=0):
     return ControlPair(region, aux_norm, report)
 
 
-def _norm(v):
-    """Euclidean norms of the rows of a real array, shape v.shape[:-1],
-    without the dispatch of numpy's norm; a finite row whose square
-    overflows is divided by its largest entry first."""
-    sq = _fd.squares(v)
-    if np.isfinite(sq).all():
-        return np.sqrt(sq)
-    over = np.isinf(sq) & np.isfinite(v).all(axis=-1)
-    big = np.where(over, np.abs(v).max(axis=-1), 1.0)
-    return big * np.sqrt(_fd.squares(v / big[..., None]))
-
-
-def _min_norm_step(jac, val):
-    """Minimum-norm least-squares solutions of jac[i] @ step[i] = val[i] for
-    finite (n, k, d) Jacobians and (n, k) values, n >= 1, singular values at
-    most GAUSS_NEWTON_RCOND * sigma_0 counting as zero.
-
-    A single row has the one singular value |row|, which the relative cutoff
-    never drops, so its step is row * val / |row|^2 (zero for a zero row),
-    taken for all rows at once; taller Jacobians are solved one by one.
-    """
-    if jac.shape[1] != 1:
-        return np.array([np.linalg.lstsq(j, v, rcond=GAUSS_NEWTON_RCOND)[0]
-                         for j, v in zip(jac, val)])
-    row, v = jac[:, 0], val[:, 0]
-    sq = _fd.squares(row)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        step = row * (v / sq)[:, None]
-    # zero, or a square that under- or overflows: rescale by the largest entry
-    for i in np.flatnonzero(~((1e-300 < sq) & (sq < math.inf))):
-        big = np.abs(row[i]).max()
-        step[i] = 0.0
-        if big:
-            r = row[i] / big
-            step[i] = r * (v[i] / big / r.dot(r))
-    return step
-
-
-def _gauss_newton(fn, x0, out_dim, max_iter=80, jac=None):
-    """Damped Gauss-Newton presolve from every row of the (m, d) starts x0;
-    refreshes the frame every step so even degenerate roots are approached
-    geometrically.
-
-    fn maps an (n, d) array of rows to their (n, out_dim) values, and
-    jac(x, h) to their (n, out_dim, d) Jacobians for the per-row difference
-    steps h = 1e-7 (1 + |x|), by default the central differences of fn. Each
-    row keeps its own iteration count, step cap and 12-halving line search,
-    and stops when its residual is at most CORRECTOR_TOL, its line search
-    fails or its Jacobian is not finite. Returns the last accepted point of
-    every row and the norm of fn there; fn is evaluated only at rows still
-    searching, once per accepted point, the line search's value being
-    carried forward.
-    """
-    if jac is None:
-        def jac(z, h):
-            return _fd.jacobian(fn, z, out_dim, h)
-
-    x = np.array(x0, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        val = fn(x)
-        res = _norm(val)
-        live = np.arange(len(x))
-        for _ in range(max_iter):
-            live = live[~(res[live] <= CORRECTOR_TOL)]
-            if not live.size:
-                break
-            size = 1.0 + _norm(x[live])
-            jl = jac(x[live], 1e-7 * size)
-            ok = np.isfinite(jl).all(axis=(-2, -1))
-            live, size = live[ok], size[ok]
-            if not live.size:
-                break
-            step = _min_norm_step(jl[ok], val[live])
-            cap = 10.0 * size
-            sn = _norm(step)
-            over = sn > cap
-            step[over] *= (cap[over] / sn[over])[:, None]
-            # rows of live whose line search is still running, as indices
-            # into live and step; every row of one search halves together
-            search = np.arange(live.size)
-            t = 1.0
-            for _ in range(12):
-                rows = live[search]
-                cand = x[rows] - t * step[search]
-                cand_val = fn(cand)
-                cand_res = _norm(cand_val)
-                better = cand_res < res[rows]
-                won = rows[better]
-                x[won], val[won], res[won] = (cand[better], cand_val[better],
-                                              cand_res[better])
-                search = search[~better]
-                if not search.size:
-                    break
-                t *= 0.5
-            live = np.delete(live, search)
-    return x, res
-
-
 def _chart_radius(chart):
     """Level-0 radius of the chart's domain; 1 for a domain without radii."""
     return chart.domain.radii[0] if chart.domain.radii else 1.0
@@ -618,13 +513,13 @@ def _chart_radius(chart):
 def _seeded_zeros(fn, jac, chart, count, rng):
     """Distinct zeros of fn in the chart's domain, from count starts drawn
     from rng uniformly in the box of half-width _chart_radius around the
-    center and solved together by _gauss_newton; a row counts as a zero when
-    its residual is at most CORRECTOR_ACCEPT_TOL, and zeros closer than 1e-5
-    to an earlier one, in start order, are dropped."""
+    center and solved together by _fd.gauss_newton; a row counts as a zero
+    when its residual is at most CORRECTOR_ACCEPT_TOL, and zeros closer than
+    1e-5 to an earlier one, in start order, are dropped."""
     d = chart.domain.center.size
     starts = (chart.domain.center
               + _chart_radius(chart) * rng.uniform(-1, 1, (count, d)))
-    xs, res = _gauss_newton(fn, starts, chart.fiber_dim(), jac=jac)
+    xs, res = _fd.gauss_newton(fn, starts, chart.fiber_dim(), jac=jac)
     found = []
     for x_sol in xs[res <= CORRECTOR_ACCEPT_TOL]:
         if not chart.domain.contains(x_sol, 0):
@@ -709,14 +604,14 @@ def solution_set(f, l, seed=0):
                     def parametrize(kappa, pg=pg):
                         kappa = np.atleast_1d(kappa)
                         wfix, _ = solve_germ(pg.germ, kappa, 0,
-                                             tol=CORRECTOR_TOL, max_iter=300)
+                                             tol=_fd.CORRECTOR_TOL, max_iter=300)
                         return pg.ambient(kappa, wfix)
 
                     kgrid = np.linspace(-pr, pr, CURVE_SAMPLES)
                     kap_rows = np.repeat(kgrid[:, None], index, axis=1)
                     with np.errstate(over="ignore", invalid="ignore"):
                         wfix, info = solve_germ(pg.germ, kap_rows, 0,
-                                                tol=CORRECTOR_TOL, max_iter=300)
+                                                tol=_fd.CORRECTOR_TOL, max_iter=300)
                         grid_pts = pg.ambient(kap_rows, wfix)
                     keep = [e is None and chart.domain.contains(p, 0)
                             for p, e in zip(grid_pts, info.errors)]
@@ -826,7 +721,7 @@ class TransversalReport:
         return not self.failures
 
 
-def transversal_check(f, l, branches, boundary=False, floor=SURJECTIVITY_FLOOR):
+def transversal_check(f, l, branches, boundary=False, floor=_fd.SURJECTIVITY_FLOOR):
     """Surjectivity of every linearization at every sampled solution; with
     boundary also good position of the kernels against the active tangent
     quadrant, at constant 0.5.
@@ -896,7 +791,7 @@ def _bump_profile(center, radius):
     center = np.asarray(center, dtype=float)
 
     def chi(x):
-        t = _norm(np.asarray(x, dtype=float) - center) / radius
+        t = _fd.norms(np.asarray(x, dtype=float) - center) / radius
         # 1 - t^2 is at least 2^-53 for t < 1, so the floor changes nothing
         # there and sends exp to exactly zero for t >= 1
         return np.exp(1.0 - 1.0 / np.maximum(1.0 - t * t, 2.0 ** -60))
@@ -904,7 +799,7 @@ def _bump_profile(center, radius):
     def grad(x):
         dx = np.asarray(x, dtype=float) - center
         c = chi(x)
-        q = _norm(dx) / radius
+        q = _fd.norms(dx) / radius
         on = c != 0.0
         u = np.where(on, 1.0 - q * q, 1.0)
         g = (-2.0 * c / (radius * radius * u * u))[..., None] * dx

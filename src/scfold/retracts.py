@@ -17,12 +17,11 @@ from . import _fd
 from ._fd import MEMBERSHIP_TOL
 from .errors import (
     DegenerateBasisError,
-    DomainExitError,
     ImageMismatchError,
     NonIdempotentError,
     WindowExitError,
 )
-from .sc_calculus import ScDomain, ScMap, whole_scale_domain
+from .sc_calculus import ScDomain, whole_scale_domain
 from .sc_core import (
     FiniteDimScale,
     PartialQuadrant,
@@ -506,101 +505,6 @@ def good_position_check(n_basis, quadrant, nperp_basis, c, sample_count=400,
         interior_ok=interior_witness is not None,
         interior_witness=interior_witness,
     )
-
-
-@dataclass
-class SubmanifoldChart:
-    """Graph chart q -> base + q + A(q) over a neighborhood of 0 in C
-    intersected with the subspace."""
-
-    n_basis: np.ndarray
-    nperp_basis: np.ndarray
-    a_fn: object
-    base_point: np.ndarray
-    q_samples: np.ndarray
-    points: np.ndarray
-
-    def parametrize(self, q):
-        q = np.atleast_1d(np.asarray(q, dtype=float))
-        return self.base_point + self.n_basis @ q + self.nperp_basis @ np.atleast_1d(self.a_fn(q))
-
-    def coordinates(self, y):
-        """Invert the chart: split y - base into (q, b) along the two bases and
-        check b against A(q)."""
-        rhs = np.asarray(y, dtype=float) - self.base_point
-        full = np.concatenate([self.n_basis, self.nperp_basis], axis=1)
-        sol, *_ = np.linalg.lstsq(full, rhs, rcond=None)
-        k = self.n_basis.shape[1]
-        q, b = sol[:k], sol[k:]
-        residual = np.linalg.norm(b - np.atleast_1d(self.a_fn(q)))
-        return q, residual
-
-
-def graph_chart_build(n_basis, nperp_basis, a_fn, quadrant, q_radius=0.5,
-                      base_point=None):
-    """Build a graph chart and its sampled manifold patch of 41 points.
-
-    The frames are (d, k) and (d, j) columns (see _frame). The graph map must
-    satisfy |A(0)| <= 1e-10 and |DA(0)| <= 1e-6; injectivity of the
-    parametrization is asserted on the sample set.
-    """
-    n_basis, nperp_basis = _frame(n_basis, quadrant), _frame(nperp_basis, quadrant)
-    d = n_basis.shape[0]
-    base_point = np.zeros(d) if base_point is None else np.asarray(base_point, dtype=float)
-    k = n_basis.shape[1]
-
-    a0 = np.linalg.norm(np.atleast_1d(a_fn(np.zeros(k))))
-    if a0 > 1e-10:
-        raise ValueError(f"graph map must vanish at 0, |A(0)| = {a0:g}")
-    da0 = _fd.directional_derivative(lambda q: np.atleast_1d(a_fn(q)),
-                                     np.zeros(k), np.ones(k) / np.sqrt(k))
-    if np.linalg.norm(da0) > 1e-6:
-        raise ValueError("graph map must have vanishing derivative at 0")
-
-    if k == 1:
-        qs = np.linspace(-q_radius, q_radius, 41)[:, None]
-    else:
-        rng = np.random.default_rng(0)
-        qs = rng.uniform(-q_radius, q_radius, size=(41, k))
-    keep = []
-    for q in qs:
-        candidate = base_point + n_basis @ q
-        if quadrant.contains(candidate):
-            keep.append(q)
-    qs = np.array(keep)
-    chart = SubmanifoldChart(n_basis, nperp_basis, a_fn, base_point, qs,
-                             np.array([0.0]))
-    pts = np.array([chart.parametrize(q) for q in qs])
-    chart.points = pts
-    if len(pts) >= 2:
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt((diff ** 2).sum(-1))
-        np.fill_diagonal(dist, np.inf)
-        qdiff = qs[:, None, :] - qs[None, :, :]
-        qdist = np.sqrt((qdiff ** 2).sum(-1))
-        np.fill_diagonal(qdist, np.inf)
-        if np.any((dist < 1e-12) & (qdist > 1e-12)):
-            raise ValueError("parametrization is not injective on samples")
-    return chart
-
-
-def chart_transition(chart_a, chart_b):
-    """Transition map between overlapping graph charts as a map on the first
-    chart's coordinates, between scales of max_level 3."""
-    k = chart_a.n_basis.shape[1]
-    scale = FiniteDimScale(k, max_level=3)
-
-    def fn(q, level):
-        y = chart_a.parametrize(q)
-        q2, residual = chart_b.coordinates(y)
-        if residual > 1e-6:
-            raise DomainExitError(
-                f"point leaves the second chart (graph residual {residual:g})"
-            )
-        return q2
-
-    return ScMap(whole_scale_domain(scale), FiniteDimScale(k, max_level=3),
-                 fn, name="transition")
 
 
 def _smoothstep(t):

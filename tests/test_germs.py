@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from scfold.errors import NonConvergenceError
+from scfold import _fd
+from scfold.errors import NonConvergenceError, NotInQuadrantError
 from scfold.germs import (
     BasicGerm,
     FillingData,
+    ManifoldReport,
+    ManifoldSample,
     SolveInfo,
     contraction_verify,
     filling_verify,
@@ -14,7 +17,12 @@ from scfold.germs import (
     solve_germ,
 )
 from scfold.retracts import bump_splicing, splicing_to_retraction
-from scfold.sc_core import FiniteDimScale, WeightedGridScale
+from scfold.sc_core import (
+    FiniteDimScale,
+    WeightedGridScale,
+    degeneracy_index,
+    fredholm_split,
+)
 
 
 def affine_germ(slope=0.5, base_dim=1, fiber_dim=1, levels=3):
@@ -405,6 +413,138 @@ def test_manifold_not_transversal_raises():
     )
     with pytest.raises(NonConvergenceError, match="surjective"):
         local_solution_manifold(g)
+
+
+def reference_local_solution_manifold(germ, kernel_dim=None, samples_per_dim=9):
+    """local_solution_manifold as a per-point Newton loop: each mesh point
+    kernel @ kappa is corrected on its own affine slice of the complement by
+    up to 50 np.linalg.solve steps on central-difference Jacobians, and kept
+    once its residue is below 1e-9."""
+    n, N = germ.base_dim, germ.residue_dim
+
+    def reduced(a):
+        w, _ = solve_germ(germ, a, 0, tol=1e-10)
+        return germ.residue(a, w)
+
+    if N == 0:
+        kernel = np.eye(n)
+        base_sv = np.inf
+    else:
+        split = fredholm_split(_fd.jacobian(reduced, np.zeros(n), N, _fd.JACOBIAN_STEP))
+        sv = split.singular_values
+        base_sv = float(sv[N - 1]) if sv.size >= N else 0.0
+        if base_sv <= 1e-8:
+            raise NonConvergenceError(
+                f"linearization not surjective at the base point "
+                f"(smallest residue singular value {base_sv:g})"
+            )
+        kernel = split.kernel
+    k_dim = kernel.shape[1]
+    if kernel_dim is not None and kernel_dim != k_dim:
+        raise ValueError(f"expected kernel dimension {kernel_dim}, got {k_dim}")
+
+    quadrant = germ.base_quadrant()
+    complement = fredholm_split(kernel.T).kernel if N else np.zeros((n, 0))
+    grids = [np.linspace(-0.3, 0.3, samples_per_dim)] * k_dim
+    mesh = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, k_dim) \
+        if k_dim else np.zeros((1, 0))
+    samples = []
+    for kappa in mesh:
+        a = kernel @ kappa
+        if N:
+            xi = np.zeros(N)
+            ok = False
+            for _ in range(50):
+                val = reduced(a + complement @ xi)
+                if np.linalg.norm(val) < 1e-9:
+                    ok = True
+                    break
+                jac = _fd.jacobian(lambda z: reduced(a + complement @ z), xi, N,
+                                   _fd.JACOBIAN_STEP)
+                try:
+                    xi = xi - np.linalg.solve(jac, val)
+                except np.linalg.LinAlgError:
+                    break
+            if not ok:
+                continue
+            a = a + complement @ xi
+        try:
+            if not quadrant.contains(a):
+                continue
+            deg = degeneracy_index(quadrant, a)
+        except NotInQuadrantError:
+            continue
+        w, _ = solve_germ(germ, a, 0, tol=1e-10)
+        if N:
+            jac = _fd.jacobian(reduced, a, N, _fd.JACOBIAN_STEP)
+            sv = np.linalg.svd(jac, compute_uv=False)
+            surj = float(sv[N - 1])
+        else:
+            surj = np.inf
+        samples.append(ManifoldSample(a, w, kappa, surj, deg))
+    return ManifoldReport(samples, kernel, k_dim, base_sv)
+
+
+def _manifold_germ(name, radius=5.0):
+    """The germs of the local_solution_manifold tests above, and a nonlinear
+    one with three parameters whose kernel is two-dimensional."""
+    fiber = FiniteDimScale(1)
+    if name == "no_residue":
+        return BasicGerm(2, 0, 0, FiniteDimScale(2), lambda a, w, m: np.zeros_like(w),
+                         eps=(0.1,), radii=(radius,))
+    if name == "affine_index_one":
+        return BasicGerm(2, 0, 1, fiber,
+                         b_fn=lambda a, w, m: 0.5 * w + 0.5 * (a[..., :1] - a[..., 1:]),
+                         residue_fn=lambda a, w: a[..., :1] + a[..., 1:] + w,
+                         eps=(0.5,), radii=(radius,))
+    if name == "boundary":
+        return BasicGerm(2, 1, 1, fiber,
+                         b_fn=lambda a, w, m: 0.5 * w + 0.25 * (a[..., :1] + a[..., 1:]),
+                         residue_fn=lambda a, w: a[..., 1:] - a[..., :1],
+                         eps=(0.5,), radii=(radius,))
+    if name == "not_transversal":
+        return BasicGerm(1, 0, 1, fiber, b_fn=lambda a, w, m: 0.5 * w,
+                         residue_fn=lambda a, w: a ** 2, eps=(0.5,), radii=(radius,))
+    return BasicGerm(3, 0, 1, fiber,
+                     b_fn=lambda a, w, m: 0.4 * np.sin(w) + 0.3 * a[..., :1] * a[..., 1:2],
+                     residue_fn=lambda a, w: (a[..., :1] + np.sin(a[..., 1:2])
+                                              + a[..., 2:] ** 3 + w ** 2),
+                     eps=(0.4,), radii=(radius,))
+
+
+@pytest.mark.parametrize("name, samples_per_dim, count", [
+    ("no_residue", 5, 25),
+    ("affine_index_one", 9, 9),
+    ("boundary", 9, 5),
+    ("nonlinear_three_parameters", 9, 81),
+])
+def test_manifold_matches_pointwise_newton_reference(name, samples_per_dim, count):
+    germ = _manifold_germ(name)
+    got = local_solution_manifold(germ, samples_per_dim=samples_per_dim)
+    ref = reference_local_solution_manifold(germ, samples_per_dim=samples_per_dim)
+    assert len(got.samples) == len(ref.samples) == count
+    assert (got.dimension, got.base_surjectivity) == (ref.dimension, ref.base_surjectivity)
+    assert np.array_equal(got.kernel_basis, ref.kernel_basis)
+    for s, r in zip(got.samples, ref.samples):
+        assert np.array_equal(s.kernel_coords, r.kernel_coords)
+        assert s.degeneracy == r.degeneracy
+        assert np.abs(s.a - r.a).max() <= 1e-8
+        assert np.abs(s.w - r.w).max(initial=0.0) <= 1e-8
+        assert s.surjectivity == pytest.approx(r.surjectivity, rel=0, abs=1e-6)
+
+
+@pytest.mark.parametrize("name, radius, error, match", [
+    ("not_transversal", 2.0, NonConvergenceError, "surjective"),
+    ("affine_index_one", 0.2, ValueError, "outside validity radius"),
+    ("no_residue", 0.2, ValueError, "outside validity radius"),
+])
+def test_manifold_refusals_match_reference(name, radius, error, match):
+    germ = _manifold_germ(name, radius)
+    with pytest.raises(error, match=match) as got:
+        local_solution_manifold(germ)
+    with pytest.raises(error, match=match) as ref:
+        reference_local_solution_manifold(germ)
+    assert str(got.value) == str(ref.value)
 
 
 # ----------------------------------------------------------- germ stability

@@ -8,6 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scfold import _fd, perturbation, scenarios
+from scfold._fd import (
+    GAUSS_NEWTON_RCOND,
+    gauss_newton as _gauss_newton,
+    min_norm_step as _min_norm_step,
+)
 from scfold.errors import (
     BiLevelError,
     ExhaustedAttemptsError,
@@ -16,7 +21,6 @@ from scfold.errors import (
 )
 from scfold.perturbation import (
     CORRECTOR_ACCEPT_TOL,
-    GAUSS_NEWTON_RCOND,
     AuxiliaryNorm,
     BundleChart,
     BundleSection,
@@ -26,8 +30,6 @@ from scfold.perturbation import (
     SolutionBranch,
     StrongBundleModel,
     _chart_radius,
-    _gauss_newton,
-    _min_norm_step,
     bilevel_check,
     cobordism_compare,
     control_pair_build,

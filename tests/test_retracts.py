@@ -15,10 +15,8 @@ from scfold.retracts import (
     Splicing,
     broken_path_demo,
     bump_splicing,
-    chart_transition,
     corner_invariance_check,
     good_position_check,
-    graph_chart_build,
     neatness_check,
     retract_tangent_basis,
     retraction_check,
@@ -26,12 +24,11 @@ from scfold.retracts import (
     tangent_independence_check,
     tangent_retraction_check,
 )
-from scfold.sc_calculus import ScDomain, sc1_probe, whole_scale_domain
+from scfold.sc_calculus import ScDomain, whole_scale_domain
 from scfold.sc_core import (
     FiniteDimScale,
     PartialQuadrant,
     WeightedGridScale,
-    direct_sum,
     fredholm_split,
 )
 
@@ -695,97 +692,11 @@ def test_good_position_one_dimensional_frame_is_its_column():
 
 @pytest.mark.parametrize("build", [
     lambda frame, q: good_position_check(frame, q, np.zeros((2, 0)), c=0.5),
-    lambda frame, q: graph_chart_build(frame, np.array([[0.0], [1.0]]),
-                                       lambda qq: np.zeros(1), q),
-], ids=["good_position_check", "graph_chart_build"])
+], ids=["good_position_check"])
 def test_frame_of_rows_raises(build):
     # a (k, d) frame: one row per basis vector instead of one column
     with pytest.raises(ValueError, match=r"frame of shape \(1, 2\) needs 2 rows"):
         build(np.array([[1.0, 0.0]]), quadrant2())
-
-
-# ---------------------------------------------------------- graph chart build
-
-def test_flat_chart_is_inclusion():
-    q = PartialQuadrant(FiniteDimScale(2))
-    chart = graph_chart_build(np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]),
-                              lambda qq: np.zeros(1), q)
-    for qq, pt in zip(chart.q_samples, chart.points):
-        assert np.allclose(pt, [qq[0], 0.0])
-
-
-def test_graph_chart_one_dimensional_frames_are_columns():
-    q = PartialQuadrant(FiniteDimScale(2))
-    flat = graph_chart_build(np.array([1.0, 0.0]), np.array([0.0, 1.0]),
-                             lambda qq: np.array([qq[0] ** 2]), q)
-    cols = graph_chart_build(np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]),
-                             lambda qq: np.array([qq[0] ** 2]), q)
-    assert np.array_equal(flat.points, cols.points)
-    assert np.array_equal(flat.q_samples, cols.q_samples)
-
-
-def test_parabola_chart_transition_smooth():
-    quadrant = PartialQuadrant(FiniteDimScale(2))
-    chart1 = graph_chart_build(
-        np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]),
-        lambda q: np.array([q[0] ** 2]), quadrant, q_radius=0.6)
-    x0 = 0.3
-    p = np.array([x0, x0 ** 2])
-    tangent = np.array([1.0, 2 * x0])
-    tangent = tangent / np.linalg.norm(tangent)
-    normal = np.array([-tangent[1], tangent[0]])
-
-    def a2(q):
-        # closed-form reparametrization oracle: solve for the normal offset of
-        # the parabola point with tangential coordinate q
-        qq = q[0]
-
-        def residual(b):
-            pt = p + qq * tangent + b * normal
-            return pt[1] - pt[0] ** 2
-
-        lo, hi = -0.8, 0.8
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if residual(lo) * residual(mid) <= 0:
-                hi = mid
-            else:
-                lo = mid
-        return np.array([0.5 * (lo + hi)])
-
-    chart2 = graph_chart_build(tangent, normal, a2, quadrant, q_radius=0.4,
-                               base_point=p)
-    trans = chart_transition(chart1, chart2)
-    scale = trans.source.scale
-    x = scale.vector([0.25], level=1)
-    d = scale.vector([1.0], level=0)
-    rep = sc1_probe(trans, x, d, [1e-2, 1e-3, 1e-4], fd_fallback=True)
-    assert rep.passed
-    # closed-form transition oracle: tangential coordinate of the curve point
-    for qq in (0.2, 0.3, 0.4):
-        pt = np.array([qq, qq ** 2])
-        expected = (pt - p) @ tangent
-        got = trans(np.array([qq]), 0)[0]
-        assert got == pytest.approx(expected, abs=1e-9)
-
-
-def test_bump_one_manifold_chart_transition(bump, bump_retraction):
-    # the negative-parameter stratum is the parameter axis; two flat charts
-    # along it must compose to the identity shift
-    n = bump.fiber.n
-    e0 = np.zeros((n + 1, 1))
-    e0[0, 0] = 1.0
-    perp = np.eye(n + 1)[:, 1:]
-    quadrant = PartialQuadrant(direct_sum(FiniteDimScale(1, max_level=bump.fiber.max_level), bump.fiber))
-    chart1 = graph_chart_build(e0, perp, lambda q: np.zeros(n), quadrant,
-                               q_radius=0.5, base_point=np.zeros(n + 1))
-    base2 = np.zeros(n + 1)
-    base2[0] = -0.2
-    chart2 = graph_chart_build(e0, perp, lambda q: np.zeros(n), quadrant,
-                               q_radius=0.5, base_point=base2)
-    trans = chart_transition(chart1, chart2)
-    out = trans(np.array([0.1]), 0)
-    assert out[0] == pytest.approx(0.3, abs=1e-10)
 
 
 # ------------------------------------------------------------ broken path demo
