@@ -11,7 +11,6 @@ is exact and Stokes residuals isolate quadrature error.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -21,6 +20,7 @@ import numpy as np
 
 from . import _fd
 from ._fd import MEMBERSHIP_TOL
+from ._text import json_text
 from .errors import (
     MissingDerivativeError,
     UnchartedPointError,
@@ -695,12 +695,4 @@ def form_from_config(text_or_dict):
 
 
 def result_to_json(result):
-    return json.dumps(
-        {
-            "value": result.value,
-            "per_branch": [[n, v] for n, v in result.per_branch],
-            "quadrature_order": result.quadrature_order,
-            "est_error": result.est_error,
-        },
-        sort_keys=True,
-    )
+    return json_text(result)

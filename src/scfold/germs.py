@@ -10,14 +10,13 @@ library verifies supplied fillings, it does not construct them.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _fd
+from ._text import csv_text
 from .errors import NonConvergenceError, NotInQuadrantError
 from .sc_core import FiniteDimScale, PartialQuadrant, degeneracy_index, fredholm_split
 
@@ -211,25 +210,13 @@ class SolutionSheet:
         return np.array([node.deltas[level] for node in self.nodes])
 
     def to_csv(self):
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        dim_w = self.germ.fiber.dim(0)
-        w.writerow(
-            [f"a{i}" for i in range(self.germ.base_dim)]
-            + ["level"]
-            + [f"delta{i}" for i in range(dim_w)]
-            + ["iterations", "rate"]
-        )
-        for node in self.nodes:
-            for m in range(self.m_max + 1):
-                rate = max(node.rates[m]) if node.rates[m] else 0.0
-                w.writerow(
-                    [repr(float(v)) for v in node.a]
-                    + [m]
-                    + [repr(float(v)) for v in node.deltas[m]]
-                    + [node.iterations[m], repr(rate)]
-                )
-        return buf.getvalue()
+        return csv_text(
+            [f"a{i}" for i in range(self.germ.base_dim)] + ["level"]
+            + [f"delta{i}" for i in range(self.germ.fiber.dim(0))]
+            + ["iterations", "rate"],
+            [[*node.a, m, *node.deltas[m], node.iterations[m],
+              max(node.rates[m]) if node.rates[m] else 0.0]
+             for node in self.nodes for m in range(self.m_max + 1)])
 
 
 def solution_sheet(germ, a_grid, m_max=None, tol=1e-12):

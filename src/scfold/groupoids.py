@@ -10,12 +10,12 @@ isotropy and of the morphism table.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import _fd
+from ._text import json_text
 from .errors import (
     AmbiguousRankError,
     BackendUnsupportedError,
@@ -25,6 +25,15 @@ from .errors import (
 )
 
 POINT_TOL = 1e-9
+
+
+def _find(objects, chart_id, coords):
+    """Index of the (chart_id, coords) pair in objects within POINT_TOL; None
+    when there is none."""
+    for i, (cid, c) in enumerate(objects):
+        if cid == chart_id and np.linalg.norm(c - coords) <= POINT_TOL:
+            return i
+    return None
 
 
 class FiniteGroup:
@@ -156,11 +165,7 @@ class EpGroupoid:
     def find_object(self, chart_id, coords):
         """Index of the object at coords in the chart, within POINT_TOL; None
         when there is none."""
-        coords = np.asarray(coords, dtype=float)
-        for i, (cid, c) in enumerate(self.objects):
-            if cid == chart_id and np.linalg.norm(c - coords) <= POINT_TOL:
-                return i
-        return None
+        return _find(self.objects, chart_id, np.asarray(coords, dtype=float))
 
     # -- constructors ----------------------------------------------------------
 
@@ -174,17 +179,10 @@ class EpGroupoid:
         POINT_TOL. action(g, chart_id, coords) -> (chart_id, coords).
         """
         objects = []
-
-        def find(cid, c):
-            for i, (ocid, oc) in enumerate(objects):
-                if ocid == cid and np.linalg.norm(oc - c) <= POINT_TOL:
-                    return i
-            return None
-
         frontier = []
         for cid, c in seeds:
             c = np.asarray(c, dtype=float)
-            if find(cid, c) is None:
+            if _find(objects, cid, c) is None:
                 objects.append((cid, c))
                 frontier.append(len(objects) - 1)
         while frontier:
@@ -194,7 +192,7 @@ class EpGroupoid:
                 for g in range(group.order):
                     tcid, tc = action(g, cid, c)
                     tc = np.asarray(tc, dtype=float)
-                    if find(tcid, tc) is None:
+                    if _find(objects, tcid, tc) is None:
                         objects.append((tcid, tc))
                         nxt.append(len(objects) - 1)
             frontier = nxt
@@ -203,7 +201,7 @@ class EpGroupoid:
         for oi, (cid, c) in enumerate(objects):
             for g in range(group.order):
                 tcid, tc = action(g, cid, c)
-                ti = find(tcid, np.asarray(tc, dtype=float))
+                ti = _find(objects, tcid, np.asarray(tc, dtype=float))
                 specs.append((oi, ti, g))
         payload = {"group": group, "action": action}
         return cls(objects, specs,
@@ -678,20 +676,7 @@ def compose_generalized(d1, d2):
 
 def report_json(report):
     """Serialize any of the module's report dataclasses to JSON text."""
-    def default(o):
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        if isinstance(o, (np.integer, np.floating)):
-            return o.item()
-        if is_dataclass(o):
-            return asdict(o)
-        if isinstance(o, tuple):
-            return list(o)
-        return str(o)
-
-    payload = asdict(report)
-    payload["passed"] = bool(report.passed)
-    return json.dumps(payload, sort_keys=True, indent=2, default=default) + "\n"
+    return json_text({**asdict(report), "passed": bool(report.passed)})
 
 
 _GROUPOID_KEYS = {"schema", "charts", "group", "action"}

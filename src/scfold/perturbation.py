@@ -11,13 +11,13 @@ solutions rather than blind randomness.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import _fd
+from ._text import json_text
 from .errors import (
     AmbiguousRankError,
     BiLevelError,
@@ -132,11 +132,6 @@ class BundleSection:
         base = np.asarray(base, dtype=float)
         return _fd.check_rows(base, self.jac(chart_id, base), (out_dim, base.shape[-1]),
                               "section {!r}", self.name, arg="x")
-
-    def element(self, chart_id, base, base_level):
-        k = base_level + (1 if self.tag == "sc_plus" else 0)
-        return self.model.element(chart_id, base, base_level,
-                                  self(chart_id, base), k)
 
 
 def zero_section(model, tag="sc_plus", name="zero"):
@@ -312,8 +307,7 @@ class Multisection:
                 "params": params,
                 "weight": str(w),
             })
-        return json.dumps({"schema": "multisection/1", "branches": rows},
-                          sort_keys=True, indent=2) + "\n"
+        return json_text({"schema": "multisection/1", "branches": rows})
 
 
 def constant_branch_section(model, value, name=None):
@@ -634,7 +628,7 @@ def _cluster_representatives(points, min_distance):
     for p in sorted(points, key=tuple):
         if all(np.linalg.norm(p - r) >= min_distance for r in reps):
             reps.append(p)
-    return reps or points[:1]
+    return reps
 
 
 # ---------------------------------------------------------------------------
@@ -960,7 +954,8 @@ def cobordism_compare(f, tau0, tau1, cp, seed=0):
     The family uses convex branch interpolation over all branch pairs, whose
     weights stay exactly rational. Family transversality is sampled at
     t = 0, 0.25, 0.5, 0.75 and 1; the endpoint comparison is exact for index
-    zero.
+    zero. The counts are taken on the endpoint solution sets whose norm,
+    support and transversality were checked.
     """
     aux = cp.aux_norm
     endpoint_sols = []
@@ -991,15 +986,14 @@ def cobordism_compare(f, tau0, tau1, cp, seed=0):
         if not rep.passed:
             family_failures.append((t, rep.failures))
 
-    sols0 = endpoint_sols[0]
-    sols1 = solution_set(f, tau1, seed=seed + 1)
+    sols0, sols1 = endpoint_sols
     # counts apply when every branch is index zero; an empty solution set
     # counts as zero by the empty-sum convention
     count0 = count1 = None
     if all(b.dimension == 0 for b in sols0):
-        count0 = weighted_count(f, [b for b in sols0 if b.dimension == 0], tau0)
+        count0 = weighted_count(f, sols0, tau0)
     if all(b.dimension == 0 for b in sols1):
-        count1 = weighted_count(f, [b for b in sols1 if b.dimension == 0], tau1)
+        count1 = weighted_count(f, sols1, tau1)
     checks = {
         "family_transversal": not family_failures,
         "counts_equal": (count0 == count1) if (count0 is not None and count1 is not None) else True,

@@ -10,14 +10,12 @@ the level-0 increment size) is available for contrast experiments.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _fd
+from ._text import csv_text, json_text
 from .errors import (
     DomainExitError,
     LevelRangeError,
@@ -165,24 +163,17 @@ class ProbeReport:
         return np.array([r.residual for r in self.rows])
 
     def to_csv(self):
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["h", "residual", "fitted_slope"])
-        for r in self.rows:
-            w.writerow([repr(r.h), repr(r.residual),
-                        "" if self.slope is None else repr(self.slope)])
-        return buf.getvalue()
+        return csv_text(["h", "residual", "fitted_slope"],
+                        [(r.h, r.residual, "" if self.slope is None else self.slope)
+                         for r in self.rows])
 
     def to_json(self):
-        return json.dumps(
-            {
-                "slope": self.slope,
-                "passed": self.passed,
-                "criterion": self.criterion,
-                "rows": [[r.h, r.residual] for r in self.rows],
-            },
-            sort_keys=True,
-        )
+        return json_text({
+            "slope": self.slope,
+            "passed": self.passed,
+            "criterion": self.criterion,
+            "rows": [[r.h, r.residual] for r in self.rows],
+        })
 
 
 SLOPE_PASS = 0.9

@@ -6,9 +6,7 @@ with fixed float formatting and sorted keys so re-runs are byte-identical.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,6 +16,7 @@ from . import branched_integration as bi
 from . import germs as germs_mod
 from . import groupoids as gpd
 from . import perturbation as pert
+from ._text import csv_text, json_text
 from .errors import ConfigError, check_keys, read_config
 from .retracts import (
     bump_splicing,
@@ -63,23 +62,11 @@ class ScenarioResult:
         return all(c.passed for c in self.checks)
 
     def summary_json(self):
-        return json.dumps(
-            {
-                "scenario": self.name,
-                "seed": self.seed,
-                "checks": [c.row() for c in self.checks],
-            },
-            sort_keys=True, indent=2,
-        ) + "\n"
-
-
-def _csv_text(header, rows):
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow([repr(v) if isinstance(v, float) else v for v in row])
-    return buf.getvalue()
+        return json_text({
+            "scenario": self.name,
+            "seed": self.seed,
+            "checks": [c.row() for c in self.checks],
+        })
 
 
 def _two_column(rows):
@@ -115,10 +102,9 @@ def run_shiftmap(params, seed):
     rows = [(h, r.residual, sc_rep.slope) for h, r in zip(hs, sc_rep.rows)]
     rows += [(h, r.residual, cl_rep.slope) for h, r in zip(hs, cl_rep.rows)]
     artifacts = {
-        "shiftmap_probes.csv": _csv_text(
+        "shiftmap_probes.csv": csv_text(
             ["h", "residual", "fitted_slope"],
-            [(repr(float(h)), repr(float(r)), repr(float(s)) if s else "")
-             for h, r, s in rows]),
+            [(h, r, s or "") for h, r, s in rows]),
         "shiftmap_sc_residuals.dat": _two_column(
             [(h, r.residual) for h, r in zip(hs, sc_rep.rows)]),
         "shiftmap_classical_residuals.dat": _two_column(
@@ -218,10 +204,10 @@ def run_porkbarrel(params, seed):
             sol_rows.append((b.chart_id, " ".join(repr(float(c)) for c in p),
                              b.branch_index, str(b.weight)))
     artifacts = {
-        "porkbarrel_profile.json": json.dumps(rows, sort_keys=True, indent=2) + "\n",
+        "porkbarrel_profile.json": json_text(rows),
         "porkbarrel_profile.dat": _two_column(
             [(s, row["local_dimension"]) for s, row in zip(s_values, rows)]),
-        "porkbarrel_solutions.csv": _csv_text(
+        "porkbarrel_solutions.csv": csv_text(
             ["chart", "coordinates", "branch", "weight"], sol_rows),
     }
     return checks, artifacts
@@ -244,7 +230,7 @@ def run_brokenpath(params, seed):
         Check("unbroken_interior_d_0", unbroken_d == {0}, sorted(unbroken_d), "{0}"),
     ]
     artifacts = {
-        "brokenpath_rows.json": json.dumps(rows, sort_keys=True, indent=2) + "\n",
+        "brokenpath_rows.json": json_text(rows),
         "brokenpath_profile.dat": _two_column(demo.degeneracy_profile()),
     }
     return checks, artifacts
@@ -324,9 +310,8 @@ def run_stokes(params, seed):
         Check("final_residual", residuals[-1] <= 1e-6, residuals[-1], 1e-6),
     ]
     artifacts = {
-        "stokes_residuals.csv": _csv_text(
-            ["order", "residual"],
-            [(o, repr(float(r))) for o, r in zip(orders, residuals)]),
+        "stokes_residuals.csv": csv_text(
+            ["order", "residual"], zip(orders, residuals)),
         "stokes_residuals.dat": _two_column(list(zip(orders, residuals))),
     }
     return checks, artifacts
@@ -386,9 +371,8 @@ def run_perturb(params, seed):
               len(rep_pb.failures), 0),
     ]
     artifacts = {
-        "perturb_counts.json": json.dumps(
-            {"count0": str(cob.count0), "count1": str(cob.count1)},
-            sort_keys=True, indent=2) + "\n",
+        "perturb_counts.json": json_text(
+            {"count0": str(cob.count0), "count1": str(cob.count1)}),
     }
     return checks, artifacts
 
@@ -455,7 +439,7 @@ def run_groupoid(params, seed):
         "z3_isotropy_at_origin": iso3.order,
     }
     artifacts = {
-        "groupoid_report.json": json.dumps(report, sort_keys=True, indent=2) + "\n",
+        "groupoid_report.json": json_text(report),
     }
     return checks, artifacts
 
@@ -480,9 +464,8 @@ def run_pairing(params, seed):
               [str(v) for v in rep_mismatch.values], "0"),
     ]
     artifacts = {
-        "pairing_values.json": json.dumps(
-            {"values": values, "mismatch": [str(v) for v in rep_mismatch.values]},
-            sort_keys=True, indent=2) + "\n",
+        "pairing_values.json": json_text(
+            {"values": values, "mismatch": [str(v) for v in rep_mismatch.values]}),
     }
     return checks, artifacts
 
@@ -525,7 +508,7 @@ def load_config(name, text=None, seed_override=None):
         raise ConfigError(
             f"unknown scenario {name!r}; available: {', '.join(sorted(SCENARIOS))}")
     _, _, defaults = SCENARIOS[name]
-    params = json.loads(json.dumps(defaults))  # deep copy
+    params = copy.deepcopy(defaults)
     seed = 0
     if text is not None:
         cfg = read_config(text, _TOP_KEYS, "config keys")

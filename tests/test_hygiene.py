@@ -1,9 +1,9 @@
 """Static checks on the library source: no catch-all exception handler, one
-module that knows how a config fails to parse, no sparse matrix turned dense,
-no pseudo-inverse formed to solve one system, no scipy loaded on import, no
-import inside a function but scipy's, no parameter that its function never
-reads, no attribute stored for no reader and no local stored for no
-reader."""
+module that knows how a config fails to parse, one that writes JSON and CSV
+text, no sparse matrix turned dense, no pseudo-inverse formed to solve one
+system, no scipy loaded on import, no import inside a function but scipy's,
+no parameter that its function never reads, no attribute stored for no
+reader and no local stored for no reader."""
 
 import ast
 from pathlib import Path
@@ -44,6 +44,22 @@ def test_json_decode_error_only_in_errors_module():
         if getattr(node, "attr", getattr(node, "id", None)) == "JSONDecodeError"
     }
     assert found == {"errors.py"}
+
+
+def test_text_writers_only_in_text_module():
+    # every artifact and report is written by _text.json_text or
+    # _text.csv_text, so one module decides the bytes they hold
+    writers = {("json", "dumps"), ("csv", "writer"), ("io", "StringIO")}
+    found = {
+        name
+        for name, tree in _modules()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and (node.value.id, node.attr) in writers)
+        or (isinstance(node, ast.ImportFrom)
+            and any((node.module, a.name) in writers for a in node.names))
+    }
+    assert found == {"_text.py"}
 
 
 def test_no_sparse_to_dense_conversion():

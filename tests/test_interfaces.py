@@ -8,6 +8,7 @@ import pytest
 
 from scfold import branched_integration as bi
 from scfold import perturbation as pert
+from scfold._text import csv_text, json_text
 from scfold.errors import ConfigError
 from scfold.groupoids import (
     EpGroupoid,
@@ -17,7 +18,7 @@ from scfold.groupoids import (
     is_equivalence,
     report_json,
 )
-from scfold.sc_calculus import ScDomain
+from scfold.sc_calculus import ScDomain, ScMap, sc1_probe, whole_scale_domain
 from scfold.sc_core import CircleGridScale, FiniteDimScale, PartialQuadrant, scale_from_config
 from scfold.scenarios import load_config
 
@@ -301,3 +302,48 @@ def test_zero_branch_keeps_its_name():
     loaded = pert.multisection_from_config(model, lam.describe())
     assert [s.name for s, _ in loaded.branches] == ["null"]
     assert loaded.describe() == lam.describe()
+
+
+def test_csv_text_writes_numpy_floats_as_plain_reprs():
+    # under numpy 2 repr(np.float64(0.1)) is "np.float64(0.1)"; the cell must
+    # read 0.1, while int and str cells pass through as they are
+    text = csv_text(["x", "n", "s"], [(np.float64(0.1), 3, "a b"), (1e-17, -2, "")])
+    assert text == "x,n,s\n0.1,3,a b\n1e-17,-2,\n"
+
+
+def test_json_text_writes_numpy_values_as_plain_json():
+    # arrays become lists and numpy scalars Python numbers; anything else
+    # JSON cannot hold is written as its str
+    text = json_text({"b": np.arange(2), "a": np.int64(3), "c": Fraction(1, 3)})
+    assert text == '{\n  "a": 3,\n  "b": [\n    0,\n    1\n  ],\n  "c": "1/3"\n}\n'
+
+
+def test_result_to_json_keeps_its_keys_and_values():
+    disk = bi.BranchedFamily([bi.disk_branch()], effective_order=1)
+    area = bi.PolynomialForm(2, 2, {(0, 1): bi.Polynomial.constant(2, 1.0)})
+    res = bi.integrate(disk, area, order=6)
+    expected = {
+        "value": res.value,
+        "per_branch": [[n, v] for n, v in res.per_branch],
+        "quadrature_order": res.quadrature_order,
+        "est_error": res.est_error,
+    }
+    payload = json.loads(bi.result_to_json(res))
+    assert json.dumps(payload, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+def test_probe_report_json_keeps_its_keys_and_values():
+    scale = FiniteDimScale(2)
+    x = scale.vector([0.1, 0.2], level=1)
+    sine = ScMap(whole_scale_domain(scale), scale, fn=lambda x, m: np.sin(x),
+                 dfn=lambda x, h, m: np.cos(x) * h, name="sine")
+    rep = sc1_probe(sine, x, scale.vector([1.0, 0.0], level=0), [1e-1, 1e-2])
+    assert rep.slope is not None and rep.rows[0].residual > 0
+    expected = {
+        "slope": rep.slope,
+        "passed": rep.passed,
+        "criterion": rep.criterion,
+        "rows": [[r.h, r.residual] for r in rep.rows],
+    }
+    payload = json.loads(rep.to_json())
+    assert json.dumps(payload, sort_keys=True) == json.dumps(expected, sort_keys=True)
