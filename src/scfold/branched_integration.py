@@ -406,21 +406,13 @@ class WeightedMeasureResult:
         return total / effective_order
 
 
-def _cell_integral(cell, form, order, region=None):
-    """Tensor Gauss rule on one cell: one chart, Jacobian and form call over
-    all nodes, in itertools.product order (the last axis fastest)."""
-    if cell.dim == 0:
-        return cell.sign * form(cell.point(np.zeros(0)))
+def _gauss_nodes(bounds, order):
+    """Nodes of the tensor Gauss rule of one order on a box, in
+    itertools.product order (the last axis fastest), and their weights."""
     pts, wts = _fd.gauss01(order)
-    bounds = region if region is not None else cell.bounds
-    idx = np.indices((len(pts),) * cell.dim).reshape(cell.dim, -1).T
+    idx = np.indices((len(pts),) * len(bounds)).reshape(len(bounds), -1).T
     q = np.stack([(a + (b - a) * pts)[i] for (a, b), i in zip(bounds, idx.T)], axis=-1)
-    jac = cell.jacobian(q)
-    values = np.prod(wts[idx], axis=-1) * form(cell.point(q), *np.moveaxis(jac, -1, 0))
-    # summed left to right from 0.0, as one node at a time: pairwise np.sum
-    # would move the round-off of Stokes residuals
-    scale = math.prod(b - a for a, b in bounds)
-    return cell.sign * scale * (0.0 + np.cumsum(values)[-1])
+    return q, np.prod(wts[idx], axis=-1)
 
 
 def integrate(family, form, region=None, order=12):
@@ -430,6 +422,10 @@ def integrate(family, form, region=None, order=12):
     of reference sub-boxes. The combination rule divides by the effective
     symmetry order; per-branch raw integrals and a quadrature error estimate
     (difference against order-1 lower quadrature) are reported.
+
+    Each cell, or cell and sub-box, makes one chart and one Jacobian call over
+    the nodes of both Gauss rules, and the form is called once, over the rows
+    of every cell of every branch.
     """
     for b in family.branches:
         if b.dim != form.degree:
@@ -438,24 +434,54 @@ def integrate(family, form, region=None, order=12):
         for cell in b.cells:
             if cell.sign not in (-1, 1):
                 raise ValueError("branch cells must carry an orientation sign")
+    orders = dict.fromkeys((order, max(order - 1, 1)))  # one rule when they agree
+    chosen = [region is None or region.get(b.name) is not None
+              for b in family.branches]
+    points, jacs = [], []
+    pieces = []  # (branch index, cell sign, box volume, node weights per rule)
+    for k, b in enumerate(family.branches):
+        if not chosen[k]:
+            continue
+        for cell in b.cells:
+            for box in [cell.bounds] if region is None else region[b.name]:
+                if cell.dim == 0:
+                    # a point is one node of weight one on a box of volume one
+                    point = cell.point(np.zeros(0))[None]
+                    points.append(point)
+                    jacs.append(np.zeros(point.shape + (0,)))
+                    pieces.append((k, cell.sign, 1, [np.ones(1)]))
+                    continue
+                q, weights = zip(*(_gauss_nodes(box, o) for o in orders))
+                q = np.concatenate(q)
+                jacs.append(cell.jacobian(q))
+                points.append(cell.point(q))
+                pieces.append((k, cell.sign, math.prod(hi - lo for lo, hi in box),
+                               weights))
+    if pieces:
+        values = form(np.concatenate(points),
+                      *np.moveaxis(np.concatenate(jacs), -1, 0))
+    raw = [0.0] * len(family.branches)
+    raw_low = [0.0] * len(family.branches)
+    start = 0
+    for k, sign, scale, weights in pieces:
+        sums = []
+        for w in weights:
+            # summed left to right from 0.0, as one node at a time: pairwise
+            # np.sum would move the round-off of Stokes residuals
+            rule = w * values[start:start + len(w)]
+            sums.append(sign * scale * (0.0 + np.cumsum(rule)[-1]))
+            start += len(w)
+        raw[k] += sums[0]
+        raw_low[k] += sums[-1]
     per_branch = []
     total = 0.0
     low_total = 0.0
-    for b in family.branches:
-        raw = 0.0
-        raw_low = 0.0
-        boxes = None if region is None else region.get(b.name)
-        if region is not None and boxes is None:
-            per_branch.append((b.name, 0.0))
+    for k, b in enumerate(family.branches):
+        per_branch.append((b.name, raw[k]))
+        if not chosen[k]:
             continue
-        for cell in b.cells:
-            cell_boxes = [None] if boxes is None else boxes
-            for box in cell_boxes:
-                raw += _cell_integral(cell, form, order, box)
-                raw_low += _cell_integral(cell, form, max(order - 1, 1), box)
-        per_branch.append((b.name, raw))
-        total += float(b.weight) * raw
-        low_total += float(b.weight) * raw_low
+        total += float(b.weight) * raw[k]
+        low_total += float(b.weight) * raw_low[k]
     value = total / family.effective_order
     est_error = abs(total - low_total) / family.effective_order
     return WeightedMeasureResult(value, order, per_branch, est_error)

@@ -444,6 +444,10 @@ class ControlPair:
     aux_norm: AuxiliaryNorm
     report: dict
 
+    def __post_init__(self):
+        # perturb_to_transversal's results, keyed by (f, epsilon, seed)
+        self._transversal = {}
+
     @property
     def certified(self):
         return self.report.get("certified", False)
@@ -814,11 +818,22 @@ def perturb_to_transversal(f, cp, epsilon, seed=0):
     solution_set's AmbiguousRankError propagates. Internally the stricter
     floor SUSPECT_FLOOR marks nearly-degenerate solutions as failing, since
     degenerate roots are only resolved to the solver tolerance's square root.
+
+    The result is a pure function of f, epsilon and seed, so cp keeps it,
+    keyed by the identity of f, by epsilon and by seed: a repeat call returns
+    the same multisection, whose solution sets are then already solved.
     """
     if not (0 < epsilon < 1):
         raise ValueError("the norm budget must lie in (0, 1)")
     if not cp.certified:
         raise ValueError("control pair is not certified")
+    key = (f, epsilon, seed)
+    if key not in cp._transversal:
+        cp._transversal[key] = _transversal_search(f, cp, epsilon, seed)
+    return cp._transversal[key]
+
+
+def _transversal_search(f, cp, epsilon, seed):
     model = f.model
     zero = Multisection.zero(model)
     sols = solution_set(f, zero, seed=seed)

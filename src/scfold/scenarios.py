@@ -16,7 +16,7 @@ from . import branched_integration as bi
 from . import germs as germs_mod
 from . import groupoids as gpd
 from . import perturbation as pert
-from ._text import csv_text, json_text
+from ._text import csv_text, dat_text, float_text, json_text
 from .errors import ConfigError, check_keys, read_config
 from .retracts import (
     bump_splicing,
@@ -69,10 +69,6 @@ class ScenarioResult:
         })
 
 
-def _two_column(rows):
-    return "".join(f"{repr(float(a))} {repr(float(b))}\n" for a, b in rows)
-
-
 # ---------------------------------------------------------------------------
 # scenario: shiftmap
 
@@ -105,9 +101,9 @@ def run_shiftmap(params, seed):
         "shiftmap_probes.csv": csv_text(
             ["h", "residual", "fitted_slope"],
             [(h, r, s or "") for h, r, s in rows]),
-        "shiftmap_sc_residuals.dat": _two_column(
+        "shiftmap_sc_residuals.dat": dat_text(
             [(h, r.residual) for h, r in zip(hs, sc_rep.rows)]),
-        "shiftmap_classical_residuals.dat": _two_column(
+        "shiftmap_classical_residuals.dat": dat_text(
             [(h, r.residual) for h, r in zip(hs, cl_rep.rows)]),
     }
     return checks, artifacts
@@ -201,11 +197,11 @@ def run_porkbarrel(params, seed):
     sol_rows = []
     for b in sols:
         for p in b.points:
-            sol_rows.append((b.chart_id, " ".join(repr(float(c)) for c in p),
+            sol_rows.append((b.chart_id, " ".join(float_text(c) for c in p),
                              b.branch_index, str(b.weight)))
     artifacts = {
         "porkbarrel_profile.json": json_text(rows),
-        "porkbarrel_profile.dat": _two_column(
+        "porkbarrel_profile.dat": dat_text(
             [(s, row["local_dimension"]) for s, row in zip(s_values, rows)]),
         "porkbarrel_solutions.csv": csv_text(
             ["chart", "coordinates", "branch", "weight"], sol_rows),
@@ -231,7 +227,7 @@ def run_brokenpath(params, seed):
     ]
     artifacts = {
         "brokenpath_rows.json": json_text(rows),
-        "brokenpath_profile.dat": _two_column(demo.degeneracy_profile()),
+        "brokenpath_profile.dat": dat_text(demo.degeneracy_profile()),
     }
     return checks, artifacts
 
@@ -312,7 +308,7 @@ def run_stokes(params, seed):
     artifacts = {
         "stokes_residuals.csv": csv_text(
             ["order", "residual"], zip(orders, residuals)),
-        "stokes_residuals.dat": _two_column(list(zip(orders, residuals))),
+        "stokes_residuals.dat": dat_text(list(zip(orders, residuals))),
     }
     return checks, artifacts
 

@@ -351,6 +351,31 @@ def test_pairing_dimension_mismatch_returns_exact_zero():
     assert all(v == 0.0 for v in rep.values)
 
 
+def test_repeated_pairing_trials_solve_nothing_new(monkeypatch):
+    # a second pairing call over the same trials, as the pairing scenario's
+    # mismatch check makes, reuses each trial's perturbation from the control
+    # pair and its solution sets from the perturbation
+    from scfold import perturbation
+
+    f, cp = pairing_fixture()
+    one = PolynomialForm(1, 0, {(): Polynomial.constant(1, 1.0)})
+    first = de_rham_pairing(f, cp, one, trials=3, seed=41)
+    solves = []
+    seeded_zeros = perturbation._seeded_zeros
+
+    def recording(*args):
+        solves.append(args)
+        return seeded_zeros(*args)
+
+    monkeypatch.setattr(perturbation, "_seeded_zeros", recording)
+    wrong = PolynomialForm(1, 1, {(0,): Polynomial.constant(1, 1.0)})
+    assert de_rham_pairing(f, cp, wrong, trials=2, seed=41).values == [0.0, 0.0]
+    assert de_rham_pairing(f, cp, one, trials=3, seed=41).values == first.values
+    assert solves == []
+    de_rham_pairing(f, cp, one, trials=4, seed=41)
+    assert solves
+
+
 def test_pairing_index_one_circle():
     from scfold.perturbation import (
         AuxiliaryNorm,
@@ -482,51 +507,123 @@ QUADRATURE_CASES = {
 }
 
 
-def _results(fn):
-    res = fn()
+def reference_integrate(fam, form, region=None, order=12):
+    """integrate with every cell integral taken one node at a time by
+    per_node_cell_integral, each rule in its own pass, in the order branches,
+    cells, sub-boxes."""
+    per_branch = []
+    total = 0.0
+    low_total = 0.0
+    for b in fam.branches:
+        raw = 0.0
+        raw_low = 0.0
+        boxes = None if region is None else region.get(b.name)
+        if region is not None and boxes is None:
+            per_branch.append((b.name, 0.0))
+            continue
+        for cell in b.cells:
+            for box in [None] if boxes is None else boxes:
+                raw += per_node_cell_integral(cell, form, order, box)
+                raw_low += per_node_cell_integral(cell, form, max(order - 1, 1), box)
+        per_branch.append((b.name, raw))
+        total += float(b.weight) * raw
+        low_total += float(b.weight) * raw_low
+    return bi.WeightedMeasureResult(
+        total / fam.effective_order, order, per_branch,
+        abs(total - low_total) / fam.effective_order)
+
+
+def reference_integrate_boundary(fam, form, order=12):
+    faces = [Branch([f for c in b.cells if c.dim for f in c.boundary_cells()],
+                    b.weight, name=b.name) for b in fam.branches]
+    faces = [b for b in faces if b.cells]
+    if not faces:
+        return bi.WeightedMeasureResult(0.0, order, [], 0.0)
+    return reference_integrate(BranchedFamily(faces, fam.effective_order), form,
+                               order=order)
+
+
+def reference_stokes_residual(fam, form, order=12):
+    inner = reference_integrate(fam, exterior_derivative(form, fd_fallback=True),
+                                order=order)
+    return abs(inner.value - reference_integrate_boundary(fam, form, order).value)
+
+
+def _results(res):
     return res.value, res.per_branch, res.est_error, \
         [type(v) for _, v in res.per_branch]
 
 
 @pytest.mark.parametrize("name", sorted(QUADRATURE_CASES))
 @pytest.mark.parametrize("order", [1, 2, 5, 12])
-def test_row_quadrature_matches_per_node_loop(monkeypatch, name, order):
+def test_row_quadrature_matches_per_node_loop(name, order):
     make_family, inner, outer = QUADRATURE_CASES[name]
     fam = make_family()
-    calls = [lambda: integrate(fam, inner(), order=order),
-             lambda: integrate_boundary(fam, outer(), order=order)]
+    pairs = [(integrate, reference_integrate, inner, {}),
+             (integrate_boundary, reference_integrate_boundary, outer, {})]
     if fam.branches[0].dim == 2:
-        calls.append(lambda: integrate(
-            fam, inner(), order=order,
-            region={b.name: [[(0.25, 0.5), (0.0, 0.75)]] for b in fam.branches}))
-    rows = [_results(c) for c in calls]
-    monkeypatch.setattr(bi, "_cell_integral", per_node_cell_integral)
-    assert [_results(c) for c in calls] == rows
-    assert all(t is np.float64 for r in rows for t in r[3])
+        region = {b.name: [[(0.25, 0.5), (0.0, 0.75)]] for b in fam.branches}
+        pairs.append((integrate, reference_integrate, inner, {"region": region}))
+    for fn, reference, form, kw in pairs:
+        got = _results(fn(fam, form(), order=order, **kw))
+        assert got == _results(reference(fam, form(), order=order, **kw))
+        assert all(t is np.float64 for t in got[3])
 
 
-def test_row_quadrature_matches_per_node_loop_on_point_branches(monkeypatch):
+def test_row_quadrature_matches_per_node_loop_on_point_branches():
     fam = family(point_branch([0.5, -0.25], weight=Fraction(1, 3)),
                  point_branch([-0.5, 2.0], sign=-1))
     forms = [PolynomialForm(2, 0, {(): Polynomial(2, {(3, 1): 0.7, (0, 0): 1.0})}),
              wavy_zero_form()]
-    rows = [_results(lambda f=f: integrate(fam, f, order=3)) for f in forms]
-    monkeypatch.setattr(bi, "_cell_integral", per_node_cell_integral)
-    assert [_results(lambda f=f: integrate(fam, f, order=3)) for f in forms] == rows
+    region = {"point": [[], []]}
+    for form in forms:
+        assert _results(integrate(fam, form, order=3)) == \
+            _results(reference_integrate(fam, form, order=3))
+        assert _results(integrate(fam, form, region, order=3)) == \
+            _results(reference_integrate(fam, form, region, order=3))
 
 
-def test_stokes_residuals_match_per_node_loop(monkeypatch):
+def test_stokes_residuals_match_per_node_loop():
     # the residuals sit at round-off and the stokes scenario's monotone check
     # reads them, so a changed summation order must show here
     two = family(half_disk_branch(+1), half_disk_branch(-1), g=2)
     disk = family(disk_branch())
-    orders = range(2, 13)
-    rows = [stokes_residual(two, rich_form(), order=o) for o in orders]
-    disk_rows = stokes_residual(disk, x_dy(), order=12)
-    monkeypatch.setattr(bi, "_cell_integral", per_node_cell_integral)
-    assert [stokes_residual(two, rich_form(), order=o) for o in orders] == rows
-    assert stokes_residual(disk, x_dy(), order=12) == disk_rows == 0.0
+    rows = [stokes_residual(two, rich_form(), order=o) for o in range(2, 13)]
+    assert rows == [reference_stokes_residual(two, rich_form(), order=o)
+                    for o in range(2, 13)]
+    assert stokes_residual(disk, x_dy(), order=12) == 0.0
+    assert reference_stokes_residual(disk, x_dy(), order=12) == 0.0
     assert 0.0 < rows[-1] <= 1e-12
+
+
+def test_one_form_call_per_integral_and_one_chart_call_per_cell():
+    calls = []
+
+    def counted(name, fn):
+        def wrapped(q, *rest):
+            calls.append((name, len(q)))
+            return fn(q, *rest)
+        return wrapped
+
+    fam = family(disk_branch(), half_disk_branch(+1), half_disk_branch(-1), g=2)
+    for cell in (c for b in fam.branches for c in b.cells):
+        cell.chart_map = counted("point", cell.chart_map)
+        cell.jac = counted("jacobian", cell.jac)
+    area = CallbackForm(2, 2, counted("form", area_form()))
+    line = CallbackForm(2, 1, counted("form", x_dy()))
+    region = {"disk": [[(0.0, 0.5), (0.0, 1.0)], [(0.5, 1.0), (0.0, 1.0)]],
+              "upper-half": [[(0.0, 1.0), (0.0, 0.5)]]}
+    cases = [(lambda: integrate(fam, area, order=12), 6, 144 + 121),
+             (lambda: integrate(fam, area, order=1), 6, 1),
+             (lambda: integrate(fam, area, region, order=5), 9, 25 + 16),
+             (lambda: integrate_boundary(fam, line, order=4), 24, 4 + 3)]
+    for run, pieces, nodes in cases:
+        calls.clear()
+        run()
+        assert calls.count(("form", pieces * nodes)) == 1
+        assert sorted(calls) == sorted([("form", pieces * nodes)]
+                                       + [("jacobian", nodes)] * pieces
+                                       + [("point", nodes)] * pieces)
 
 
 @pytest.mark.parametrize("name", sorted(QUADRATURE_CASES))
@@ -601,8 +698,8 @@ def test_pointwise_chart_is_refused_on_rows():
     cell = Cell(2, chart)
     fam = family(Branch([cell], Fraction(1), name="pointwise"))
     with pytest.raises(ValueError, match=r"cell of dimension 2 returned shape "
-                                         r"\(2, 2\) for rows q of shape \(144, 2\); "
-                                         r"rows need shape \(144, n\)"):
+                                         r"\(2, 2\) for rows q of shape \(265, 2\); "
+                                         r"rows need shape \(265, n\)"):
         integrate(fam, area_form(), order=12)
     assert cell.point(np.array([0.5, 0.25])).tolist() == [0.125, 0.25]
 
@@ -613,8 +710,8 @@ def test_pointwise_jacobian_is_refused_on_rows():
 
     cell = Cell(2, lambda q: q.copy(), jac)
     with pytest.raises(ValueError, match=r"cell of dimension 2 returned shape "
-                                         r"\(2, 2\) for rows q of shape \(16, 2\); "
-                                         r"rows need shape \(16, n, 2\)"):
+                                         r"\(2, 2\) for rows q of shape \(25, 2\); "
+                                         r"rows need shape \(25, n, 2\)"):
         integrate(family(Branch([cell], Fraction(1))), area_form(), order=4)
 
 
@@ -622,5 +719,5 @@ def test_pointwise_callback_form_is_refused_on_rows():
     form = CallbackForm(2, 1, lambda x, v: x[0] * v[1])
     fam = family(segment_branch([0.0, 0.0], [1.0, 1.0]))
     with pytest.raises(ValueError, match=r"form returned shape \(2,\) for rows x "
-                                         r"of shape \(5, 2\); rows need shape \(5,\)"):
+                                         r"of shape \(9, 2\); rows need shape \(9,\)"):
         integrate(fam, form, order=5)

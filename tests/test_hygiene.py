@@ -62,6 +62,20 @@ def test_text_writers_only_in_text_module():
     assert found == {"_text.py"}
 
 
+def test_float_format_only_in_text_module():
+    # repr(float(v)) is the one float format of the artifacts; written
+    # elsewhere, a site that forgets float() writes np.float64(...)
+    found = {
+        name
+        for name, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "repr"
+        and any(isinstance(a, ast.Call) and getattr(a.func, "id", None) == "float"
+                for a in node.args)
+    }
+    assert found == {"_text.py"}
+
+
 def test_no_sparse_to_dense_conversion():
     # the grid kernels keep their banded matrices sparse end to end
     found = [

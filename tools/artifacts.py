@@ -7,6 +7,10 @@ trees. It is a tool, not a test: tier-1 does not run it.
 
     python tools/artifacts.py OUT --seeds 0-9
     python tools/artifacts.py OUT --seeds 0,3,5
+    python tools/artifacts.py OUT --seeds 0-9 --demos
+
+With ``--demos`` it also runs every script in demos/ and writes what it
+prints to ``OUT/demos/<name>.txt``, so the same ``diff -r`` compares them.
 
 BLAS runs on one thread (set before numpy loads, unless the environment says
 otherwise), so that dense factorizations sum in one order. Each run prints
@@ -17,7 +21,10 @@ scenario check failed or any run raised, 0 otherwise.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import os
+import runpy
 import sys
 from pathlib import Path
 
@@ -41,6 +48,8 @@ def main(argv):
     parser.add_argument("out", type=Path, help="output root")
     parser.add_argument("--seeds", type=parse_seeds, default=[0],
                         help="seeds, e.g. 0-9 or 0,3,5 (default 0)")
+    parser.add_argument("--demos", action="store_true",
+                        help="also write each demo's output to OUT/demos/NAME.txt")
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(ROOT / "src"))
@@ -55,6 +64,14 @@ def main(argv):
                                 "--out", str(out), "--quiet"])
             print(f"{name}-{seed} {'pass' if code == 0 else 'FAIL'}", flush=True)
             status = status or int(code != 0)
+    if args.demos:
+        (args.out / "demos").mkdir(parents=True, exist_ok=True)
+        for path in sorted((ROOT / "demos").glob("*.py")):
+            printed = io.StringIO()
+            with contextlib.redirect_stdout(printed):
+                runpy.run_path(str(path), run_name="__main__")
+            (args.out / "demos" / f"{path.stem}.txt").write_text(printed.getvalue())
+            print(f"demos/{path.stem} done", flush=True)
     return status
 
 
