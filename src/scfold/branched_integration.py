@@ -133,22 +133,13 @@ class PolynomialForm:
         return total[()]
 
     def exterior_derivative(self):
+        # __init__ sorts each (j,) + I, signs it and merges repeated keys
         out = {}
         for idx, poly in self.terms.items():
             for j in range(self.n_vars):
                 dp = poly.partial(j)
-                if not dp.terms:
-                    continue
-                new_idx = (j,) + idx
-                key, sign = _sorted_key(new_idx)
-                if key is None:
-                    continue
-                add = {e: sign * c for e, c in dp.terms.items()}
-                if key in out:
-                    for e, c in add.items():
-                        out[key].terms[e] = out[key].terms.get(e, 0.0) + c
-                else:
-                    out[key] = Polynomial(self.n_vars, add)
+                if dp.terms:
+                    out[(j,) + idx] = dp
         return PolynomialForm(self.n_vars, self.degree + 1, out)
 
 
@@ -526,28 +517,32 @@ def _matrix_rows(entries):
     return np.stack([np.stack(row, axis=-1) for row in entries], axis=-2)
 
 
+def _polar_cell(radius, angle, dth):
+    """Cell (r, t) -> radius r (cos th, sin th) with th = angle(t), whose
+    derivative is the constant dth."""
+    def chart(q):
+        r, th = radius * q[..., 0], angle(q[..., 1])
+        return np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
+
+    def jac(q):
+        r, th = radius * q[..., 0], angle(q[..., 1])
+        return _matrix_rows([
+            [radius * np.cos(th), -r * dth * np.sin(th)],
+            [radius * np.sin(th), r * dth * np.cos(th)],
+        ])
+
+    return Cell(2, chart, jac)
+
+
 def disk_branch(radius=1.0, weight=Fraction(1), quadrants=4, name="disk"):
     """Unit disk as polar quadrant cells; internal radial faces cancel in
     boundary integrals."""
     cells = []
     for k in range(quadrants):
         a0, a1 = k / quadrants, (k + 1) / quadrants
-
-        def chart(q, a0=a0, a1=a1):
-            r = radius * q[..., 0]
-            th = 2 * np.pi * (a0 + (a1 - a0) * q[..., 1])
-            return np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
-
-        def jac(q, a0=a0, a1=a1):
-            r = radius * q[..., 0]
-            th = 2 * np.pi * (a0 + (a1 - a0) * q[..., 1])
-            dth = 2 * np.pi * (a1 - a0)
-            return _matrix_rows([
-                [radius * np.cos(th), -r * dth * np.sin(th)],
-                [radius * np.sin(th), r * dth * np.cos(th)],
-            ])
-
-        cells.append(Cell(2, chart, jac))
+        cells.append(_polar_cell(
+            radius, lambda t, a0=a0, a1=a1: 2 * np.pi * (a0 + (a1 - a0) * t),
+            2 * np.pi * (a1 - a0)))
     return Branch(cells, weight, name=name,
                   membership=lambda y: np.linalg.norm(y) <= radius + MEMBERSHIP_TOL)
 
@@ -555,21 +550,10 @@ def disk_branch(radius=1.0, weight=Fraction(1), quadrants=4, name="disk"):
 def half_disk_branch(sign, radius=1.0, weight=Fraction(1, 2), name=None):
     """Upper (+1) or lower (-1) half disk; the diameter face participates in
     boundary sums and cancels against the matching half."""
-    def chart(q):
-        r = radius * q[..., 0]
-        th = np.pi * q[..., 1] if sign > 0 else np.pi + np.pi * q[..., 1]
-        return np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
-
-    def jac(q):
-        r = radius * q[..., 0]
-        th = np.pi * q[..., 1] if sign > 0 else np.pi + np.pi * q[..., 1]
-        return _matrix_rows([
-            [radius * np.cos(th), -r * np.pi * np.sin(th)],
-            [radius * np.sin(th), r * np.pi * np.cos(th)],
-        ])
-
+    angle = (lambda t: np.pi * t) if sign > 0 else (lambda t: np.pi + np.pi * t)
     side = "upper" if sign > 0 else "lower"
-    return Branch([Cell(2, chart, jac)], weight, name=name or f"{side}-half")
+    return Branch([_polar_cell(radius, angle, np.pi)], weight,
+                  name=name or f"{side}-half")
 
 
 def segment_branch(start, end, weight=Fraction(1), name="segment"):
@@ -587,13 +571,11 @@ def segment_branch(start, end, weight=Fraction(1), name="segment"):
 
 
 def curve_branch(parametrize, lo, hi, weight=Fraction(1), name="curve"):
-    """One-dimensional branch from a pointwise parametrization callable on
-    [lo, hi]; its chart calls it once per row."""
-    def chart(q):
-        points = [parametrize(lo + t * (hi - lo)) for t in q.ravel()]
-        return np.asarray(points, dtype=float).reshape(q.shape[:-1] + (-1,))
-
-    return Branch([Cell(1, chart, None)], weight, name=name)
+    """One-dimensional branch from a parametrization of [lo, hi] that maps
+    rows of parameters, shape (..., 1), to points (..., n); its chart is one
+    call over its rows."""
+    return Branch([Cell(1, lambda q: parametrize(lo + q * (hi - lo)), None)],
+                  weight, name=name)
 
 
 def point_branch(point, weight=Fraction(1), sign=1, name="point"):
@@ -655,7 +637,7 @@ def de_rham_pairing(f, cp, form, trials=5, seed=0):
                     continue
                 lo, hi = b.kernel_range
                 branches.append(curve_branch(
-                    lambda k, b=b: b.parametrize(np.full(b.dimension, k)),
+                    lambda t, b=b: b.parametrize(np.repeat(t, b.dimension, axis=-1)),
                     lo, hi, weight=b.weight, name=f"sol-{b.chart_id}-{b.branch_index}"))
             fam = BranchedFamily(branches, 1)
             values.append(integrate(fam, form, order=12).value)

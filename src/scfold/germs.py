@@ -185,6 +185,19 @@ def solve_germ(germ, a, m, tol=1e-12, max_iter=500):
                         steps.tolist(), errors)
 
 
+def fixed_points(germ, a, m, tol, max_iter):
+    """The fixed points of solve_germ at the rows (..., base_dim) of a, shape
+    (..., dim), from one solve_germ call; a failing row raises its error, the
+    first one when several fail, as a 1-D a raises its own."""
+    a = np.asarray(a, dtype=float)
+    w, info = solve_germ(germ, a.reshape(-1, a.shape[-1]) if a.ndim > 2 else a,
+                         m, tol, max_iter)
+    for e in info.errors or ():
+        if e is not None:
+            raise e
+    return w.reshape(a.shape[:-1] + w.shape[-1:])
+
+
 @dataclass
 class SheetNode:
     a: np.ndarray
@@ -403,15 +416,8 @@ def local_solution_manifold(germ, kernel_dim=None, samples_per_dim=9):
     """
     n, N = germ.base_dim, germ.residue_dim
 
-    def fixed_points(a):
-        w, info = solve_germ(germ, a, 0, tol=1e-10)
-        for e in info.errors or ():
-            if e is not None:
-                raise e
-        return w
-
     def reduced(a):
-        return germ.residue(a, fixed_points(a))
+        return germ.residue(a, fixed_points(germ, a, 0, 1e-10, 500))
 
     if N == 0:
         kernel = np.eye(n)
@@ -454,7 +460,7 @@ def local_solution_manifold(germ, kernel_dim=None, samples_per_dim=9):
         except NotInQuadrantError:
             continue
         keep.append(i)
-    a, w = a[keep], fixed_points(a[keep])
+    a, w = a[keep], fixed_points(germ, a[keep], 0, 1e-10, 500)
     surj = np.full(len(keep), np.inf)
     if N and keep:
         jacs = _fd.jacobian(reduced, a, N, _fd.JACOBIAN_STEP)

@@ -28,7 +28,7 @@ from .errors import (
     check_keys,
     read_config,
 )
-from .germs import germ_from_map, solve_germ
+from .germs import fixed_points, germ_from_map, solve_germ
 from .retracts import good_position_check
 from .sc_core import FiniteDimScale, PartialQuadrant, fredholm_split
 
@@ -539,7 +539,7 @@ class SolutionBranch:
     weight: Fraction
     points: list
     dimension: int
-    parametrize: object = None  # callable kernel coords -> base point
+    parametrize: object = None  # kernel rows (..., index) -> points (..., d)
     kernel_range: tuple = None
     failed_samples: int = 0  # kernel-grid points whose Picard solve failed
 
@@ -600,10 +600,8 @@ def solution_set(f, l, seed=0):
                                        radius=max(4.0 * pr, 4.0))
 
                     def parametrize(kappa, pg=pg):
-                        kappa = np.atleast_1d(kappa)
-                        wfix, _ = solve_germ(pg.germ, kappa, 0,
-                                             tol=_fd.CORRECTOR_TOL, max_iter=300)
-                        return pg.ambient(kappa, wfix)
+                        return pg.ambient(kappa, fixed_points(
+                            pg.germ, kappa, 0, _fd.CORRECTOR_TOL, 300))
 
                     kgrid = np.linspace(-pr, pr, CURVE_SAMPLES)
                     kap_rows = np.repeat(kgrid[:, None], index, axis=1)
@@ -893,7 +891,7 @@ def _transversal_search(f, cp, epsilon, seed):
                            name=f"transversal-{attempt}")
         sols = solution_set(f, tau, seed=seed + attempt + 1)
         rep = transversal_check(f, tau, sols, floor=SUSPECT_FLOOR)
-        if rep.passed and _norm_and_support_ok(tau, cp, sols, epsilon):
+        if rep.passed and _norm_ok(tau, cp, sols, epsilon) and _support_ok(tau, cp):
             return tau
         worst = rep if rep.failures else worst
     raise ExhaustedAttemptsError(
@@ -901,21 +899,20 @@ def _transversal_search(f, cp, epsilon, seed):
         report=worst)
 
 
-def _norm_and_support_ok(tau, cp, branches, epsilon):
-    for branch in branches:
-        for p in branch.points:
-            if tau.norm(cp.aux_norm, branch.chart_id, p) >= epsilon:
-                return False
-    outside = []
+def _norm_ok(tau, cp, branches, epsilon):
+    """No solution point where the auxiliary norm of tau reaches epsilon."""
+    return not any(tau.norm(cp.aux_norm, b.chart_id, p) >= epsilon
+                   for b in branches for p in b.points)
+
+
+def _support_ok(tau, cp):
+    """tau vanishes at those of 20 seeded samples per chart, within twice the
+    chart radius of its center, that fall outside the certified region."""
     rng = np.random.default_rng(123)
-    for cid, chart in tau.model.charts.items():
-        d = chart.domain.center.size
-        radius = _chart_radius(chart)
-        for _ in range(20):
-            x = chart.domain.center + 2.0 * radius * rng.uniform(-1, 1, d)
-            if not cp.region.contains(cid, x):
-                outside.append((cid, x))
-    return tau.support_inside(cp.region, outside)
+    samples = [(cid, chart.domain.center + 2.0 * _chart_radius(chart)
+                * rng.uniform(-1, 1, chart.domain.center.size))
+               for cid, chart in tau.model.charts.items() for _ in range(20)]
+    return tau.support_inside(cp.region, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -972,16 +969,13 @@ def cobordism_compare(f, tau0, tau1, cp, seed=0):
     zero. The counts are taken on the endpoint solution sets whose norm,
     support and transversality were checked.
     """
-    aux = cp.aux_norm
     endpoint_sols = []
     for tau in (tau0, tau1):
         sols = solution_set(f, tau, seed=seed)
         endpoint_sols.append(sols)
-        for branch in sols:
-            for p in branch.points:
-                if tau.norm(aux, branch.chart_id, p) >= 1.0:
-                    raise ValueError("perturbation norm violates the budget")
-        if not _norm_and_support_ok(tau, cp, sols, 1.0):
+        if not _norm_ok(tau, cp, sols, 1.0):
+            raise ValueError("perturbation norm violates the budget")
+        if not _support_ok(tau, cp):
             raise ValueError("perturbation support leaves the certified region")
         rep = transversal_check(f, tau, sols)
         if not rep.passed:

@@ -1,5 +1,4 @@
 import itertools
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -376,7 +375,9 @@ def test_repeated_pairing_trials_solve_nothing_new(monkeypatch):
     assert solves
 
 
-def test_pairing_index_one_circle():
+def circle_fixture():
+    """The unit circle x0^2 + x1^2 = 1 as the zero set of a one-fiber section
+    over the plane, with its certified control pair: a curve of index one."""
     from scfold.perturbation import (
         AuxiliaryNorm,
         BundleChart,
@@ -397,6 +398,20 @@ def test_pairing_index_one_circle():
                       name="circle")
     aux = AuxiliaryNorm(model, norm_fn=lambda cid, v: float(np.linalg.norm(v)) / 0.2)
     cp = control_pair_build(f, aux, margin=0.6, seed=50)
+    return f, cp
+
+
+def circle_curves():
+    """The solution curves of the circle's first pairing trial at seed 51."""
+    from scfold.perturbation import perturb_to_transversal, solution_set
+
+    f, cp = circle_fixture()
+    tau = perturb_to_transversal(f, cp, 0.1, seed=51)
+    return [b for b in solution_set(f, tau, seed=52) if b.parametrize]
+
+
+def test_pairing_index_one_circle():
+    f, cp = circle_fixture()
     assert cp.certified
 
     def dtheta(x, v):
@@ -409,6 +424,40 @@ def test_pairing_index_one_circle():
     # closed-form line integral: winding number of the circle is one, but the
     # kernel patch covers a bounded arc; compare trials against each other
     assert rep.spread <= 1e-6
+
+
+def test_circle_parametrize_rows_match_one_row_calls():
+    curves = circle_curves()
+    assert curves
+    for b in curves:
+        kappa = np.repeat(np.linspace(*b.kernel_range, 9)[:, None], b.dimension, 1)
+        rows = b.parametrize(kappa)
+        assert rows.shape == (9, 2)
+        assert np.array_equal(rows, np.stack([b.parametrize(k) for k in kappa]))
+        grid = b.parametrize(kappa.reshape(3, 3, b.dimension))
+        assert np.array_equal(grid, rows.reshape(3, 3, 2))
+
+
+def test_solution_curve_integral_makes_one_solve_per_chart_call(monkeypatch):
+    # the curve cell has no jac, so integrate calls its chart three times
+    # (the nodes and the two difference steps), each one Picard solve over
+    # the 12 + 11 Gauss nodes of order 12
+    from scfold import germs, perturbation
+
+    b = circle_curves()[0]
+    calls = []
+    solve_germ = germs.solve_germ
+
+    def counting(germ, a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return solve_germ(germ, a, *args, **kwargs)
+
+    for module in (germs, perturbation):
+        monkeypatch.setattr(module, "solve_germ", counting)
+    curve = curve_branch(lambda t: b.parametrize(np.repeat(t, b.dimension, axis=-1)),
+                         *b.kernel_range)
+    integrate(family(curve), x_dy(), order=12)
+    assert calls == [(23, 1)] * 3
 
 
 def test_pairing_point_branch_building_blocks():
@@ -455,7 +504,7 @@ def rich_form():
 
 
 def unit_circle(t):
-    return np.array([math.cos(t), math.sin(t)])
+    return np.concatenate([np.cos(t), np.sin(t)], axis=-1)
 
 
 def config_family():

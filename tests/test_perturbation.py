@@ -16,6 +16,7 @@ from scfold._fd import (
 from scfold.errors import (
     BiLevelError,
     ExhaustedAttemptsError,
+    NonConvergenceError,
     NotASolutionError,
     UnchartedPointError,
 )
@@ -1271,6 +1272,28 @@ def test_cobordism_support_violation_refused():
         cobordism_compare(f, bad, bad, cp)
 
 
+def test_cobordism_norm_budget_refused():
+    # the fold meets the constant 0.05 at x = +-0.22, where the branch's
+    # auxiliary norm is 0.05 / 0.04 >= 1
+    model = finite_model()
+    f = fold_section(model)
+    cp = control_pair_build(f, scaled_aux(model), margin=0.5, seed=17)
+    big = Multisection(model, [(const_branch(model, [0.05]), Fraction(1))])
+    with pytest.raises(ValueError, match="norm violates the budget"):
+        cobordism_compare(f, big, big, cp)
+
+
+def test_cobordism_degenerate_endpoint_refused():
+    # the zero multisection solves the zero section at every point, where
+    # its linearization is zero
+    model = finite_model()
+    cp = control_pair_build(fold_section(model), scaled_aux(model), margin=0.5,
+                            seed=17)
+    zero = Multisection.zero(model)
+    with pytest.raises(ValueError, match="not transversal"):
+        cobordism_compare(zero_section(model), zero, zero, cp)
+
+
 # ----------------------------------------------------- weighted count details
 
 def test_weighted_count_signs():
@@ -1463,20 +1486,50 @@ def test_failed_curve_samples_are_counted():
     assert spanned[0].parametrize is None
 
 
+def porkbarrel_curves():
+    """The curve branches of the porkbarrel scenario's solve at seed 0."""
+    model, section = _porkbarrel_bundle()
+    aux = AuxiliaryNorm(model, norm_fn=lambda cid, v: float(np.linalg.norm(v)) / 0.02)
+    cp = control_pair_build(section, aux, margin=0.5, seed=0)
+    tau = perturb_to_transversal(section, cp, 0.1, seed=0)
+    return [b for b in solution_set(section, tau, seed=1) if b.parametrize]
+
+
 def test_branch_parametrize_evaluates_its_own_chart():
     # the porkbarrel scenario's solve at seed 0: its spanned branch is a
     # curve, and the model's last chart, "collapsed", has an empty fiber, so
     # a parametrize that read the loop's last chart id after solution_set
     # returned would evaluate f - s there
-    model, section = _porkbarrel_bundle()
-    aux = AuxiliaryNorm(model, norm_fn=lambda cid, v: float(np.linalg.norm(v)) / 0.02)
-    cp = control_pair_build(section, aux, margin=0.5, seed=0)
-    tau = perturb_to_transversal(section, cp, 0.1, seed=0)
-    curves = [b for b in solution_set(section, tau, seed=1) if b.parametrize]
+    curves = porkbarrel_curves()
     assert [b.chart_id for b in curves] == ["spanned"]
     for b in curves:
         first = b.parametrize(np.full(b.dimension, b.kernel_range[0]))
         assert np.array_equal(first, b.points[0])
+
+
+def test_branch_parametrize_rows_match_one_row_calls():
+    b, = porkbarrel_curves()
+    kappa = np.linspace(*b.kernel_range, 7)[:, None]
+    rows = b.parametrize(kappa)
+    assert rows.shape == (7, 2)
+    assert np.array_equal(rows, np.stack([b.parametrize(k) for k in kappa]))
+
+
+def test_branch_parametrize_raises_the_first_failing_row():
+    # off the kernel range the Picard iterates blow up, after a number of
+    # sweeps that depends on kappa, so each failing row has its own message
+    b, = porkbarrel_curves()
+    kappa = np.array([[b.kernel_range[0]], [0.1], [-1.0], [b.kernel_range[1]]])
+    messages = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in kappa[1:3]:
+            with pytest.raises(NonConvergenceError) as one:
+                b.parametrize(k)
+            messages.append(str(one.value))
+        with pytest.raises(NonConvergenceError) as rows:
+            b.parametrize(kappa)
+    assert messages[0] != messages[1]
+    assert str(rows.value) == messages[0]
 
 
 def _library_sections():
