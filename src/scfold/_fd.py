@@ -40,6 +40,8 @@ CORRECTOR_TOL = 1e-11
 # relative singular-value cutoff of the minimum-norm Gauss-Newton step:
 # singular values at most GAUSS_NEWTON_RCOND * sigma_0 count as zero
 GAUSS_NEWTON_RCOND = 1e-12
+# the line search's step fractions after the full step, as an (11, 1) column
+HALVINGS = 0.5 ** np.arange(1, 12)[:, None]
 
 
 def fornberg_weights(z, x, m):
@@ -239,12 +241,16 @@ def gauss_newton(fn, x0, out_dim, max_iter=80, jac=None):
     fn maps an (n, d) array of rows to their (n, out_dim) values, and
     jac(x, h) to their (n, out_dim, d) Jacobians for the per-row difference
     steps h = 1e-7 (1 + |x|), by default the central differences of fn. Each
-    row keeps its own iteration count, step cap and 12-halving line search,
-    and stops when its residual is at most CORRECTOR_TOL, its line search
-    fails or its Jacobian is not finite. Returns the last accepted point of
-    every row and the norm of fn there; fn is evaluated only at rows still
-    searching, once per accepted point, the line search's value being
-    carried forward.
+    row keeps its own iteration count, step cap and line search, and stops
+    when its residual is at most CORRECTOR_TOL, its line search fails or its
+    Jacobian is not finite. Each step makes at most two fn calls: the full
+    step at the live rows, then at once the halvings t = 2^-1 ... 2^-11 of
+    the rows it did not improve; a row takes its first t that lowers its
+    residual, the point of a search by one halving at a time, bit for bit.
+    Every candidate lies on the segment from a row's point to its full step,
+    both evaluated before, so a fn that raises only outside a convex set
+    raises at none. Returns the last accepted point of every row and the
+    norm of fn there; the line search's value is carried forward.
     """
     if jac is None:
         def jac(z, h):
@@ -270,24 +276,24 @@ def gauss_newton(fn, x0, out_dim, max_iter=80, jac=None):
             sn = norms(step)
             over = sn > cap
             step[over] *= (cap[over] / sn[over])[:, None]
-            # rows of live whose line search is still running, as indices
-            # into live and step; every row of one search halves together
-            search = np.arange(live.size)
-            t = 1.0
-            for _ in range(12):
-                rows = live[search]
-                cand = x[rows] - t * step[search]
-                cand_val = fn(cand)
-                cand_res = norms(cand_val)
-                better = cand_res < res[rows]
-                won = rows[better]
-                x[won], val[won], res[won] = (cand[better], cand_val[better],
-                                              cand_res[better])
-                search = search[~better]
-                if not search.size:
-                    break
-                t *= 0.5
-            live = np.delete(live, search)
+            # the full step, then every halving of the rows it did not improve
+            cand = x[live] - step
+            cval = fn(cand)
+            cres = norms(cval)
+            better = cres < res[live]
+            won = live[better]
+            x[won], val[won], res[won] = cand[better], cval[better], cres[better]
+            rows, step = live[~better], step[~better]
+            if rows.size:
+                cand = np.concatenate(x[rows, None] - HALVINGS * step[:, None])
+                cval = fn(cand)
+                cres = norms(cval)
+                better = cres.reshape(-1, len(HALVINGS)) < res[rows, None]
+                hit = better.any(axis=1)
+                pick = np.flatnonzero(hit) * len(HALVINGS) + better.argmax(axis=1)[hit]
+                won = rows[hit]
+                x[won], val[won], res[won] = cand[pick], cval[pick], cres[pick]
+                live = live[~np.isin(live, rows[~hit])]
     return x, res
 
 

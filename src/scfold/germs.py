@@ -125,7 +125,8 @@ class SolveInfo:
 
 def solve_germ(germ, a, m, tol=1e-12, max_iter=500):
     """Fixed points of w -> B(a, w) at level m from the zero initial guess, at
-    each row of the (n, base_dim) parameters a; a 1-D a is the one row.
+    each row of the (n, base_dim) parameters a; a 1-D a is the one row, and
+    any other shape raises ValueError.
 
     Picard iteration mirrors the contraction argument. A row fails with
     ValueError outside the validity radius, and with NonConvergenceError when
@@ -135,6 +136,9 @@ def solve_germ(germ, a, m, tol=1e-12, max_iter=500):
     its error; rows return their (n, dim) last iterates and info.errors.
     """
     rows = np.atleast_2d(np.asarray(a, dtype=float))
+    if rows.ndim > 2 or rows.shape[1] != germ.base_dim:
+        raise ValueError(f"parameters a of shape {np.shape(a)}; rows need shape "
+                         f"({germ.base_dim},) or (n, {germ.base_dim})")
     n, epsm = len(rows), germ.eps[m]
     w, errors = np.zeros((n, germ.fiber.dim(m))), [None] * n
     steps, residual, b0 = np.zeros(n, dtype=int), np.full(n, np.nan), np.full(n, np.nan)

@@ -518,14 +518,14 @@ def _seeded_zeros(fn, jac, chart, count, rng):
     starts = (chart.domain.center
               + _chart_radius(chart) * rng.uniform(-1, 1, (count, d)))
     xs, res = _fd.gauss_newton(fn, starts, chart.fiber_dim(), jac=jac)
-    found = []
-    for x_sol in xs[res <= CORRECTOR_ACCEPT_TOL]:
-        if not chart.domain.contains(x_sol, 0):
-            continue
-        if any(np.linalg.norm(x_sol - y) < 1e-5 for y in found):
-            continue
-        found.append(x_sol)
-    return found
+    zs = xs[res <= CORRECTOR_ACCEPT_TOL]
+    zs = zs[[chart.domain.contains(x, 0) for x in zs]]
+    near = _fd.norms(zs[:, None] - zs[None]) < 1e-5
+    keep = []
+    for i in range(len(zs)):
+        if not near[i, keep].any():
+            keep.append(i)
+    return list(zs[keep])
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -787,6 +789,14 @@ def test_pointwise_b_fn_on_rows_raises():
     with pytest.raises(ValueError, match=r"germ b_fn returned shape \(2,\) for rows "
                                          r"a of shape \(3, 1\); rows need shape \(3, 2\)"):
         solve_germ(g, np.zeros((3, 1)), 0)
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 1), (3, 2), (2,)])
+def test_solve_germ_rejects_parameters_of_another_shape(shape):
+    g = BasicGerm(1, 0, 0, FiniteDimScale(1), lambda a, w, m: 0.5 * w, eps=(0.5,))
+    with pytest.raises(ValueError, match=re.escape(
+            f"parameters a of shape {shape}; rows need shape (1,) or (n, 1)")):
+        solve_germ(g, np.zeros(shape), 0)
 
 
 def test_pointwise_residue_fn_on_rows_raises():

@@ -579,7 +579,10 @@ def scalar_min_norm_step(jac, val):
     return np.linalg.lstsq(jac, val, rcond=GAUSS_NEWTON_RCOND)[0]
 
 
-def scalar_gauss_newton(fn, x0, out_dim, tol=1e-11, max_iter=80, jac=None):
+def scalar_gauss_newton(fn, x0, out_dim, tol=1e-11, max_iter=80, jac=None,
+                        searches=None):
+    """One start, one halving at a time; searches, when given, gets the
+    number of candidates each line search evaluated (1 to 12)."""
     if jac is None:
         def jac(z, h):
             return _fd.jacobian(fn, z, out_dim, h)
@@ -600,16 +603,18 @@ def scalar_gauss_newton(fn, x0, out_dim, tol=1e-11, max_iter=80, jac=None):
             if sn > cap:
                 step *= cap / sn
             t = 1.0
-            for _ in range(12):
+            for k in range(1, 13):
                 cand = x - t * step
                 cand_val = np.atleast_1d(fn(cand))
                 cand_res = scalar_norm(cand_val)
                 if cand_res < res:
-                    x, val, res = cand, cand_val, cand_res
                     break
                 t *= 0.5
-            else:
+            if searches is not None:
+                searches.append(k)
+            if not cand_res < res:
                 break
+            x, val, res = cand, cand_val, cand_res
     return x, res
 
 
@@ -857,7 +862,7 @@ def test_batched_gauss_newton_matches_scalar_reference(out_dim, max_iter,
                                                        analytic):
     fn, jac, starts = MIXED_BATCHES[out_dim]
     jac = jac if analytic else None
-    rows = [0, 0]
+    rows, searches = [0, 0], []
 
     def counted(x, k):
         rows[k] += _rows(x)
@@ -867,11 +872,16 @@ def test_batched_gauss_newton_matches_scalar_reference(out_dim, max_iter,
                             max_iter=max_iter, jac=jac)
     for x, r, x0 in zip(xs, res, starts, strict=True):
         x_ref, res_ref = scalar_gauss_newton(lambda z: counted(z, 1), x0,
-                                             out_dim, max_iter=max_iter, jac=jac)
+                                             out_dim, max_iter=max_iter, jac=jac,
+                                             searches=searches)
         assert np.array_equal(x, x_ref)
         assert np.array_equal(r, res_ref, equal_nan=True)
-    # only rows still searching are evaluated: as many as one at a time
-    assert rows[0] == rows[1]
+    # the batch evaluates the rows one start at a time does, except that a
+    # line search past t = 1 evaluates all 11 halvings: the initial rows, one
+    # row per step, 11 per search past the full step, and the same Jacobians
+    past = [k for k in searches if k > 1]
+    assert past and len(past) < len(searches)
+    assert rows[0] == rows[1] + sum(12 - k for k in past)
     # the batch holds rows that stall, overflow, end on a Jacobian that is not
     # a number and, given the iterations, converge
     nan_rows = np.isnan(res)
@@ -879,6 +889,56 @@ def test_batched_gauss_newton_matches_scalar_reference(out_dim, max_iter,
     assert (np.isfinite(res) & (res > 1e300)).any()
     if max_iter == 80:
         assert (res <= CORRECTOR_ACCEPT_TOL).any()
+
+
+@pytest.mark.parametrize("out_dim", [1, 2])
+def test_gauss_newton_makes_two_calls_per_step(out_dim):
+    # the start, then per step one Jacobian and at most two fn calls: the
+    # full step and every halving at once
+    fn, jac, starts = MIXED_BATCHES[out_dim]
+    log = []
+
+    def logged(k, f, *args):
+        log.append(k)
+        return f(*args)
+
+    _gauss_newton(lambda z: logged("f", fn, z), starts, out_dim,
+                  jac=lambda z, h: logged("j", jac, z, h))
+    searches = []
+    for x0 in starts:
+        scalar_gauss_newton(fn, x0, out_dim, jac=jac, searches=searches)
+    assert max(searches) > 2  # one halving at a time would call fn more often
+    steps = "".join(log).split("j")
+    assert steps[0] == "f" and max(map(len, steps[1:])) <= 2
+    assert log.count("f") <= 1 + 2 * log.count("j")
+
+
+def _quarter_step(x):
+    # from x = 0 the Newton step is x = 1; t = 1 and 1/2 do not lower |fn| = 1,
+    # t = 1/4 does, and t = 1/8 lowers it further
+    return 1.0 - x + 3.0 * x ** 2
+
+
+def _quarter_step_jac(x, h):
+    return (6.0 * x - 1.0)[..., None]
+
+
+@pytest.mark.parametrize("max_iter", [1, 80])
+def test_gauss_newton_takes_the_first_halving_that_improves(max_iter):
+    rows = [0]
+
+    def counted(x):
+        rows[0] += _rows(x)
+        return _quarter_step(x)
+
+    (x,), (res,) = _gauss_newton(counted, np.zeros((1, 1)), 1, max_iter=max_iter,
+                                 jac=_quarter_step_jac)
+    x_ref, res_ref = scalar_gauss_newton(_quarter_step, np.zeros(1), 1,
+                                         max_iter=max_iter, jac=_quarter_step_jac)
+    assert np.array_equal(x, x_ref) and res == res_ref
+    if max_iter == 1:
+        assert x[0] == 0.25 and res == 0.9375 > _quarter_step(0.125)
+        assert rows[0] == 1 + 1 + 11  # the start, the full step, 11 halvings
 
 
 def _reference_charts():
