@@ -213,8 +213,9 @@ def min_norm_step(jac, val):
     most GAUSS_NEWTON_RCOND * sigma_0 counting as zero.
 
     A single row has the one singular value |row|, which the relative cutoff
-    never drops, so its step is row * val / |row|^2 (zero for a zero row),
-    taken for all rows at once; taller Jacobians are solved one by one.
+    never drops, so its step is row * val / |row|^2 (zero for a zero row,
+    empty for an empty one), taken for all rows at once; taller Jacobians
+    are solved one by one.
     """
     if jac.shape[1] != 1:
         return np.array([np.linalg.lstsq(j, v, rcond=GAUSS_NEWTON_RCOND)[0]
@@ -225,7 +226,7 @@ def min_norm_step(jac, val):
         step = row * (v / sq)[:, None]
     # zero, or a square that under- or overflows: rescale by the largest entry
     for i in np.flatnonzero(~((1e-300 < sq) & (sq < math.inf))):
-        big = np.abs(row[i]).max()
+        big = np.abs(row[i]).max(initial=0.0)
         step[i] = 0.0
         if big:
             r = row[i] / big
@@ -280,10 +281,10 @@ def gauss_newton(fn, x0, out_dim, max_iter=80, jac=None):
             cand = x[live] - step
             cval = fn(cand)
             cres = norms(cval)
-            better = cres < res[live]
-            won = live[better]
-            x[won], val[won], res[won] = cand[better], cval[better], cres[better]
-            rows, step = live[~better], step[~better]
+            stay = cres < res[live]
+            won = live[stay]
+            x[won], val[won], res[won] = cand[stay], cval[stay], cres[stay]
+            rows, step = live[~stay], step[~stay]
             if rows.size:
                 cand = np.concatenate(x[rows, None] - HALVINGS * step[:, None])
                 cval = fn(cand)
@@ -293,7 +294,8 @@ def gauss_newton(fn, x0, out_dim, max_iter=80, jac=None):
                 pick = np.flatnonzero(hit) * len(HALVINGS) + better.argmax(axis=1)[hit]
                 won = rows[hit]
                 x[won], val[won], res[won] = cand[pick], cval[pick], cres[pick]
-                live = live[~np.isin(live, rows[~hit])]
+                stay[~stay] = hit  # a row that no halving improved leaves
+                live = live[stay]
     return x, res
 
 

@@ -9,6 +9,7 @@ instead of tie-breaking silently.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -271,24 +272,32 @@ class TangentBasis:
     singular_values: np.ndarray
 
 
+@functools.lru_cache(maxsize=8)
+def _probe_block(d, seed):
+    """The 24 seeded unit columns (d, 24) that retract_tangent_basis sketches
+    Dr(x) on; cached, so read-only."""
+    probes = np.random.default_rng(seed).standard_normal((d, 24))
+    probes /= np.linalg.norm(probes, axis=0)
+    probes.flags.writeable = False
+    return probes
+
+
 def retract_tangent_basis(r, x, seed=0):
     """Orthonormal basis of the image of Dr(x); its dimension is the local
     retract dimension.
 
     In ambient dimension up to 64, Dr(x) is applied to the full coordinate
-    basis. Otherwise it is sketched on 24 seeded random directions, and a
-    sketch whose rank fills all 24 has not seen the whole image, so Dr(x) is
-    then applied to the full coordinate basis after all. Each matrix is one
-    r.derivative call (the supplied dfn, else centered differences); the rank
-    decision applies the guard band and raises AmbiguousRankError when
-    undecidable.
+    basis. Otherwise it is sketched on 24 seeded random directions
+    (_probe_block), and a sketch whose rank fills all 24 has not seen the
+    whole image, so Dr(x) is then applied to the full coordinate basis after
+    all. Each matrix is one r.derivative call (the supplied dfn, else
+    centered differences); the rank decision applies the guard band and
+    raises AmbiguousRankError when undecidable.
     """
     x = np.asarray(x, dtype=float)
     d = x.size
     if d > 64:
-        rng = np.random.default_rng(seed)
-        probes = rng.standard_normal((d, 24))
-        probes /= np.linalg.norm(probes, axis=0)
+        probes = _probe_block(d, seed)
         basis, sing = _fd.orthonormal_columns(r.derivative(x, probes.T).T)
         if basis.shape[1] < probes.shape[1]:
             return TangentBasis(basis, basis.shape[1], sing)

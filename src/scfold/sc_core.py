@@ -43,6 +43,10 @@ class ScScale:
     def norm(self, coeffs, level):
         raise NotImplementedError
 
+    def norms(self, rows, level):
+        """Level norms of the rows of a (k, dim) block, one norm call per row."""
+        return np.array([self.norm(r, level) for r in rows], dtype=float)
+
     def check_level(self, level):
         if not (0 <= level <= self.max_level):
             raise LevelRangeError(
@@ -192,10 +196,24 @@ class WeightedGridScale(ScScale):
         return self._diff_cache[order]
 
     def derivatives(self, coeffs, max_order):
+        """[u, D_1 u, ..., D_max_order u] of a vector or of the rows of a block,
+        one sparse product per order, a block's as C-contiguous rows."""
         u = np.asarray(coeffs, dtype=float)
+        columns = np.ascontiguousarray(u.T)  # transposed once for every order
         out = [u]
         for k in range(1, max_order + 1):
-            out.append(self.diff(k) @ u)
+            out.append(np.ascontiguousarray((self.diff(k) @ columns).T))
+        return out
+
+    def energies(self, derivs, level):
+        """The terms quad_weights * (D_k u * w_level)**2, k <= orders[level],
+        whose sums make up |u|_level^2, from derivs = derivatives(u, k_max)."""
+        w = self._weight(level)
+        out = []
+        for v in derivs[:self.orders[level] + 1]:
+            e = v * w
+            np.square(e, out=e)
+            out.append(np.multiply(e, self.quad_weights, out=e))
         return out
 
     def norm(self, coeffs, level):
@@ -203,11 +221,14 @@ class WeightedGridScale(ScScale):
         u = np.asarray(coeffs, dtype=float)
         if u.shape != (self.n,):
             raise ValueError(f"expected {self.n} grid values, got shape {u.shape}")
-        w = self._weight(level)
-        total = 0.0
-        for v in self.derivatives(u, self.orders[level]):
-            total += float(np.sum(self.quad_weights * (v * w) ** 2))
-        return float(np.sqrt(total))
+        return float(_root_energy(self.energies(self.derivatives(u, self.orders[level]), level)))
+
+    def norms(self, rows, level):
+        self.check_level(level)
+        u = np.asarray(rows, dtype=float)
+        if u.ndim != 2 or u.shape[1] != self.n:
+            raise ValueError(f"expected rows of {self.n} grid values, got shape {u.shape}")
+        return _root_energy(self.energies(self.derivatives(u, self.orders[level]), level))
 
     def inner0(self, a, b):
         """Level-0 (unweighted) discrete inner product along the last axis:
@@ -247,15 +268,20 @@ class WeightedGridScale(ScScale):
     def tail_fraction(self, coeffs, level, window_fraction):
         """Share of the level norm's energy outside |s| > window_fraction * R."""
         u = np.asarray(coeffs, dtype=float)
-        w = self._weight(level)
+        e = self.energies(self.derivatives(u, self.orders[level]), level)
+        return float(self.tail_fractions(e, window_fraction))
+
+    def tail_fractions(self, energies, window_fraction):
+        """tail_fraction of each row of energies(...), 0 for a row of no
+        energy. A row's outside entries are summed as one contiguous row, as
+        a vector's are: the strided e[:, outside] sums in another order."""
         outside = np.abs(self.grid) > window_fraction * self.R
-        total = 0.0
-        tail = 0.0
-        for v in self.derivatives(u, self.orders[level]):
-            e = self.quad_weights * (v * w) ** 2
-            total += e.sum()
-            tail += e[outside].sum()
-        return float(tail / total) if total > 0 else 0.0
+        total = tail = 0.0
+        for e in energies:
+            total = total + e.sum(axis=-1)
+            tail = tail + e.compress(outside, axis=-1).sum(axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(total > 0, tail / total, 0.0)
 
     def regularity_ratio_threshold(self):
         return (np.pi / self.h) ** (2.0 / 3.0)
@@ -264,6 +290,15 @@ class WeightedGridScale(ScScale):
         return (
             f"WeightedGridScale(R={self.R}, h={self.h}, deltas={self.deltas})"
         )
+
+
+def _root_energy(energies):
+    """sqrt of the terms of WeightedGridScale.energies, each summed along the
+    grid, the sums added in order of derivative."""
+    total = 0.0
+    for e in energies:
+        total = total + e.sum(axis=-1)
+    return np.sqrt(total)
 
 
 class CircleGridScale(ScScale):
@@ -492,6 +527,10 @@ def degeneracy_index(quadrant, x, tol=None):
     return int(np.sum(vals <= tol))
 
 
+# the window fractions of embedding_report's tail profile
+TAIL_WINDOWS = (0.25, 0.5, 0.75)
+
+
 @dataclass
 class EmbeddingReport:
     scale: ScScale
@@ -513,26 +552,27 @@ def embedding_report(scale, m, sample_count=64, seed=0):
 
     A desk-scale stand-in for the compactness of the inclusion: the constant is
     measured, the tail profile shows where level-(m+1)-unit mass can hide.
+    The samples are the rows of one seeded (sample_count, dim) draw scaled
+    to level-(m+1) norm 1 (rows of norm 0 dropped); a grid scale
+    differentiates the scaled block once per order for both norms and the
+    tail shares.
     """
     scale.check_level(m + 1)
-    rng = np.random.default_rng(seed)
     c = scale.embedding_constant(m)
-    ratios = []
-    tails = {0.25: [], 0.5: [], 0.75: []}
-    for _ in range(sample_count):
-        v = rng.standard_normal(scale.dim(m + 1))
-        hi = scale.norm(v, m + 1)
-        if hi == 0.0:
-            continue
-        v = v / hi
-        ratios.append(scale.norm(v, m) / scale.norm(v, m + 1))
-        if isinstance(scale, WeightedGridScale):
-            for frac in tails:
-                tails[frac].append(scale.tail_fraction(v, m, frac))
-    ratios = np.asarray(ratios)
-    tail_profile = {
-        frac: (float(np.max(vals)) if vals else None) for frac, vals in tails.items()
-    }
+    v = np.random.default_rng(seed).standard_normal((sample_count, scale.dim(m + 1)))
+    hi = scale.norms(v, m + 1)
+    keep = hi != 0.0
+    v = v[keep] / hi[keep, None]
+    tail_profile = dict.fromkeys(TAIL_WINDOWS)
+    if isinstance(scale, WeightedGridScale):
+        derivs = scale.derivatives(v, max(scale.orders[m], scale.orders[m + 1]))
+        lo = scale.energies(derivs, m)
+        ratios = _root_energy(lo) / _root_energy(scale.energies(derivs, m + 1))
+        if len(v):
+            tail_profile = {frac: float(scale.tail_fractions(lo, frac).max())
+                            for frac in TAIL_WINDOWS}
+    else:
+        ratios = scale.norms(v, m) / scale.norms(v, m + 1)
     max_ratio = float(ratios.max()) if ratios.size else 0.0
     violation = max_ratio > c * (1.0 + 1e-9)
     return EmbeddingReport(scale, m, c, max_ratio, ratios, tail_profile, violation)

@@ -107,6 +107,15 @@ def test_gauss01_cached_and_read_only(order):
             arr *= 2.0
 
 
+@pytest.mark.parametrize("out_dim", [1, 2])
+def test_gauss_newton_on_a_zero_dimensional_domain_stays_put(out_dim):
+    # an empty row is a zero row: its minimum-norm step is empty
+    assert _fd.min_norm_step(np.zeros((3, out_dim, 0)), np.ones((3, out_dim))).shape == (3, 0)
+    x, res = _fd.gauss_newton(lambda x: np.ones((len(x), out_dim)), np.zeros((3, 0)), out_dim)
+    assert x.shape == (3, 0)
+    assert np.array_equal(res, np.full(3, np.sqrt(out_dim)))
+
+
 @pytest.mark.parametrize("rel,rank", [(1e-11, 1), (1e-7, 2)])
 def test_numerical_rank_decides_outside_the_guard_band(rel, rank):
     # below the band a relative singular value counts as zero, above it as one

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from scfold import _fd
 from scfold.errors import (
     AmbiguousRankError,
     ImageMismatchError,
@@ -9,6 +10,7 @@ from scfold.errors import (
     WindowExitError,
 )
 from scfold.retracts import (
+    _probe_block,
     BrokenPathDemo,
     LocalScModel,
     Retraction,
@@ -257,6 +259,50 @@ def test_saturated_sketch_falls_back_to_the_full_basis():
                        lambda x, h: h)
     tb = retract_tangent_basis(ident, np.linspace(0.0, 1.0, 100))
     assert tb.dimension == 100
+
+
+def reference_tangent_basis(r, x, seed=0):
+    """retract_tangent_basis with a fresh probe draw on every call."""
+    d = x.size
+    if d > 64:
+        probes = np.random.default_rng(seed).standard_normal((d, 24))
+        probes /= np.linalg.norm(probes, axis=0)
+        basis, sing = _fd.orthonormal_columns(r.derivative(x, probes.T).T)
+        if basis.shape[1] < 24:
+            return basis, basis.shape[1], sing
+    basis, sing = _fd.orthonormal_columns(r.derivative(x, np.eye(d)).T)
+    return basis, basis.shape[1], sing
+
+
+def test_probe_block_is_shared_and_read_only():
+    probes = _probe_block(100, 3)
+    assert _probe_block(100, 3) is probes
+    assert probes.shape == (100, 24)
+    with pytest.raises(ValueError, match="read-only"):
+        probes[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        probes /= 2.0
+    fresh = np.random.default_rng(3).standard_normal((100, 24))
+    assert np.array_equal(probes, fresh / np.linalg.norm(fresh, axis=0))
+
+
+@pytest.mark.parametrize("case", ["sketch s>0", "sketch s<0", "full-basis fallback"])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_tangent_basis_equals_fresh_probe_reference(bump, bump_retraction, case, seed):
+    if case == "full-basis fallback":  # 24 probes of the identity have rank 24
+        r = Retraction(whole_scale_domain(FiniteDimScale(100)), lambda x: x,
+                       lambda x, h: h)
+        x = np.linspace(0.0, 1.0, 100)
+    else:
+        s = 1.0 if case == "sketch s>0" else -0.5
+        r, x = bump_retraction, on_retract_point(bump, s, 0.7)
+    for _ in range(2):  # the second call reads the cached block
+        tb = retract_tangent_basis(r, x, seed)
+        basis, dimension, sing = reference_tangent_basis(r, x, seed)
+        assert tb.dimension == dimension
+        assert np.array_equal(tb.basis, basis)
+        assert np.array_equal(tb.singular_values, sing)
+    assert len(sing) == (100 if case == "full-basis fallback" else 24)
 
 
 def squeezed_retraction():

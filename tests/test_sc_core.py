@@ -132,6 +132,96 @@ def test_inner0_rows_equal_one_row_products():
     assert type(scale.inner0(f, block[0])) is float
 
 
+def reference_norm(scale, v, level):
+    """The level norm of one grid vector: one matvec and one sum per order."""
+    if not isinstance(scale, WeightedGridScale):
+        return scale.norm(v, level)
+    return float(np.sqrt(sum(reference_energy_sums(scale, v, level, None))))
+
+
+def reference_energy_sums(scale, v, level, outside):
+    w = np.exp(scale.deltas[level] * np.abs(scale.grid))
+    sums = []
+    for k in range(scale.orders[level] + 1):
+        e = scale.quad_weights * (((scale.diff(k) @ v) if k else v) * w) ** 2
+        sums.append(float(np.sum(e if outside is None else e[outside])))
+    return sums
+
+
+def reference_tail_fraction(scale, v, level, frac):
+    total = sum(reference_energy_sums(scale, v, level, None))
+    outside = np.abs(scale.grid) > frac * scale.R
+    tail = sum(reference_energy_sums(scale, v, level, outside))
+    return tail / total if total > 0 else 0.0
+
+
+def reference_embedding_report(scale, m, sample_count, seed):
+    """embedding_report as a loop over samples: one draw, three norms and
+    three tail fractions per sample. Returns ratios and tail profile."""
+    rng = np.random.default_rng(seed)
+    ratios = []
+    tails = {0.25: [], 0.5: [], 0.75: []}
+    for _ in range(sample_count):
+        v = rng.standard_normal(scale.dim(m + 1))
+        hi = reference_norm(scale, v, m + 1)
+        if hi == 0.0:
+            continue
+        v = v / hi
+        ratios.append(reference_norm(scale, v, m) / reference_norm(scale, v, m + 1))
+        if isinstance(scale, WeightedGridScale):
+            for frac in tails:
+                tails[frac].append(reference_tail_fraction(scale, v, m, frac))
+    return np.asarray(ratios), {f: max(t) if t else None for f, t in tails.items()}
+
+
+@pytest.mark.parametrize("args, kwargs, m, seed, count", [
+    # a block's outside entries e[:, outside] are strided; summed that way,
+    # tail 0.75 of the first case differs in its last bit
+    pytest.param((4.0, 0.25, (0.0, 0.1)), {}, 0, 0, 64, id="R4-m0-seed0"),
+    pytest.param((4.0, 0.25, (0.0, 0.1)), {}, 0, 5, 64, id="R4-m0-seed5"),
+    pytest.param((64.0, 1 / 16, (0.0, 0.01, 0.02, 0.03)), {}, 2, 0, 64, id="porkbarrel-m2"),
+    pytest.param((8.0, 1 / 8, (0.0, 0.1, 0.2, 0.3)), {}, 1, 2, 40, id="R8-m1"),
+    pytest.param((8.0, 1 / 8, (0.0, 0.1, 0.2, 0.3)), {"orders": (0, 2, 1, 3)}, 1, 1, 16,
+                 id="orders-0213-m1"),
+    pytest.param((8.0, 1 / 8, (0.0, 0.1, 0.2, 0.3)), {"orders": (0, 2, 1, 3)}, 2, 3, 16,
+                 id="orders-0213-m2"),
+    pytest.param((4.0, 0.25, (0.0, 0.1)), {}, 0, 0, 0, id="no-samples"),
+])
+def test_embedding_report_equals_per_sample_loop(args, kwargs, m, seed, count):
+    scale = WeightedGridScale(*args, **kwargs)
+    rep = embedding_report(scale, m, sample_count=count, seed=seed)
+    ratios, tails = reference_embedding_report(scale, m, count, seed)
+    assert np.array_equal(rep.ratios, ratios)
+    assert rep.tail_profile == tails
+    assert rep.max_ratio == (ratios.max() if count else 0.0)
+
+
+@pytest.mark.parametrize("scale", [FiniteDimScale(5, max_level=2),
+                                   CircleGridScale(16, max_level=2),
+                                   direct_sum(FiniteDimScale(2), CircleGridScale(8))],
+                         ids=["finite", "circle", "sum"])
+def test_embedding_report_of_other_scales_equals_per_sample_loop(scale):
+    rep = embedding_report(scale, 1, sample_count=12, seed=4)
+    ratios, tails = reference_embedding_report(scale, 1, 12, 4)
+    assert np.array_equal(rep.ratios, ratios)
+    assert rep.tail_profile == tails == dict.fromkeys((0.25, 0.5, 0.75))
+
+
+def test_grid_norms_and_tail_fraction_equal_one_vector_sums():
+    scale = WeightedGridScale(8.0, 1 / 8, (0.0, 0.1, 0.2, 0.3), orders=(0, 2, 1, 3))
+    block = np.random.default_rng(6).standard_normal((9, scale.n))
+    for level in range(scale.max_level + 1):
+        ref = [reference_norm(scale, v, level) for v in block]
+        assert np.array_equal(scale.norms(block, level), ref)
+        assert [scale.norm(v, level) for v in block] == ref
+        assert type(scale.norm(block[0], level)) is float
+        for frac in (0.25, 0.75):
+            assert scale.tail_fraction(block[0], level, frac) == \
+                reference_tail_fraction(scale, block[0], level, frac)
+    with pytest.raises(ValueError, match="rows of"):
+        scale.norms(block[0], 0)
+
+
 def test_embedding_report_grid_ratios_below_recorded_constant():
     scale = WeightedGridScale(4.0, 1 / 16, (0.0, 0.1, 0.2))
     rep = embedding_report(scale, 0, sample_count=64, seed=3)
