@@ -96,16 +96,9 @@ def contraction_verify(germ, m, sample_count=200, seed=0):
             nw = germ.fiber.norm(w, m)
             if nw > 0:
                 w *= rho * rng.uniform(0.0, 1.0) / nw
-    dw = _norms(germ.fiber, w1 - w2, m)
-    db = _norms(germ.fiber, germ.b(a, w1, m) - germ.b(a, w2, m), m)
+    dw = germ.fiber.norms(w1 - w2, m)
+    db = germ.fiber.norms(germ.b(a, w1, m) - germ.b(a, w2, m), m)
     return max([0.0] + (db[dw >= 1e-14] / dw[dw >= 1e-14]).tolist())
-
-
-def _norms(fiber, v, m):
-    """fiber.norm(row, m) of each row of v, a FiniteDimScale's by one dot per row."""
-    if type(fiber).norm is FiniteDimScale.norm:
-        return np.sqrt(_fd.squares(v))
-    return np.array([fiber.norm(row, m) for row in v])
 
 
 def _apply(mat, v):
@@ -145,7 +138,7 @@ def solve_germ(germ, a, m, tol=1e-12, max_iter=500):
     history = np.full((max_iter, n), np.nan)  # the residual of each step taken
     inside = ~(np.sqrt(_fd.squares(rows)) > germ.radii[m] * (1 + 1e-12))
     if inside.any():
-        b0[inside] = _norms(germ.fiber, germ.b(rows[inside], w[inside], m), m)
+        b0[inside] = germ.fiber.norms(germ.b(rows[inside], w[inside], m), m)
     for i in np.flatnonzero(~np.isfinite(b0)):
         errors[i] = NonConvergenceError(
             f"|B(a, 0)| is {b0[i]:g} at level {m}; contraction assumption violated"
@@ -159,7 +152,7 @@ def solve_germ(germ, a, m, tol=1e-12, max_iter=500):
         if not idx.size:
             break
         bw = germ.b(a_live, w_live, m)
-        res = _norms(germ.fiber, w_live - bw, m)
+        res = germ.fiber.norms(w_live - bw, m)
         go = (tol < res) & (res < math.inf)
         if not go.all():
             stop = idx[~go]
@@ -254,7 +247,7 @@ def solution_sheet(germ, a_grid, m_max=None, tol=1e-12):
             raise NonConvergenceError(f"node {a.tolist()}: {exc}") from exc
         if exc:
             raise exc
-    coherence = [_norms(germ.fiber, solved[m][0] - solved[m - 1][0], m - 1).tolist()
+    coherence = [germ.fiber.norms(solved[m][0] - solved[m - 1][0], m - 1).tolist()
                  for m in range(1, m_max + 1)]
     nodes = [SheetNode(a, [w[i] for w, _ in solved],
                        [info.row_iterations[i] for _, info in solved],

@@ -519,13 +519,18 @@ def _seeded_zeros(fn, jac, chart, count, rng):
               + _chart_radius(chart) * rng.uniform(-1, 1, (count, d)))
     xs, res = _fd.gauss_newton(fn, starts, chart.fiber_dim(), jac=jac)
     zs = xs[res <= CORRECTOR_ACCEPT_TOL]
-    zs = zs[[chart.domain.contains(x, 0) for x in zs]]
-    near = _fd.norms(zs[:, None] - zs[None]) < 1e-5
+    return _distinct(zs[[chart.domain.contains(x, 0) for x in zs]], 1e-5)
+
+
+def _distinct(points, min_distance):
+    """The rows of a (k, d) array, in order, that lie at least min_distance
+    from every earlier row kept."""
+    far = _fd.norms(points[:, None] - points[None]) >= min_distance
     keep = []
-    for i in range(len(zs)):
-        if not near[i, keep].any():
+    for i in range(len(points)):
+        if far[i, keep].all():
             keep.append(i)
-    return list(zs[keep])
+    return list(points[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +600,7 @@ def solution_set(f, l, seed=0):
                 out.append(SolutionBranch(cid, bi, w, sorted(sols, key=tuple), 0))
             else:
                 pr = 0.8 * radius
-                for x_sol in _cluster_representatives(sols, 2 * pr):
+                for x_sol in _distinct(np.array(sorted(sols, key=tuple)), 2 * pr):
                     pg = germ_from_map(diff, x_sol, chart.fiber_dim(),
                                        radius=max(4.0 * pr, 4.0))
 
@@ -623,14 +628,6 @@ def solution_set(f, l, seed=0):
                         failed_samples=sum(e is not None for e in info.errors)))
     l._solution_sets[key] = out
     return out
-
-
-def _cluster_representatives(points, min_distance):
-    reps = []
-    for p in sorted(points, key=tuple):
-        if all(np.linalg.norm(p - r) >= min_distance for r in reps):
-            reps.append(p)
-    return reps
 
 
 # ---------------------------------------------------------------------------
@@ -928,8 +925,9 @@ def orientation_sign(f, multisection, branch, p):
     if multisection is not None and branch.branch_index >= 0:
         section = multisection.branches[branch.branch_index][0]
         mat = mat - section.derivative_matrix(branch.chart_id, p)
-    det = np.linalg.det(mat) if mat.shape[0] == mat.shape[1] else 0.0
-    return 1 if det > 0 else (-1 if det < 0 else 0)
+    # slogdet's sign does not underflow to 0 as det does, as for 0.01 I at n = 200
+    sign = np.linalg.slogdet(mat)[0] if mat.shape[0] == mat.shape[1] else 0.0
+    return 1 if sign > 0 else (-1 if sign < 0 else 0)
 
 
 def weighted_count(f, branches, multisection=None):

@@ -144,7 +144,7 @@ def _porkbarrel_bundle():
     def fn(cid, x):
         if cid != "spanned":
             return np.zeros(x.shape[:-1] + (0,))
-        return (x[..., 1] ** 2 + ramp(x[..., 0]) ** 2)[..., None]
+        return x[..., 1:] ** 2 + ramp(x[..., :1]) ** 2
 
     def jac(cid, x):
         if cid != "spanned":

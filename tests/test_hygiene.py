@@ -3,7 +3,8 @@ module that knows how a config fails to parse, one that writes JSON and CSV
 text, no sparse matrix turned dense, no pseudo-inverse formed to solve one
 system, no scipy loaded on import, no import inside a function but scipy's,
 no parameter that its function never reads, no attribute stored for no
-reader and no local stored for no reader."""
+reader, no local stored for no reader and one module that decides how a
+scale measures rows."""
 
 import ast
 from pathlib import Path
@@ -242,3 +243,18 @@ def test_every_local_is_read():
                       if isinstance(n.ctx, ast.Store)
                       and not n.id.startswith("_") and n.id not in loaded}
     assert sorted(found) == []
+
+
+def test_norm_identity_only_in_sc_core():
+    # sc_core alone decides how a scale measures a block of rows; a module
+    # that tests `type(fiber).norm is ...` decides it a second time
+    found = {
+        name
+        for name, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+        and any(isinstance(side, ast.Attribute) and side.attr == "norm"
+                for side in [node.left, *node.comparators])
+    }
+    assert found == {"sc_core.py"}

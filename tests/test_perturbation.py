@@ -37,6 +37,7 @@ from scfold.perturbation import (
     linearization_set,
     multisection_norm,
     multisection_sum,
+    orientation_sign,
     perturb_to_transversal,
     regularizing_check,
     solution_set,
@@ -1633,3 +1634,73 @@ def test_sections_evaluate_rows_as_points(name, section, cid):
         assert np.array_equal(jac, section.derivative_matrix(cid, x, h))
     if name.endswith("cokernel shift"):  # the bump is on at some rows
         assert np.abs(values).max() > 0.0
+
+
+def seeded_zeros_dedup(zs, min_distance):
+    """The deduplication _seeded_zeros used to write out: start order."""
+    near = _fd.norms(zs[:, None] - zs[None]) < min_distance
+    keep = []
+    for i in range(len(zs)):
+        if not near[i, keep].any():
+            keep.append(i)
+    return list(zs[keep])
+
+
+def cluster_representatives(points, min_distance):
+    """The curve-patch representatives solution_set used to pick: sorted."""
+    reps = []
+    for p in sorted(points, key=tuple):
+        if all(np.linalg.norm(p - r) >= min_distance for r in reps):
+            reps.append(p)
+    return reps
+
+
+def test_distinct_keeps_the_rows_of_both_former_loops():
+    rng = np.random.default_rng(12)
+    centers = rng.uniform(-1, 1, (6, 2))
+    points = np.vstack([centers[rng.integers(0, 6, 40)] + 1e-6 * rng.standard_normal((40, 2)),
+                        # 5.0 and 1.25 apart exactly
+                        [[0.0, 0.0], [3.0, 4.0], [0.0, 1.25], [0.75, 1.0]]])
+    sorted_points = np.array(sorted(points, key=tuple))
+    for min_distance in (1e-5, 2e-6, 0.5, 1.25, 5.0):
+        assert np.array_equal(perturbation._distinct(points, min_distance),
+                              seeded_zeros_dedup(points, min_distance))
+        assert np.array_equal(perturbation._distinct(sorted_points, min_distance),
+                              cluster_representatives(points, min_distance))
+    exact = np.array([[0.0, 0.0], [3.0, 4.0]])
+    assert len(perturbation._distinct(exact, 5.0)) == 2
+    assert len(perturbation._distinct(exact, np.nextafter(5.0, 6.0))) == 1
+    assert perturbation._distinct(np.zeros((0, 2)), 1e-5) == []
+
+
+def _linear_section_sign(matrix):
+    fiber_dim, d = matrix.shape
+    model = finite_model(d, fiber_dim)
+    f = BundleSection(model, lambda cid, x: x @ matrix.T,
+                      jac=lambda cid, x: rows_of(matrix, x), name="linear")
+    branch = SolutionBranch("main", -1, Fraction(1), [np.zeros(d)], 0)
+    return orientation_sign(f, None, branch, np.zeros(d))
+
+
+def test_orientation_sign_survives_determinant_underflow():
+    small = 0.01 * np.eye(200)
+    assert np.linalg.det(small) == 0.0  # 1e-400 underflows
+    assert _linear_section_sign(small) == 1
+    flipped = small.copy()
+    flipped[0, 0] = -0.01
+    assert _linear_section_sign(flipped) == -1
+    assert _linear_section_sign(np.array([[1.0, 2.0], [2.0, 4.0]])) == 0
+    assert _linear_section_sign(np.ones((2, 3))) == 0
+
+
+def test_porkbarrel_trough_one_row_equals_its_row_of_a_batch():
+    # on one row x[..., 0] is a 0-d array and ramp's np.maximum returns a
+    # float64 scalar, whose ** 2 is libm's pow: one ulp below the batch's
+    # square at this point of a porkbarrel run at seed 4
+    _, section = _porkbarrel_bundle()
+    x = np.array([0.5233997828759264, 0.01698366503687249])
+    rows = np.stack([x, [0.8, 0.3], [1.2, -0.05]])
+    batch = section("spanned", rows)
+    for row, value in zip(rows, batch):
+        assert np.array_equal(section("spanned", row), value)
+    assert section("spanned", x)[0].hex() == "0x1.051987f5260efp-10"

@@ -87,6 +87,34 @@ def test_finite_dim_norm_bit_identical_to_numpy(name, x):
         assert got == want == float("inf")
 
 
+class DoubledNorm(FiniteDimScale):
+    """A finite-dimensional scale whose norm is twice the Euclidean one."""
+
+    def norm(self, coeffs, level):
+        return 2.0 * super().norm(coeffs, level)
+
+
+@pytest.mark.parametrize("scale", [FiniteDimScale(3, max_level=2), DoubledNorm(3, max_level=2)],
+                         ids=["finite", "own norm"])
+def test_finite_dim_norms_equal_norm_of_each_row(scale):
+    rng = np.random.default_rng(9)
+    block = np.vstack([rng.standard_normal((6, 3)), np.zeros((1, 3)),
+                       [[1e155, -2e154, 3e155], [3e154, -3e154, 3e154]]])
+    for rows in (block, block[::2], np.asfortranarray(block), np.zeros((0, 3))):
+        for level in range(3):
+            with np.errstate(over="ignore"):
+                got = scale.norms(rows, level)
+                want = [scale.norm(row, level) for row in rows]
+            assert got.shape == (len(rows),)
+            assert np.array_equal(got, want)
+    with np.errstate(over="ignore"):
+        assert np.isinf(scale.norms(block, 0)[-2:]).all()
+        assert np.array_equal(DoubledNorm(3).norms(block, 0),
+                              2.0 * FiniteDimScale(3).norms(block, 0))
+    with pytest.raises(LevelRangeError):
+        scale.norms(block, 3)
+
+
 def test_level_norm_gaussian_matches_fine_grid_oracle():
     # oracle: the same discrete norm evaluated at h = 1/512
     coarse = make_grid_scale(h=1 / 64)
@@ -637,6 +665,26 @@ def test_circle_scale_norm_rejects_wrong_length():
     for level in range(3):
         with pytest.raises(ValueError, match=r"expected 64 grid values, got shape \(10,\)"):
             c.norm(np.ones(10), level)
+
+
+def test_circle_scale_norms_equal_norm_of_each_row():
+    c = CircleGridScale(64, max_level=3, orders=[0, 2, 1, 3])
+    block = np.random.default_rng(3).standard_normal((7, 64))
+    for level in range(4):
+        assert np.array_equal(c.norms(block, level), [c.norm(row, level) for row in block])
+    assert type(c.norm(block[0], 0)) is float
+    with pytest.raises(ValueError, match=r"expected rows of 64 grid values, got shape \(3, 10\)"):
+        c.norms(np.ones((3, 10)), 0)
+
+
+def test_circle_scale_norm_sums_h_v_squared():
+    # the grid backends share one energy helper: each entry is h * v**2,
+    # summed along the grid, the sums added in order of derivative
+    c = CircleGridScale(50, max_level=1)
+    u = np.random.default_rng(1).standard_normal(50)
+    du = c.diff(1) @ u
+    assert c.norm(u, 0) == float(np.sqrt(np.sum(c.h * u ** 2)))
+    assert c.norm(u, 1) == float(np.sqrt(np.sum(c.h * u ** 2) + np.sum(c.h * du ** 2)))
 
 
 # ------------------------------------------------------------ config parsing
