@@ -320,10 +320,7 @@ def numerical_rank(singular_values):
 
 def orthonormal_columns(columns):
     """Orthonormal basis of the column span, rank decided with the guard band."""
-    m = np.asarray(columns, dtype=float)
-    if m.ndim == 1:
-        m = m[:, None]
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    u, s, _ = np.linalg.svd(np.asarray(columns, dtype=float), full_matrices=False)
     return u[:, :numerical_rank(s)], s
 
 

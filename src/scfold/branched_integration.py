@@ -108,8 +108,6 @@ class PolynomialForm:
             key, sign = _sorted_key(idx)
             if key is None:
                 continue
-            if not isinstance(poly, Polynomial):
-                poly = Polynomial(n_vars, poly)
             if sign < 0:
                 poly = Polynomial(n_vars, {e: -c for e, c in poly.terms.items()})
             if key in self.terms:
@@ -353,23 +351,12 @@ class BranchedFamily:
             effective_order = 1
         self.effective_order = int(effective_order)
 
-    def theta(self, y):
-        """Sum of the weights of the branches containing y within
-        MEMBERSHIP_TOL."""
-        total = Fraction(0)
-        hit = False
-        for b in self.branches:
-            if b.contains(y):
-                total += b.weight
-                hit = True
-        return total if hit else Fraction(0)
-
 
 def theta_eval(family, y):
     """Sum of weights of branches containing y within MEMBERSHIP_TOL; a point
     far from every cell raises UnchartedPointError."""
     y = np.asarray(y, dtype=float)
-    value = family.theta(y)
+    value = sum((b.weight for b in family.branches if b.contains(y)), Fraction(0))
     if value == 0:
         covered = any(
             _cell_distance(cell, y) < 10.0 for b in family.branches for cell in b.cells
@@ -483,18 +470,12 @@ def integrate_boundary(family, form, order=12):
     for b in family.branches:
         if b.dim != form.degree + 1:
             raise ValueError("boundary integration needs degree = dimension - 1")
-    boundary_branches = []
-    for b in family.branches:
-        faces = []
-        for cell in b.cells:
-            if cell.dim == 0:
-                continue
-            faces.extend(cell.boundary_cells())
-        if not faces:
-            continue
-        boundary_branches.append(Branch(faces, b.weight, name=b.name))
-    if not boundary_branches:
-        return WeightedMeasureResult(0.0, order, [], 0.0)
+    # the degree check makes each branch's first cell at least 1-dimensional,
+    # so every branch has a face (a 0-cell has none)
+    boundary_branches = [
+        Branch([face for cell in b.cells for face in cell.boundary_cells()],
+               b.weight, name=b.name)
+        for b in family.branches]
     bfam = BranchedFamily(boundary_branches, family.effective_order,
                           name=f"∂{family.name}")
     return integrate(bfam, form, order=order)
@@ -594,10 +575,6 @@ class PairingReport:
     dimension_matched: bool
 
     @property
-    def value(self):
-        return self.values[0] if self.values else 0.0
-
-    @property
     def stable(self):
         """The largest pairwise deviation of the trial values is at most 1e-6."""
         return self.spread <= 1e-6
@@ -641,10 +618,8 @@ def de_rham_pairing(f, cp, form, trials=5, seed=0):
                     lo, hi, weight=b.weight, name=f"sol-{b.chart_id}-{b.branch_index}"))
             fam = BranchedFamily(branches, 1)
             values.append(integrate(fam, form, order=12).value)
-    spread = 0.0
-    for a in values:
-        for b in values:
-            spread = max(spread, abs(float(a) - float(b)))
+    floats = [float(v) for v in values]
+    spread = max(floats, default=0.0) - min(floats, default=0.0)
     return PairingReport(values, spread, matched)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _fd
 from ._text import csv_text
-from .errors import NonConvergenceError, NotInQuadrantError
+from .errors import NonConvergenceError
 from .sc_core import FiniteDimScale, PartialQuadrant, degeneracy_index, fredholm_split
 
 GERM_ORIGIN_TOL = 1e-12
@@ -450,13 +450,9 @@ def local_solution_manifold(germ, kernel_dim=None, samples_per_dim=9):
         a, res = _fd.gauss_newton(reduced, a, N, max_iter=50, jac=jac)
     keep, degs = [], []
     for i in np.flatnonzero(res < 1e-9):
-        try:
-            if not quadrant.contains(a[i]):
-                continue
+        if quadrant.contains(a[i]):
+            keep.append(i)
             degs.append(degeneracy_index(quadrant, a[i]))
-        except NotInQuadrantError:
-            continue
-        keep.append(i)
     a, w = a[keep], fixed_points(germ, a[keep], 0, 1e-10, 500)
     surj = np.full(len(keep), np.inf)
     if N and keep:

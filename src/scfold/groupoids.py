@@ -544,15 +544,11 @@ class Diagram:
         """Induced map on orbit representatives of the outer groupoids."""
         src_orbits = orbit_space(self.left.target)
         tgt_orbits = orbit_space(self.right.target)
-        apex_orbits = orbit_space(self.apex)
-        out = {}
-        for rep in apex_orbits.representatives:
-            key = src_orbits.orbit_of(self.left.on_object(rep))
-            val = tgt_orbits.orbit_of(self.right.on_object(rep))
-            if key in out and out[key] != val:
-                raise ValueError("orbit map is not well defined")
-            out[key] = val
-        return out
+        # the left leg is an equivalence, so distinct apex orbits give
+        # distinct keys
+        return {src_orbits.orbit_of(self.left.on_object(rep)):
+                tgt_orbits.orbit_of(self.right.on_object(rep))
+                for rep in orbit_space(self.apex).representatives}
 
     @classmethod
     def from_functor(cls, phi):

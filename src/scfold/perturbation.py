@@ -275,7 +275,7 @@ class Multisection:
         total = Fraction(0)
         for section, w in self.branches:
             v = section(element.chart_id, element.base)
-            if chart.fiber_dim() == 0 or chart.fiber.norm(v - element.fiber, 0) <= FIBER_MATCH_TOL:
+            if chart.fiber.norm(v - element.fiber, 0) <= FIBER_MATCH_TOL:
                 total += w
         return total
 
@@ -338,11 +338,6 @@ def multisection_from_config(model, text_or_dict):
             raise ConfigError(f"unknown branch kind {kind!r}")
         branches.append((sec, Fraction(row["weight"])))
     return Multisection(model, branches)
-
-
-def multisection_eval(l, element):
-    """Total weight of branches passing through the element."""
-    return l.eval(element)
 
 
 def multisection_sum(l1, l2):
@@ -424,11 +419,7 @@ class ControlRegion:
     balls: dict  # chart_id -> list of (center, radius)
 
     def contains(self, chart_id, x):
-        x = np.asarray(x, dtype=float)
-        for center, radius in self.balls.get(chart_id, []):
-            if np.linalg.norm(x - center) <= radius:
-                return True
-        return False
+        return self.interior_margin(chart_id, x) >= 0
 
     def interior_margin(self, chart_id, x):
         x = np.asarray(x, dtype=float)
@@ -487,11 +478,11 @@ def control_pair_build(f, aux_norm, margin=0.5, seed=0):
         if chart.fiber_dim() == 0:
             continue
         for center, radius in blist:
-            for _ in range(200 // max(len(blist), 1)):
-                x = center + radius * rng.uniform(-1, 1, center.size)
-                if aux_norm(cid, f(cid, x)) <= 1.0:
-                    if region.interior_margin(cid, x) <= 1e-9:
-                        stray.append((cid, x))
+            # one draw per ball, the numbers of one draw per sample
+            xs = center + radius * rng.uniform(-1, 1, (200 // len(blist), center.size))
+            for x, fx in zip(xs, f(cid, xs)):
+                if aux_norm(cid, fx) <= 1.0 and region.interior_margin(cid, x) <= 1e-9:
+                    stray.append((cid, x))
     certified = not escaped and not stray
     report = {
         "certified": certified,
@@ -667,8 +658,7 @@ def linearization_set(f, l, chart_id, x, alternative=None):
         raise UnchartedPointError("base point outside the chart domain")
     fx = f(chart_id, x)
     active = [(bi, section, w) for bi, (section, w) in enumerate(l.branches)
-              if not (chart.fiber_dim() and chart.fiber.norm(
-                  section(chart_id, x) - fx, 0) > FIBER_MATCH_TOL)]
+              if chart.fiber.norm(section(chart_id, x) - fx, 0) <= FIBER_MATCH_TOL]
     if not active:
         raise NotASolutionError("the multisection vanishes on the section value here")
     df = f.derivative_matrix(chart_id, x)
@@ -866,9 +856,6 @@ def _transversal_search(f, cp, epsilon, seed):
             raw_norm = cp.aux_norm(cid, vec)
             scale = 0.5 * epsilon / max(raw_norm, 1e-30)
             offsets[cid] = (*_bump_profile(center, radius), scale * vec)
-        if not offsets:
-            raise ExhaustedAttemptsError("no cokernel directions available",
-                                         report=worst)
 
         def pert_fn(cid, x, offsets=offsets):
             if cid not in offsets:

@@ -330,6 +330,8 @@ class CircleGridScale(_GridFunctionScale):
     fiber uses orders m."""
 
     def __init__(self, n, max_level=3, orders=None):
+        if not (n > 0 and n == int(n)):
+            raise ValueError(f"grid size n must be a positive integer, got {n}")
         super().__init__(max_level, orders)
         self.n = int(n)
         self.h = 2.0 * np.pi / self.n
@@ -419,9 +421,6 @@ class SumScale(ScScale):
         if at != coeffs.shape[0]:
             raise ValueError("coefficient length does not match the sum scale")
         return parts
-
-    def join(self, parts):
-        return np.concatenate([np.asarray(p, dtype=float) for p in parts])
 
     def norm(self, coeffs, level):
         self.check_level(level)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -42,9 +41,7 @@ class Check:
 
     def row(self):
         value = self.value
-        if isinstance(value, Fraction):
-            value = str(value)
-        elif isinstance(value, (np.floating, np.integer)):
+        if isinstance(value, (np.floating, np.integer)):
             value = float(value)
         return {"name": self.name, "pass": bool(self.passed),
                 "value": value, "tolerance": self.tolerance}

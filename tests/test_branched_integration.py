@@ -770,3 +770,28 @@ def test_pointwise_callback_form_is_refused_on_rows():
     with pytest.raises(ValueError, match=r"form returned shape \(2,\) for rows x "
                                          r"of shape \(9, 2\); rows need shape \(9,\)"):
         integrate(fam, form, order=5)
+
+
+# ------------------------------------------------------------------ guards
+
+def _unsigned_segment():
+    cell = Cell(1, lambda q: np.concatenate([q, q], axis=-1), None, None, 0)
+    return family(Branch([cell], Fraction(1)))
+
+
+@pytest.mark.parametrize("build,message", [
+    pytest.param(lambda: x_dy()(np.zeros(2)), "need 1 tangent vectors",
+                 id="polynomial form vectors"),
+    pytest.param(lambda: CallbackForm(2, 1, lambda x, v: x[..., 0])(np.zeros(2)),
+                 "need 1 tangent vectors", id="callback form vectors"),
+    pytest.param(lambda: Branch([], Fraction(0)),
+                 "branch weights must be positive rationals", id="branch weight"),
+    pytest.param(lambda: integrate(_unsigned_segment(), x_dy(), order=3),
+                 "branch cells must carry an orientation sign", id="cell sign"),
+    pytest.param(lambda: integrate_boundary(family(disk_branch()), area_form()),
+                 "boundary integration needs degree = dimension - 1",
+                 id="boundary degree"),
+])
+def test_branched_integration_guards_raise(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -871,3 +871,26 @@ def test_contraction_verify_matches_scalar_reference(make, m, samples, seed):
     got = contraction_verify(g, m, sample_count=samples, seed=seed)
     assert got == scalar_contraction_verify(g, m, sample_count=samples, seed=seed)
     assert type(got) is float
+
+
+# ------------------------------------------------------------------ guards
+
+def _half(a, w, m):
+    return 0.5 * w
+
+
+@pytest.mark.parametrize("build,message", [
+    pytest.param(lambda: BasicGerm(1, 0, 1, FiniteDimScale(1), _half),
+                 "residue evaluator required when residue_dim > 0", id="no residue"),
+    pytest.param(lambda: BasicGerm(1, 0, 0, FiniteDimScale(1),
+                                   lambda a, w, m: 0.5 * w + 1.0),
+                 "germ must vanish at the origin", id="germ at origin"),
+    pytest.param(lambda: BasicGerm(1, 0, 1, FiniteDimScale(1), _half,
+                                   residue_fn=lambda a, w: a + 1.0),
+                 "residue must vanish at the origin", id="residue at origin"),
+    pytest.param(lambda: local_solution_manifold(affine_germ(), kernel_dim=2),
+                 "expected kernel dimension 2, got 1", id="kernel dimension"),
+])
+def test_germ_guards_raise(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

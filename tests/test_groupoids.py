@@ -465,3 +465,59 @@ def test_axioms_checked_exhaustively():
             inverse_label=lambda a: a,
             identity_label=lambda oi: 0,
         )
+
+
+# ------------------------------------------------------------------ guards
+
+def _table(objects, specs, compose_label):
+    """Groupoid of the given morphism labels with label 0 as every identity
+    and every label its own inverse."""
+    return EpGroupoid(objects, specs, compose_label=compose_label,
+                      inverse_label=lambda a: a, identity_label=lambda oi: 0)
+
+
+def _two_points():
+    return _table([("pt", np.zeros(1)), ("pt", np.ones(1))], [(0, 0, 0), (1, 1, 0)],
+                  lambda a, b: 0)
+
+
+def _diagram_of_collapse():
+    x = identity_only_groupoid()
+    collapse = Functor(x, x, lambda oi: 0, lambda mi: x.identity(0), name="collapse")
+    return Diagram(collapse, Functor.identity(x))
+
+
+def _compose_on_empty_apex():
+    d = Diagram.from_functor(Functor.identity(_table([], [], lambda a, b: 0)))
+    return compose_generalized(d, d)
+
+
+@pytest.mark.parametrize("build,message", [
+    pytest.param(lambda: FiniteGroup([[1, 0], [0, 1]]),
+                 "element 0 must act as the identity", id="identity element"),
+    pytest.param(lambda: FiniteGroup([[0, 1, 2], [1, 0, 0], [2, 0, 0]]),
+                 "every element needs a unique inverse", id="inverse"),
+    pytest.param(lambda: _table([("pt", np.zeros(1))], [(0, 0, 0), (0, 0, 0)],
+                                lambda a, b: 0),
+                 "duplicate morphism", id="duplicate morphism"),
+    pytest.param(lambda: _two_points().compose(1, 0),
+                 "morphisms are not composable", id="not composable"),
+    pytest.param(lambda: _table([("pt", np.zeros(1))], [(0, 0, 0), (0, 0, 1)],
+                                lambda a, b: a),
+                 "left unit fails at morphism 1", id="axiom"),
+    pytest.param(lambda: Functor(_two_points(), _two_points(), lambda oi: 0,
+                                 lambda mi: mi, name="collapse"),
+                 "collapse: source not preserved at morphism 1", id="functoriality"),
+    pytest.param(lambda: natural_transformation_check(
+        Functor.identity(_two_points()), Functor.identity(_two_points()), lambda oi: 0),
+                 "functors must share source and target", id="transformation legs"),
+    pytest.param(lambda: Diagram(Functor.identity(_two_points()),
+                                 Functor.identity(_two_points())),
+                 "diagram legs must share their apex", id="apex"),
+    pytest.param(_diagram_of_collapse, "left leg is not an equivalence",
+                 id="left leg"),
+    pytest.param(_compose_on_empty_apex, "empty fibered product", id="empty apex"),
+])
+def test_groupoid_guards_raise(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -59,13 +59,6 @@ def test_multisection_config_rejects_unknown_kind():
         })
 
 
-def test_multisection_eval_alias():
-    model = small_model()
-    lam = pert.Multisection.zero(model)
-    e = model.element("main", np.zeros(1), 1, np.zeros(1), 1)
-    assert pert.multisection_eval(lam, e) == Fraction(1)
-
-
 def test_form_from_config_matches_direct():
     cfg = {
         "schema": "form/1",

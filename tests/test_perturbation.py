@@ -1704,3 +1704,94 @@ def test_porkbarrel_trough_one_row_equals_its_row_of_a_batch():
     for row, value in zip(rows, batch):
         assert np.array_equal(section("spanned", row), value)
     assert section("spanned", x)[0].hex() == "0x1.051987f5260efp-10"
+
+
+# ------------------------------------------------------------------ guards
+
+def _alternative_structure_mismatch():
+    # both branches pass through f(0.5) = 0.25, with slopes 0 and 0.5
+    model = finite_model()
+    linear = BundleSection(model, lambda cid, x: 0.5 * x, tag="sc_plus",
+                           jac=lambda cid, x: rows_of([[0.5]], x), name="linear")
+    linearization_set(fold_section(model),
+                      Multisection(model, [(const_branch(model, [0.25]), Fraction(1))]),
+                      "main", np.array([0.5]),
+                      alternative=Multisection(model, [(linear, Fraction(1))]))
+
+
+@pytest.mark.parametrize("build,message", [
+    pytest.param(_alternative_structure_mismatch,
+                 "linearization set depends on the local section structure",
+                 id="alternative structure"),
+])
+def test_perturbation_guards_raise(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def _per_sample_control_report(f, aux_norm, margin, seed):
+    """certified, escaped_zeros and stray_sublevel_points of control_pair_build,
+    drawn by the reference loop: one uniform draw and one section call per
+    sample."""
+    rng = np.random.default_rng(seed)
+    balls, escaped = {}, []
+    for cid, chart in f.model.charts.items():
+        if chart.fiber_dim() == 0:
+            found = [chart.domain.center.copy()]
+        else:
+            found = perturbation._seeded_zeros(
+                lambda z: f(cid, z), lambda z, h: f.derivative_matrix(cid, z, h),
+                chart, 24, rng)
+        for x_sol in found:
+            if np.linalg.norm(x_sol - chart.domain.center) > 0.9 * _chart_radius(chart):
+                escaped.append((cid, x_sol))
+            balls.setdefault(cid, []).append((x_sol, margin))
+    region = ControlRegion(balls)
+    stray = []
+    for cid, blist in balls.items():
+        if f.model.charts[cid].fiber_dim() == 0:
+            continue
+        for center, radius in blist:
+            for _ in range(200 // len(blist)):
+                x = center + radius * rng.uniform(-1, 1, center.size)
+                if aux_norm(cid, f(cid, x)) <= 1.0:
+                    if region.interior_margin(cid, x) <= 1e-9:
+                        stray.append((cid, x))
+    return not escaped and not stray, escaped, stray
+
+
+def _same_points(got, want):
+    assert [cid for cid, _ in got] == [cid for cid, _ in want]
+    for (_, a), (_, b) in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("margin,strays", [(0.1, 9), (0.5, 0)])
+def test_control_pair_samples_each_ball_in_one_section_call(monkeypatch, margin, strays):
+    model, section = _porkbarrel_bundle()
+    aux = AuxiliaryNorm(model, norm_fn=lambda cid, v: float(np.linalg.norm(v)) / 0.02)
+    certified, escaped, stray = _per_sample_control_report(section, aux, margin, 0)
+    assert len(stray) == strays
+
+    calls, solving = [], []
+    seeded_zeros, fn = perturbation._seeded_zeros, section.fn
+
+    def corrector(*args):
+        solving.append(True)
+        try:
+            return seeded_zeros(*args)
+        finally:
+            solving.pop()
+
+    def counted(cid, x):
+        if not solving:
+            calls.append(cid)
+        return fn(cid, x)
+
+    monkeypatch.setattr(perturbation, "_seeded_zeros", corrector)
+    monkeypatch.setattr(section, "fn", counted)
+    cp = control_pair_build(section, aux, margin=margin, seed=0)
+    assert cp.report["certified"] == certified
+    _same_points(cp.report["escaped_zeros"], escaped)
+    _same_points(cp.report["stray_sublevel_points"], stray)
+    assert calls == ["spanned"] * len(cp.region.balls["spanned"])

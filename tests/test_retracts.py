@@ -5,6 +5,7 @@ import scipy.linalg
 from scfold import _fd
 from scfold.errors import (
     AmbiguousRankError,
+    DegenerateBasisError,
     ImageMismatchError,
     NonIdempotentError,
     WindowExitError,
@@ -795,3 +796,26 @@ def test_dimension_constant_within_strata_jumps_at_zero(bump, bump_retraction):
         dims.append((s, retract_tangent_basis(bump_retraction, x).dimension))
     for s, d in dims:
         assert d == (2 if s > 0 else 1)
+
+
+# ------------------------------------------------------------------ guards
+
+def _first_axis_retraction():
+    keep = np.array([1.0, 0.0])
+    return Retraction(whole_scale_domain(FiniteDimScale(2)), lambda x: x * keep,
+                      lambda x, h: h * keep)
+
+
+@pytest.mark.parametrize("build,error,message", [
+    pytest.param(lambda: tangent_independence_check(
+        _first_axis_retraction(), _first_axis_retraction(), [np.array([0.0, 1.0])]),
+                 ImageMismatchError, "sample not fixed by both retractions",
+                 id="sample off the image"),
+    pytest.param(lambda: good_position_check(np.array([[1.0], [0.0]]), quadrant2(),
+                                             np.array([[1.0], [1e-9]]), c=0.5),
+                 DegenerateBasisError, "combined basis condition number too large",
+                 id="degenerate basis"),
+])
+def test_retract_guards_raise(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

@@ -296,3 +296,37 @@ def test_shift_group_law():
         twice = phi(np.concatenate([[t1], once]), 0)
         direct = phi(np.concatenate([[t1 + t2], u]), 0)
         assert scale.norm(twice - direct, 0) < 1e-6
+
+
+# ------------------------------------------------------------------ guards
+
+def _vec(level, coeffs=(0.1, 0.2)):
+    return FiniteDimScale(2).vector(list(coeffs), level=level)
+
+
+def _identity2():
+    return linear_map(FiniteDimScale(2), np.eye(2))
+
+
+@pytest.mark.parametrize("build,error,message", [
+    pytest.param(lambda: TangentElement(_vec(0), _vec(0)), LevelRangeError,
+                 "tangent base must have level >= 1", id="tangent base"),
+    pytest.param(lambda: TangentElement(_vec(2), _vec(0)), LevelRangeError,
+                 "vector level must be base level - 1", id="tangent pairing"),
+    pytest.param(lambda: sc1_probe(_identity2(), _vec(0), _vec(0), [1e-1]),
+                 LevelRangeError, "probe base point must be at level >= 1",
+                 id="probe level"),
+    pytest.param(lambda: sc1_probe(_identity2(), _vec(1), _vec(0), [1e-2, 1e-1]),
+                 ValueError, "h_sequence must be decreasing and positive",
+                 id="h_sequence"),
+    pytest.param(lambda: sc1_probe(_identity2(), _vec(1), _vec(0, (0.0, 0.0)), [1e-1]),
+                 ValueError, "direction must be nonzero", id="zero direction"),
+    pytest.param(lambda: chain_rule_check(_identity2(),
+                                          linear_map(FiniteDimScale(3), np.eye(3)), []),
+                 ValueError, "maps are not composable", id="not composable"),
+    pytest.param(lambda: shift_map(FiniteDimScale(2)), ValueError,
+                 "shift map needs a weighted_grid scale", id="shift scale"),
+])
+def test_sc_calculus_guards_raise(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

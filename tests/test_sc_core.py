@@ -32,6 +32,7 @@ from scfold.sc_core import (
     CircleGridScale,
     FiniteDimScale,
     PartialQuadrant,
+    LevelWindow,
     SumScale,
     WeightedGridScale,
     degeneracy_index,
@@ -730,6 +731,17 @@ def test_grid_scale_rejects_non_positive_R_or_h(R, h, name):
                            "deltas": [0.0]})
 
 
+def test_circle_scale_rejects_n_unless_a_positive_integer():
+    # as WeightedGridScale names R or h: n = 0 would divide by zero, a
+    # negative n would give a negative dim, and 2.5 would truncate to 2
+    for build in (lambda: CircleGridScale(0), lambda: CircleGridScale(-4, 1),
+                  lambda: CircleGridScale(2.5),
+                  lambda: scale_from_config({"backend": "circle_grid", "n": 0})):
+        with pytest.raises(ValueError, match="grid size n must be a positive integer"):
+            build()
+    assert CircleGridScale(8).dim(0) == 8
+
+
 def test_scale_from_config_unknown_key():
     with pytest.raises(ConfigError):
         scale_from_config('{"backend": "finite_dim", "dims": 4, "bogus": 1}')
@@ -738,3 +750,34 @@ def test_scale_from_config_unknown_key():
 def test_scale_from_config_bad_json_reports_line():
     with pytest.raises(ConfigError, match="line"):
         scale_from_config('{"backend": "finite_dim",\n "dims": }')
+
+
+# ------------------------------------------------------------------ guards
+
+@pytest.mark.parametrize("build,error,message", [
+    pytest.param(lambda: FiniteDimScale(1, max_level=1).shifted(2), LevelRangeError,
+                 "no room to shift", id="shift past max_level"),
+    pytest.param(lambda: FiniteDimScale(-1), ValueError,
+                 "dimension and max_level must be nonnegative", id="negative dim"),
+    pytest.param(lambda: CircleGridScale(8, max_level=2, orders=[0, 1]), ValueError,
+                 "one derivative order per level", id="orders per level"),
+    pytest.param(lambda: WeightedGridScale(1.0, 0.3, (0.0, 0.1)), ValueError,
+                 "R/h must be a positive even integer", id="R/h not even"),
+    pytest.param(lambda: LevelWindow(FiniteDimScale(1, max_level=2), 1, 2),
+                 LevelRangeError, "invalid level window", id="window past top"),
+    pytest.param(lambda: SumScale([]), ValueError, "need at least one component",
+                 id="empty sum"),
+    pytest.param(lambda: SumScale([FiniteDimScale(1, 1), FiniteDimScale(1, 2)]),
+                 ValueError, "mismatched max_level among components",
+                 id="sum max_level"),
+    pytest.param(lambda: SumScale([FiniteDimScale(1)]).split(np.zeros(2)), ValueError,
+                 "coefficient length does not match the sum scale", id="split length"),
+    pytest.param(lambda: PartialQuadrant(FiniteDimScale(2), (2,)), ValueError,
+                 "quadrant index outside ambient coordinate range",
+                 id="quadrant index range"),
+    pytest.param(lambda: PartialQuadrant(FiniteDimScale(2), (0, 0)), ValueError,
+                 "repeated quadrant index", id="repeated quadrant index"),
+])
+def test_sc_core_guards_raise(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

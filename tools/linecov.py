@@ -9,9 +9,11 @@ not run it.
     python tools/linecov.py tests/test_fd.py -k rank
 
 Arguments are passed to pytest (default: ``-q -p no:cacheprovider tests``).
-The last line is the total, ``unrun N of M statements``; the exit status is
-pytest's. Run it from the repository root, with nothing having imported
-scfold yet, so that module-level statements are traced too.
+The last two lines are ``unrun raise statements: K``, not counting an
+abstract ``raise NotImplementedError``, and the total, ``unrun N of M
+statements``; the exit status is pytest's. Run it from the repository root,
+with nothing having imported scfold yet, so that module-level statements are
+traced too.
 """
 
 from __future__ import annotations
@@ -73,6 +75,14 @@ def statements(tree):
     return out
 
 
+def _is_guard(node):
+    """A raise statement other than an abstract raise NotImplementedError."""
+    if not isinstance(node, ast.Raise):
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return not (isinstance(exc, ast.Name) and exc.id == "NotImplementedError")
+
+
 def _ran(node, hit):
     if _header_lines(node) & hit:
         return True
@@ -82,9 +92,10 @@ def _ran(node, hit):
 
 def report(hits):
     """Report lines: per module its unrun count and, per function, the line
-    numbers of its unrun statements; the total comes last."""
+    numbers of its unrun statements; the unrun raise count and the total come
+    last."""
     lines = []
-    unrun_total = total = 0
+    unrun_total = total = guards = 0
     for path in sorted(SRC.rglob("*.py")):
         hit = hits.get(str(path), set())
         by_owner = defaultdict(list)
@@ -92,6 +103,7 @@ def report(hits):
         for owner, node in stmts:
             if not _ran(node, hit):
                 by_owner[owner].append(node.lineno)
+                guards += _is_guard(node)
         unrun = sum(len(v) for v in by_owner.values())
         unrun_total += unrun
         total += len(stmts)
@@ -99,6 +111,7 @@ def report(hits):
         lines.append(f"{name}: unrun {unrun} of {len(stmts)}")
         for owner, linenos in sorted(by_owner.items(), key=lambda kv: kv[1][0]):
             lines.append(f"  {owner}: {', '.join(map(str, linenos))}")
+    lines.append(f"unrun raise statements: {guards}")
     lines.append(f"unrun {unrun_total} of {total} statements")
     return lines
 
